@@ -21,17 +21,9 @@ from .effect import (
     EffectEstimate,
     integration_by_parts_value,
     mann_whitney_effect,
-    uncensored_pairwise_oracle,
     wilcoxon_integral,
 )
-from .variance import (
-    CovKernel,
-    VarianceEstimate,
-    cov_kernel,
-    normalized_kernel_value,
-    sigma2_jk,
-    variance_estimate,
-)
+from .variance import VarianceEstimate, variance_estimate
 from .inference import (
     InferenceResult,
     asymptotic_ci,
@@ -80,13 +72,8 @@ __all__ = [
     "EffectEstimate",
     "mann_whitney_effect",
     "wilcoxon_integral",
-    "uncensored_pairwise_oracle",
     "integration_by_parts_value",
-    "CovKernel",
     "VarianceEstimate",
-    "cov_kernel",
-    "normalized_kernel_value",
-    "sigma2_jk",
     "variance_estimate",
     "InferenceResult",
     "studentized_p",

@@ -20,8 +20,8 @@ import sys
 from dataclasses import replace as _replace
 
 from .datasets import HORIZON_POLICIES, ingest_csv, tongue_path
-from .inference import asymptotic_ci
-from .resampling import ResamplingPlan, pool, replicate_set, resampling_ci
+from .inference import _asymptotic, _observed
+from .resampling import ResamplingPlan, _resampling_results, pool, replicate_set
 from . import simulate as sim
 
 __all__ = ["main", "build_parser"]
@@ -102,20 +102,25 @@ def _json_num(x):
 
 
 def _analysis_results(s1, s2, args, seed):
+    # one effect and variance for the dataset, one replicate set per method
     methods = _METHODS if args.method == "all" else (args.method,)
     targets = ("p", "w") if args.target == "both" else (args.target,)
+    eff, var = _observed(s1, s2)
     rows = []
     for method in methods:
-        for target in targets:
-            name = method if len(targets) == 1 else f"{method}:{target}"
-            if method == "asymptotic":
-                res = asymptotic_ci(s1, s2, alpha=args.alpha, target=target,
-                                    alternative=args.alternative)
-            else:
-                plan = ResamplingPlan(method, args.b, seed, args.workers)
-                res = resampling_ci(s1, s2, plan, alpha=args.alpha,
-                                    alternative=args.alternative, target=target)
-            rows.append((name, res))
+        if method == "asymptotic":
+            results = [_asymptotic(eff, var, args.alpha, target, args.alternative)
+                       for target in targets]
+        else:
+            plan = ResamplingPlan(method, args.b, seed, args.workers)
+            reps = replicate_set(pool(s1, s2), plan)
+            if args.dump_replicates:
+                with open(args.dump_replicates, "w") as fh:
+                    reps.export(fh)
+            results = _resampling_results(eff, var, reps, plan, args.alpha,
+                                          args.alternative, targets)
+        for target, res in zip(targets, results):
+            rows.append((method if len(targets) == 1 else f"{method}:{target}", res))
     return rows
 
 
@@ -188,12 +193,8 @@ def _run_analyze(args) -> str:
         path, k, time_col=args.time_col, status_col=args.status_col,
         group_col=args.group_col, event_value=args.event_value,
         censored_value=args.censored_value, beyond_horizon=args.beyond_horizon)
-    if args.dump_replicates:
-        if args.method not in ("bootstrap", "permutation"):
-            raise ValueError("--dump-replicates needs --method bootstrap or permutation")
-        plan = ResamplingPlan(args.method, args.b, seed, args.workers)
-        with open(args.dump_replicates, "w") as fh:
-            replicate_set(pool(s1, s2), plan).export(fh)
+    if args.dump_replicates and args.method not in ("bootstrap", "permutation"):
+        raise ValueError("--dump-replicates needs --method bootstrap or permutation")
     rows = _analysis_results(s1, s2, args, seed)
     if args.json:
         return _analysis_json(s1, s2, rows, seed)

@@ -20,7 +20,6 @@ __all__ = [
     "EffectEstimate",
     "wilcoxon_integral",
     "mann_whitney_effect",
-    "uncensored_pairwise_oracle",
     "integration_by_parts_value",
 ]
 
@@ -90,20 +89,6 @@ def effect_from_fits(f1: KaplanMeierFit, f2: KaplanMeierFit) -> EffectEstimate:
     # exact summation can drift a hair outside [0, 1]
     p = min(1.0, max(0.0, p))
     return EffectEstimate(p_hat=p, w_hat=_win_ratio(p), n1=f1.n, n2=f2.n)
-
-
-def uncensored_pairwise_oracle(s1: Sample, s2: Sample) -> float:
-    """Mid-rank double sum over all pairs; requires fully uncensored data.
-
-    Returns (1 / (n1 n2)) * sum_{i,j} [ 1{t1_i > t2_j} + 1{t1_i = t2_j}/2 ].
-    Used as an independent reference for the integral estimator.
-    """
-    if not (s1.events.all() and s2.events.all()):
-        raise ValueError("oracle requires uncensored data")
-    t1 = s1.times[:, None]
-    t2 = s2.times[None, :]
-    wins = (t1 > t2).sum() + 0.5 * (t1 == t2).sum()
-    return float(wins / (s1.n * s2.n))
 
 
 def integration_by_parts_value(s1: Sample, s2: Sample) -> float:

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .effect import EffectEstimate, mann_whitney_effect
-from .survival import Sample
-from .variance import VarianceEstimate, variance_estimate
+from .effect import EffectEstimate, effect_from_fits
+from .survival import Sample, kaplan_meier
+from .variance import VarianceEstimate, variance_from_fits
 
 __all__ = [
     "InferenceResult",
@@ -83,15 +83,21 @@ def _rate(n1: int, n2: int) -> float:
     return float(np.sqrt(n1 * n2 / (n1 + n2)))
 
 
+def _observed(s1: Sample, s2: Sample) -> tuple[EffectEstimate, VarianceEstimate]:
+    # the observed effect and variance, from one Kaplan-Meier fit per group
+    if s1.k != s2.k:
+        raise ValueError("incompatible horizons")
+    f1, f2 = kaplan_meier(s1), kaplan_meier(s2)
+    return effect_from_fits(f1, f2), variance_from_fits(f1, f2)
+
+
 def studentized_p(s1: Sample, s2: Sample, p0: float = 0.5) -> float:
     """Studentized effect statistic sqrt(n1 n2 / n) (p_hat - p0) / sigma.
 
     Raises a "degenerate variance" error when sigma_hat == 0 or a group
     has no events.
     """
-    eff = mann_whitney_effect(s1, s2)
-    var = variance_estimate(s1, s2)
-    return _studentized_p(eff, var, p0)
+    return _studentized_p(*_observed(s1, s2), p0)
 
 
 def _studentized_p(eff: EffectEstimate, var: VarianceEstimate, p0: float) -> float:
@@ -103,13 +109,12 @@ def _studentized_p(eff: EffectEstimate, var: VarianceEstimate, p0: float) -> flo
 def studentized_w(s1: Sample, s2: Sample, w0: float = 1.0) -> float:
     """Studentized win-ratio statistic via the delta method.
 
-    Two algebraically equal forms exist; both are evaluated and must agree
-    to 1e-12.  Raises "win ratio degenerate" at p_hat == 1 and
-    "degenerate variance" at sigma_hat == 0 or when a group has no events.
+    sqrt(n1 n2 / n) (1 - p_hat)^2 (w_hat - w0) / sigma_hat, since
+    dw/dp = 1 / (1 - p)^2.  Raises "win ratio degenerate" at p_hat == 1
+    and "degenerate variance" at sigma_hat == 0 or when a group has no
+    events.
     """
-    eff = mann_whitney_effect(s1, s2)
-    var = variance_estimate(s1, s2)
-    return _studentized_w(eff, var, w0)
+    return _studentized_w(*_observed(s1, s2), w0)
 
 
 def _studentized_w(eff: EffectEstimate, var: VarianceEstimate, w0: float) -> float:
@@ -117,12 +122,7 @@ def _studentized_w(eff: EffectEstimate, var: VarianceEstimate, w0: float) -> flo
         raise ValueError("win ratio degenerate")
     if var.degenerate:
         raise ValueError("degenerate variance")
-    rate = _rate(eff.n1, eff.n2)
-    one_minus = 1.0 - eff.p_hat
-    primary = rate * one_minus**2 * (eff.w_hat - w0) / var.sigma
-    alternate = rate * (eff.w_hat - w0) / (var.sigma * (1.0 + eff.w_hat) ** 2)
-    assert abs(primary - alternate) <= 1e-12 * max(1.0, abs(primary))
-    return primary
+    return _rate(eff.n1, eff.n2) * (1.0 - eff.p_hat) ** 2 * (eff.w_hat - w0) / var.sigma
 
 
 def _interval(center: float, halfwidth_lo: float, halfwidth_hi: float, target: str,
@@ -169,6 +169,21 @@ def _normal_p_value(statistic: float, alternative: str) -> float:
     return float(2.0 * special.ndtr(-abs(statistic)))
 
 
+def _check_options(target: str, alternative: str) -> None:
+    if target not in ("p", "w"):
+        raise ValueError("target must be 'p' or 'w'")
+    if alternative not in _ALTERNATIVES:
+        raise ValueError(f"alternative must be one of {_ALTERNATIVES}")
+
+
+def _asymptotic(eff: EffectEstimate, var: VarianceEstimate, alpha: float, target: str,
+                alternative: str) -> InferenceResult:
+    stat = _studentized_p(eff, var, 0.5) if target == "p" else _studentized_w(eff, var, 1.0)
+    z = normal_quantile(alpha / 2 if alternative == "two-sided" else alpha)
+    return _build("asymptotic", target, alternative, eff, var, alpha, z, z,
+                  stat, _normal_p_value(stat, alternative), z)
+
+
 def asymptotic_ci(s1: Sample, s2: Sample, alpha: float = 0.05, target: str = "p",
                   alternative: str = "two-sided") -> InferenceResult:
     """Normal-quantile confidence interval (and matching test) at level alpha.
@@ -178,16 +193,8 @@ def asymptotic_ci(s1: Sample, s2: Sample, alpha: float = 0.05, target: str = "p"
     (1 - p_hat)^2 and clamps to [0, inf).  One-sided intervals use
     z_alpha and extend to the respective range boundary.
     """
-    if target not in ("p", "w"):
-        raise ValueError("target must be 'p' or 'w'")
-    if alternative not in _ALTERNATIVES:
-        raise ValueError(f"alternative must be one of {_ALTERNATIVES}")
-    eff = mann_whitney_effect(s1, s2)
-    var = variance_estimate(s1, s2)
-    stat = _studentized_p(eff, var, 0.5) if target == "p" else _studentized_w(eff, var, 1.0)
-    z = normal_quantile(alpha / 2 if alternative == "two-sided" else alpha)
-    return _build("asymptotic", target, alternative, eff, var, alpha, z, z,
-                  stat, _normal_p_value(stat, alternative), z)
+    _check_options(target, alternative)
+    return _asymptotic(*_observed(s1, s2), alpha, target, alternative)
 
 
 def asymptotic_test(s1: Sample, s2: Sample, alpha: float = 0.05, target: str = "p",

@@ -25,9 +25,9 @@ from . import rng as _rng
 from ._engine import (BatchContext, batch_context, batch_statistics,
                       bootstrap_indices, permutation_indices)
 from .survival import Sample
-from .effect import mann_whitney_effect
-from .variance import variance_estimate
-from .inference import InferenceResult, _build, _studentized_p
+from .effect import EffectEstimate
+from .variance import VarianceEstimate
+from .inference import InferenceResult, _build, _check_options, _observed, _studentized_p
 
 __all__ = [
     "PooledSample",
@@ -206,17 +206,15 @@ def _exceedance(count: int, b_eff: int) -> float:
     return (1 + count) / (b_eff + 1)
 
 
-def _resample_inference(s1: Sample, s2: Sample, plan: ResamplingPlan,
-                        alpha: float, alternative: str, target: str) -> InferenceResult:
-    if alternative not in ("two-sided", "greater", "less"):
-        raise ValueError("alternative must be 'two-sided', 'greater' or 'less'")
-    if target not in ("p", "w"):
-        raise ValueError("target must be 'p' or 'w'")
-    eff = mann_whitney_effect(s1, s2)
-    var = variance_estimate(s1, s2)
-    t_obs = _studentized_p(eff, var, 0.5)
+def _resampling_results(eff: EffectEstimate, var: VarianceEstimate, reps: ReplicateSet,
+                        plan: ResamplingPlan, alpha: float, alternative: str,
+                        targets) -> list[InferenceResult]:
+    """One replicate set read off as an interval and test for each target.
 
-    reps = replicate_set(pool(s1, s2), plan)
+    The replicates studentize the effect, so the critical value and the
+    p-value are shared by the targets; only the interval is rescaled.
+    """
+    t_obs = _studentized_p(eff, var, 0.5)
     stats = reps.statistics
     if reps.b_eff == 0:
         raise ValueError("no valid replicates")
@@ -224,21 +222,28 @@ def _resample_inference(s1: Sample, s2: Sample, plan: ResamplingPlan,
     if alternative == "greater":
         crit = replicate_quantile(reps, alpha)
         p_val = _exceedance(int((stats >= t_obs).sum()), reps.b_eff)
-        lo_w, hi_w = crit, crit
     elif alternative == "less":
         neg = ReplicateSet(statistics=-stats, dropped=reps.dropped)
         crit = replicate_quantile(neg, alpha)
         p_val = _exceedance(int((stats <= t_obs).sum()), reps.b_eff)
-        lo_w, hi_w = crit, crit
     else:
         absr = ReplicateSet(statistics=np.abs(stats), dropped=reps.dropped)
         crit = replicate_quantile(absr, alpha)
         p_val = _exceedance(int((np.abs(stats) >= abs(t_obs)).sum()), reps.b_eff)
-        lo_w, hi_w = crit, crit
 
-    return _build(plan.scheme, target, alternative, eff, var, alpha,
-                  lo_w, hi_w, t_obs, min(p_val, 1.0), crit,
-                  b=plan.b, dropped=reps.dropped)
+    return [_build(plan.scheme, target, alternative, eff, var, alpha,
+                   crit, crit, t_obs, min(p_val, 1.0), crit,
+                   b=plan.b, dropped=reps.dropped) for target in targets]
+
+
+def _resample_inference(s1: Sample, s2: Sample, plan: ResamplingPlan,
+                        alpha: float, alternative: str, target: str) -> InferenceResult:
+    _check_options(target, alternative)
+    eff, var = _observed(s1, s2)
+    if var.degenerate:  # fail before drawing any replicate
+        raise ValueError("degenerate variance")
+    reps = replicate_set(pool(s1, s2), plan)
+    return _resampling_results(eff, var, reps, plan, alpha, alternative, (target,))[0]
 
 
 def resampling_test(s1: Sample, s2: Sample, plan: ResamplingPlan,

@@ -26,8 +26,8 @@ import numpy as np
 
 from . import rng as _rng
 from .survival import Sample
-from .inference import asymptotic_ci
-from .resampling import ResamplingPlan, resampling_ci
+from .inference import _asymptotic, _observed
+from .resampling import ResamplingPlan, _resampling_results, pool, replicate_set
 
 __all__ = [
     "SETUPS",
@@ -374,10 +374,14 @@ def coverage_study(config: ScenarioConfig) -> CoverageRow:
     for rep in range(config.reps):
         s1, s2, inner_seed = _generate(config, cal, rep)
         try:
-            results = [asymptotic_ci(s1, s2, alpha=config.alpha)]
+            # one effect and variance serve all three intervals
+            eff, var = _observed(s1, s2)
+            results = [_asymptotic(eff, var, config.alpha, "p", "two-sided")]
+            z = pool(s1, s2)
             for scheme in ("bootstrap", "permutation"):
                 plan = ResamplingPlan(scheme, config.b, inner_seed, config.workers)
-                results.append(resampling_ci(s1, s2, plan, alpha=config.alpha))
+                results += _resampling_results(eff, var, replicate_set(z, plan), plan,
+                                               config.alpha, "two-sided", ("p",))
         except ValueError:
             excluded += 1
             continue

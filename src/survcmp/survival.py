@@ -61,8 +61,9 @@ class Sample:
         k = float(k)
         if not np.isfinite(k) or k <= 0:
             raise ValueError("invalid horizon")
-        if np.any(times <= 0) or np.any(times > k):
-            raise ValueError("times must lie in (0, k]")
+        # NaN fails both comparisons, so non-finite times are caught here too
+        if not np.all((times > 0) & (times <= k)):
+            raise ValueError("times must be positive, finite and lie in (0, k]")
         self.times = times
         self.events = events
         self.k = k
@@ -127,8 +128,9 @@ def truncate(raw, k) -> Sample:
     Raises
     ------
     ValueError
-        If the collection is empty ("empty sample") or k is not a positive
-        finite number ("invalid horizon").
+        If the collection is empty ("empty sample"), k is not a positive
+        finite number ("invalid horizon"), or a time is not positive and
+        finite (raised by :class:`Sample`).
     """
     kf = float(k)
     if not np.isfinite(kf) or kf <= 0:
@@ -142,11 +144,8 @@ def truncate(raw, k) -> Sample:
             raise ValueError("empty sample")
         times = np.array([p[0] for p in pairs], dtype=float)
         events = np.array([bool(p[1]) for p in pairs], dtype=bool)
-    if times.size == 0:
-        raise ValueError("empty sample")
-    if np.any(~np.isfinite(times)) or np.any(times <= 0):
-        raise ValueError("times must be positive and finite")
-    over = times > kf
+    # only finite times past the window are rewritten; Sample rejects the rest
+    over = np.isfinite(times) & (times > kf)
     times = np.where(over, kf, times)
     events = np.where(over, True, events)
     return Sample(times, events, kf)

@@ -19,6 +19,19 @@ end.  The group-2 term therefore integrates group 2's kernel against
 group 1's mass plus an atom of size S1(k) placed just past k.  Without
 that atom the variance falls short whenever group 1's curve ends above
 zero, as it does when its largest observation is censored.
+
+The kernel is S_j(u) S_j(v) H_j(u ^ v), and H_j(u ^ v) is a sum of
+hazard-variance increments dH_j(s) over s <= u and s <= v.  Summing over
+s last turns the double integral over (u, v) into one sum over group j's
+event times (the same reassociation the replicate engine uses):
+
+    sigma2_jk = 1/4 * sum_s dH_j(s) * (A(s) + A_minus(s))^2,
+
+with A(s) the tail sum of S_j(u) |dS_k(u)| over k's jump times u >= s and
+A_minus(s) the strict tail (u > s) of S_j(u-) |dS_k(u)|.  The boundary
+atom adds S_j(k) S_k(k) to both.  That is O(m log m) time and O(m) memory;
+the pairwise O(m^2) quadratic form it equals is kept as a test oracle
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -29,47 +42,7 @@ import numpy as np
 
 from .survival import KaplanMeierFit, Sample, kaplan_meier
 
-__all__ = [
-    "CovKernel",
-    "VarianceEstimate",
-    "cov_kernel",
-    "normalized_kernel_value",
-    "sigma2_jk",
-    "variance_estimate",
-]
-
-
-@dataclass(frozen=True)
-class CovKernel:
-    """Covariance kernel of one group's Kaplan-Meier process.
-
-    The kernel is Gamma(u, v) = S(u) S(v) H(min(u, v)) where H cumulates
-    dN(u) / ((1 - dN(u)/Y(u)) Y(u)^2) over the event times.  An event time
-    with dN == Y (the curve drops to zero) contributes nothing to H; its
-    variance contribution is carried entirely by the vanishing S factors.
-
-    ``h_values`` holds the running sums of H at ``fit.counting.event_times``.
-    """
-
-    fit: KaplanMeierFit
-    h_values: np.ndarray
-
-    def __post_init__(self):
-        self.h_values.setflags(write=False)
-
-    def h(self, t):
-        """H(t), right-continuous."""
-        idx = np.searchsorted(self.fit.counting.event_times, t, side="right")
-        padded = np.concatenate(([0.0], self.h_values))
-        out = padded[idx]
-        return float(out) if np.isscalar(t) else out
-
-    def h_left(self, t):
-        """H(t-)."""
-        idx = np.searchsorted(self.fit.counting.event_times, t, side="left")
-        padded = np.concatenate(([0.0], self.h_values))
-        out = padded[idx]
-        return float(out) if np.isscalar(t) else out
+__all__ = ["VarianceEstimate", "variance_estimate", "variance_from_fits"]
 
 
 @dataclass(frozen=True)
@@ -93,91 +66,24 @@ class VarianceEstimate:
         return float(np.sqrt(self.sigma2))
 
 
-def cov_kernel(sample_or_fit) -> CovKernel:
-    """Build the covariance kernel table for one sample.
+def _sigma2_jk(fit_j: KaplanMeierFit, fit_k: KaplanMeierFit, boundary: bool = False) -> float:
+    """Group j's kernel integrated twice against fit_k's mass, as tail sums.
 
-    Accepts a :class:`Sample` or an existing :class:`KaplanMeierFit`.
+    With ``boundary`` the mass fit_k keeps at the window end, S_k(k), is
+    one more atom just past k (see the module docstring).  Nonnegative.
     """
-    fit = sample_or_fit if isinstance(sample_or_fit, KaplanMeierFit) else kaplan_meier(sample_or_fit)
-    cp = fit.counting
-    denom = (cp.y - cp.dn) * cp.y
-    with np.errstate(divide="ignore", invalid="ignore"):
-        increments = np.where(denom > 0, cp.dn / np.where(denom > 0, denom, 1), 0.0)
-    return CovKernel(fit=fit, h_values=np.cumsum(increments))
-
-
-def normalized_kernel_value(kernel: CovKernel, u: float, v: float) -> float:
-    """Four-limit average of the kernel at (u, v).
-
-    Returns (Gamma(u,v) + Gamma(u-,v) + Gamma(u,v-) + Gamma(u-,v-)) / 4,
-    where the left limits apply jointly to the survival factors and to the
-    H argument: the limit of H(min(u', v)) as u' -> u- is H(u-) when
-    u <= v and H(v) when u > v.
-    """
-    s = kernel.fit.survival
-    su, su_l = s(u), s.left_limit(u)
-    sv, sv_l = s(v), s.left_limit(v)
-
-    def h_min(u_open: bool, v_open: bool) -> float:
-        if u < v:
-            return kernel.h_left(u) if u_open else kernel.h(u)
-        if v < u:
-            return kernel.h_left(v) if v_open else kernel.h(v)
-        return kernel.h_left(u) if (u_open or v_open) else kernel.h(u)
-
-    return 0.25 * (
-        su * sv * h_min(False, False)
-        + su_l * sv * h_min(True, False)
-        + su * sv_l * h_min(False, True)
-        + su_l * sv_l * h_min(True, True)
-    )
-
-
-def sigma2_jk(kernel_j: CovKernel, fit_k: KaplanMeierFit, boundary: bool = False) -> float:
-    """Double integral of the normalized kernel against fit_k's mass.
-
-    Exact O(m^2) summation over all pairs of jump times of fit_k's
-    survival curve; the two negative jump masses multiply to a positive
-    weight.  With ``boundary`` the mass fit_k keeps at the window end,
-    S_k(k), is added as one more atom just past k, where the kernel's
-    left and right limits both equal its value at k; this is the
-    boundary term of the group-2 linearization (see the module
-    docstring).  Always nonnegative.
-    """
-    g = fit_k.survival
-    u = g.jump_times
-    w = g.deltas  # negative; sign cancels in the outer product
-    s = kernel_j.fit.survival
-    su = s(u)
-    su_l = s.left_limit(u)
-    h = kernel_j.h(u)
-    h_l = kernel_j.h_left(u)
-    if boundary:
-        s_k, h_k = s(g.k), kernel_j.h(g.k)
-        w = np.append(w, -g(g.k))
-        su, su_l = np.append(su, s_k), np.append(su_l, s_k)
-        h, h_l = np.append(h, h_k), np.append(h_l, h_k)
-    m = w.size
-    if m == 0:
-        return 0.0
-
-    idx = np.arange(m)
-    lo = np.minimum.outer(idx, idx)
-    # H at min(u, v) with the left limit taken on the open side(s)
-    h_min_cc = h[lo]
-    h_min_oo = h_l[lo]
-    le = idx[:, None] <= idx[None, :]
-    h_min_oc = np.where(le, h_l[:, None], h[None, :])  # u side open
-    h_min_co = np.where(le.T, h_l[None, :], h[:, None])  # v side open
-
-    kern = 0.25 * (
-        np.outer(su, su) * h_min_cc
-        + np.outer(su_l, su) * h_min_oc
-        + np.outer(su, su_l) * h_min_co
-        + np.outer(su_l, su_l) * h_min_oo
-    )
-    total = float(np.outer(w, w).ravel() @ kern.ravel())
-    return max(total, 0.0)
+    cp = fit_j.counting
+    gap = (cp.y - cp.dn) * cp.y
+    # a jump to zero (dN == Y) adds nothing to H_j
+    dh = np.where(gap > 0, cp.dn / np.where(gap > 0, gap, 1), 0.0)
+    s, g = fit_j.survival, fit_k.survival
+    u, mass = g.jump_times, -g.deltas
+    tail = np.append(np.cumsum((s(u) * mass)[::-1])[::-1], 0.0)
+    strict = np.append(np.cumsum((s.left_limit(u) * mass)[::-1])[::-1], 0.0)
+    atom = s(g.k) * g(g.k) if boundary else 0.0
+    a = tail[np.searchsorted(u, cp.event_times, side="left")] + atom
+    a_minus = strict[np.searchsorted(u, cp.event_times, side="right")] + atom
+    return 0.25 * float(np.sum(dh * (a + a_minus) ** 2))
 
 
 def variance_estimate(s1: Sample, s2: Sample) -> VarianceEstimate:
@@ -200,10 +106,8 @@ def variance_estimate(s1: Sample, s2: Sample) -> VarianceEstimate:
 
 def variance_from_fits(f1: KaplanMeierFit, f2: KaplanMeierFit) -> VarianceEstimate:
     """Variance estimate from two already-computed Kaplan-Meier fits."""
-    k1 = cov_kernel(f1)
-    k2 = cov_kernel(f2)
-    s12 = sigma2_jk(k1, f2)
-    s21 = sigma2_jk(k2, f1, boundary=True)
+    s12 = _sigma2_jk(f1, f2)
+    s21 = _sigma2_jk(f2, f1, boundary=True)
     n1, n2 = f1.n, f2.n
     n = n1 + n2
     sigma2 = (n1 * n2 / n) * (s12 + s21)

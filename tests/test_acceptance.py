@@ -11,7 +11,6 @@ from survcmp.datasets import load_tongue
 from survcmp.effect import (
     integration_by_parts_value,
     mann_whitney_effect,
-    uncensored_pairwise_oracle,
     wilcoxon_integral,
 )
 from survcmp.inference import asymptotic_ci
@@ -25,6 +24,8 @@ from survcmp.simulate import (
 )
 from survcmp.survival import Sample, kaplan_meier, truncate
 from survcmp.variance import variance_estimate
+
+from oracles import uncensored_pairwise_oracle
 
 
 def _report(num, ok, detail):

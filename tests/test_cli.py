@@ -1,9 +1,11 @@
 """Command-line behavior: exit codes, output formats, seed handling."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from survcmp import cli, resampling
 from survcmp.cli import main
 
 
@@ -60,6 +62,30 @@ class TestAnalyze:
         assert rc == 0
         names = [e["name"] for e in json.loads(out)["methods"]]
         assert names == ["asymptotic:p", "asymptotic:w"]
+
+    def test_target_both_output_frozen(self, capsys):
+        # recorded before the observed statistic and the replicate sets
+        # were shared between targets; the sharing must not move a byte
+        golden = Path(__file__).parent / "golden" / "analyze_all_both_seed1.json"
+        rc, out, _ = _run(capsys, ["analyze", "--method", "all", "--target", "both",
+                                   "--json", "--seed", "1"])
+        assert rc == 0
+        assert out == golden.read_text()
+
+    def test_target_both_builds_one_replicate_set_per_method(self, capsys, monkeypatch):
+        schemes = []
+        original = resampling.replicate_set
+
+        def counting(z, plan):
+            schemes.append(plan.scheme)
+            return original(z, plan)
+
+        for module in (cli, resampling):
+            monkeypatch.setattr(module, "replicate_set", counting)
+        rc, _, _ = _run(capsys, ["analyze", "--method", "all", "--target", "both",
+                                 "--b", "99", "--json"])
+        assert rc == 0
+        assert sorted(schemes) == ["bootstrap", "permutation"]
 
     def test_one_sided_w_interval_open_above(self, capsys):
         rc, out, _ = _run(capsys, ["analyze", "--method", "asymptotic", "--target", "w",

@@ -8,10 +8,11 @@ from survcmp.datasets import load_tongue
 from survcmp.effect import (
     integration_by_parts_value,
     mann_whitney_effect,
-    uncensored_pairwise_oracle,
     wilcoxon_integral,
 )
 from survcmp.survival import Sample, kaplan_meier, truncate
+
+from oracles import uncensored_pairwise_oracle
 
 K = 10.0
 

@@ -66,6 +66,23 @@ class TestStatistics:
             assert_allclose(w, 2.0 * (1.0 - p_hat) * t, atol=1e-12)
             assert np.sign(w) == np.sign(t) or t == 0.0
 
+    def test_w_statistic_forms_agree(self):
+        # (1 - p)^2 = 1 / (1 + w)^2 turns the delta-method form into the
+        # equivalent rate (w - w0) / (sigma (1 + w)^2)
+        rng = np.random.default_rng(607)
+        checked = 0
+        for _ in range(80):
+            s1, s2 = _random_pair(rng)
+            eff, var = mann_whitney_effect(s1, s2), variance_estimate(s1, s2)
+            if eff.p_hat >= 1.0 or var.degenerate:
+                continue
+            rate = np.sqrt(eff.n1 * eff.n2 / (eff.n1 + eff.n2))
+            for w0 in (0.5, 1.0, 2.0):
+                other = rate * (eff.w_hat - w0) / (var.sigma * (1.0 + eff.w_hat) ** 2)
+                assert_allclose(studentized_w(s1, s2, w0), other, rtol=1e-12, atol=1e-12)
+            checked += 1
+        assert checked >= 60
+
     def test_degenerate_variance_rejected(self):
         s1 = Sample([1.0, 2.0], [False, False], K)
         s2 = Sample([1.5, 2.5], [False, False], K)

@@ -61,6 +61,19 @@ class TestSample:
         with pytest.raises(ValueError, match="empty sample"):
             Sample([], [], 10.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_times_rejected(self, bad):
+        # NaN used to slip past the window check and give p_hat = 0.25
+        with pytest.raises(ValueError, match="finite"):
+            Sample([bad, 1.0], [True, True], 5.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_truncate_does_not_rewrite_non_finite_times(self, bad):
+        # an infinite time is not "beyond the window": it is rejected, not
+        # turned into an event at k
+        with pytest.raises(ValueError, match="finite"):
+            truncate(([bad, 1.0], [True, True]), 5.0)
+
     def test_arrays_read_only(self):
         s = Sample([1.0, 2.0], [True, False], 5.0)
         with pytest.raises(ValueError):
