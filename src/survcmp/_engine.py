@@ -1,20 +1,43 @@
 """Vectorized evaluation of studentized statistics over many resamples.
 
-Works on a shared grid of pooled distinct times.  Per replicate and group,
-event/at-risk counts are histogrammed onto the grid; Kaplan-Meier curves,
-hazard-variance increments and the effect integral then come out of
-row-wise cumulative products and reversed cumulative sums.  The variance
-double integral collapses to a single sum via
+The event grid.  The pooled sample's distinct times form the full grid of
+q slots, but a replicate's Kaplan-Meier curve can only step where the pool
+has an event.  So the curves are built on the event grid: one column per
+pooled event time, a leading column for times before the first event and
+a trailing column that no observation reaches.  Each observation sits in
+the last event column at or before its time, which keeps every at-risk
+count right.  Per replicate and group, event and at-risk counts are
+histogrammed onto that grid; curves, hazard-variance increments and the
+effect integral then come out of row-wise cumulative products and
+reversed cumulative sums, for both groups in one pass.  This is exact: on
+the full grid a slot without an event only multiplies S by 1.0 and adds
+exact zeros to every cumulative sum.
+
+The variance double integral collapses to a single sum via
 
     sigma2_jk = 1/4 * sum_s dH_j(s) * (A(s) + A_minus(s))^2
 
 with A(s) the tail sum of S_j times the mass of S_k at or after s, and
 A_minus the strict-tail analogue with left limits; this is the same
-quantity the quadratic-form module computes pairwise, reassociated around
+quantity the quadratic-form oracle computes pairwise, reassociated around
 the minimum in H_j(u ^ v).  The group-2 term (j, k) = (2, 1) also counts
 group 1's leftover mass S_1(k) as an atom just past the window end, which
 adds S_2(k) S_1(k) to both A and A_minus at every s: it is the boundary
 term -S_1(k) d_2(k) of the linearization in group 2's curve.
+
+The bitwise contract.  Every statistic and validity flag equals, bit for
+bit, the one the same formulas give on the full grid (the reference
+engine in ``tests/oracles.py``).  The row sums are the one place where the
+grid width shows: numpy's pairwise summation groups terms by position, so
+the per-slot terms of p, sigma2_12 and sigma2_21 go back to their
+full-grid slots, between exact zeros, before they are summed.
+
+Permutation rows hold every pooled observation once, so group 2's death
+and at-risk counts are the pooled counts minus group 1's, in exact
+integer arithmetic; ``batch_statistics(..., permutation=True)`` takes that
+shortcut and histograms group 1 only.  Block arrays live in a
+:class:`Workspace` that one worker reuses across its blocks; workspaces
+are never shared between threads.
 """
 
 from __future__ import annotations
@@ -23,7 +46,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["BatchContext", "batch_context", "batch_statistics",
+from .rng import BLOCK
+
+__all__ = ["BatchContext", "Workspace", "batch_context", "batch_statistics",
            "bootstrap_indices", "permutation_indices"]
 
 
@@ -31,9 +56,13 @@ __all__ = ["BatchContext", "batch_context", "batch_statistics",
 class BatchContext:
     """Pooled data prepared for batched resampling.
 
-    ``pos`` maps each pooled observation to its slot on the grid of
-    distinct times, ``events`` is the pooled indicator vector, and
-    ``q`` the grid length.
+    ``pos`` maps each pooled observation to its slot on the full grid of
+    q distinct times and ``events`` is the pooled indicator vector.  The
+    event grid has ``width`` columns: column 0 for times before the first
+    event, column c = 1..E for the full-grid slot ``event_slots[c - 1]``,
+    and a last column that no observation reaches.  ``column`` is each
+    pooled observation's event-grid column; ``pool_deaths`` and
+    ``pool_at_risk`` are the pooled counts on the event grid.
     """
 
     pos: np.ndarray
@@ -41,16 +70,33 @@ class BatchContext:
     q: int
     n1: int
     n2: int
+    event_slots: np.ndarray
+    column: np.ndarray
+    pool_deaths: np.ndarray
+    pool_at_risk: np.ndarray
+
+    @property
+    def width(self) -> int:
+        return self.event_slots.size + 2
 
     def __post_init__(self):
-        self.pos.setflags(write=False)
-        self.events.setflags(write=False)
+        for arr in (self.pos, self.events, self.event_slots, self.column,
+                    self.pool_deaths, self.pool_at_risk):
+            arr.setflags(write=False)
 
 
 def batch_context(times: np.ndarray, events: np.ndarray, n1: int, n2: int) -> BatchContext:
     grid, pos = np.unique(np.asarray(times, dtype=float), return_inverse=True)
-    return BatchContext(pos=pos.astype(np.int64), events=np.asarray(events, bool).copy(),
-                        q=int(grid.size), n1=int(n1), n2=int(n2))
+    pos = pos.astype(np.int64)
+    events = np.asarray(events, bool).copy()
+    slots = np.unique(pos[events])
+    column = np.searchsorted(slots, pos, side="right")
+    width = slots.size + 2
+    deaths = np.bincount(column[events], minlength=width).astype(float)
+    at_risk = np.cumsum(np.bincount(column, minlength=width)[::-1])[::-1].astype(float)
+    return BatchContext(pos=pos, events=events, q=int(grid.size), n1=int(n1), n2=int(n2),
+                        event_slots=slots, column=column,
+                        pool_deaths=deaths, pool_at_risk=at_risk)
 
 
 def bootstrap_indices(rng: np.random.Generator, r: int, n: int) -> np.ndarray:
@@ -64,39 +110,42 @@ def permutation_indices(rng: np.random.Generator, r: int, n: int) -> np.ndarray:
     return rng.permuted(base, axis=1)
 
 
-def _group_curves(pos, ev, q):
-    """Counts on the grid -> (S, S left limit, dH) per row."""
-    r, _ = pos.shape
-    offsets = (np.arange(r, dtype=np.int64) * q)[:, None]
-    flat = (pos + offsets).ravel()
-    total = np.bincount(flat, minlength=r * q).reshape(r, q).astype(float)
-    deaths = np.bincount(flat, weights=ev.ravel(), minlength=r * q).reshape(r, q)
-    # at-risk: subjects with recorded time at or after each grid slot
-    y = np.cumsum(total[:, ::-1], axis=1)[:, ::-1]
-    safe_y = np.where(y > 0, y, 1.0)
-    s = np.cumprod(1.0 - deaths / safe_y, axis=1)
-    s_left = np.concatenate([np.ones((r, 1)), s[:, :-1]], axis=1)
-    gap = (y - deaths) * y
-    dh = np.where(gap > 0, deaths / np.where(gap > 0, gap, 1.0), 0.0)
-    return s, s_left, dh
+class Workspace:
+    """Block arrays for one context, reused across the blocks of one worker.
+
+    Holds up to ``rows`` replicate rows.  Not thread-safe: give every
+    thread its own.
+    """
+
+    def __init__(self, ctx: BatchContext, rows: int = BLOCK):
+        n, w = ctx.n1 + ctx.n2, ctx.width
+        self.ctx, self.rows = ctx, rows
+        # histogram bin of (group, event?, row, column) = the observation's
+        # code + the offset of its (row, index column)
+        self.code = ctx.column + rows * w * ctx.events
+        self.offsets = (np.arange(rows)[:, None] * w
+                        + np.where(np.arange(n) < ctx.n1, 0, 2 * rows * w))
+        self.bins = np.empty((rows, n), np.int64)
+        self.ones = np.ones(rows * n)
+        # flat (group, row, column) buffers
+        size = 2 * rows * w
+        self.at_risk, self.deaths, self.tmp = np.empty(size), np.empty(size), np.empty(size)
+        self.dh, self.mass, self.tail = np.empty(size), np.empty(size), np.empty(size)
+        # one element longer: read one place later, strict is the strict
+        # tail; read one place earlier, surv (led by 1.0) is the left limit
+        self.strict = np.zeros(size + 1)
+        self.surv = np.ones(size + 1)
+        self.terms = np.empty((3, rows, w))
+        # slots without a pooled event stay exact zeros
+        self.full_terms = np.zeros((3, rows, ctx.q))
 
 
-def _tail_sums(values):
-    # tail[i] = sum over slots >= i; strict[i] = sum over slots > i
-    tail = np.cumsum(values[:, ::-1], axis=1)[:, ::-1]
-    strict = np.concatenate([tail[:, 1:], np.zeros((values.shape[0], 1))], axis=1)
-    return tail, strict
+def _reverse_cumsum(values, out):
+    np.cumsum(values[..., ::-1], axis=-1, out=out[..., ::-1])
 
 
-def _sigma2_jk(sj, sj_left, dhj, mass_k, atom=0.0):
-    # atom: per row, S_j(k) times the mass S_k keeps past the window end
-    a_tail, _ = _tail_sums(sj * mass_k)
-    prod_left = sj_left * mass_k
-    _, a_strict = _tail_sums(prod_left)
-    return 0.25 * np.sum(dhj * (a_tail + a_strict + 2.0 * atom) ** 2, axis=1)
-
-
-def batch_statistics(ctx: BatchContext, idx: np.ndarray):
+def batch_statistics(ctx: BatchContext, idx: np.ndarray, *, permutation: bool = False,
+                     work: Workspace | None = None):
     """Studentized statistics for each row of the index matrix.
 
     Parameters
@@ -106,6 +155,12 @@ def batch_statistics(ctx: BatchContext, idx: np.ndarray):
     idx : ndarray of shape (r, n1 + n2)
         Row-wise selections into the pooled sample; the first n1 columns
         form group 1 of the replicate.
+    permutation : bool
+        Promise that every row is a permutation of 0..n1+n2-1, so group
+        2's counts are the pooled counts minus group 1's.
+    work : Workspace, optional
+        Arrays to reuse, made for ``ctx`` with at least r rows; a fresh
+        one is made when omitted.
 
     Returns
     -------
@@ -119,22 +174,80 @@ def batch_statistics(ctx: BatchContext, idx: np.ndarray):
     n = n1 + n2
     if idx.ndim != 2 or idx.shape[1] != n:
         raise ValueError("index matrix must have n1 + n2 columns")
-    pos = ctx.pos[idx]
-    ev = ctx.events[idx].astype(float)
-    s1, s1_left, dh1 = _group_curves(pos[:, :n1], ev[:, :n1], ctx.q)
-    s2, s2_left, dh2 = _group_curves(pos[:, n1:], ev[:, n1:], ctx.q)
+    r, w = idx.shape[0], ctx.width
+    if work is None:
+        work = Workspace(ctx, r)
+    elif work.ctx is not ctx or work.rows < r:
+        raise ValueError("workspace does not fit this context and block")
 
-    mass2 = s2_left - s2
-    mass1 = s1_left - s1
-    p = np.clip(np.sum(0.5 * (s1 + s1_left) * mass2, axis=1), 0.0, 1.0)
+    def grid(buf, shift=0):
+        # (group, row, column) view of a flat buffer, starting at `shift`
+        return buf[shift:shift + 2 * r * w].reshape(2, r, w)
 
-    leftover = s2[:, -1:] * s1[:, -1:]
-    sigma2 = (n1 * n2 / n) * (_sigma2_jk(s1, s1_left, dh1, mass2)
-                              + _sigma2_jk(s2, s2_left, dh2, mass1, leftover))
-    has_events = ev[:, :n1].any(axis=1) & ev[:, n1:].any(axis=1)
+    # counts on the event grid, [group][event?][row][column]
+    groups, m = (1, n1) if permutation else (2, n)
+    bins = np.add(work.code[idx[:, :m]], work.offsets[:r, :m], out=work.bins[:r, :m])
+    hist = np.bincount(bins.ravel(), weights=work.ones[:bins.size],
+                       minlength=groups * 2 * work.rows * w
+                       ).reshape(groups, 2, work.rows, w)[:, :, :r]
+    y, tmp = grid(work.at_risk), grid(work.tmp)
+    if permutation:
+        d = grid(work.deaths)
+        d[0] = hist[0, 1]
+        np.add(hist[0, 0], d[0], out=tmp[0])
+        _reverse_cumsum(tmp[0], y[0])
+        np.subtract(ctx.pool_at_risk, y[0], out=y[1])
+        np.subtract(ctx.pool_deaths, d[0], out=d[1])
+    else:
+        d = hist[:, 1]
+        np.add(hist[:, 0], d, out=tmp)
+        _reverse_cumsum(tmp, y)
+
+    # Kaplan-Meier curves and hazard-variance increments.  s_left at column
+    # 0 reads the previous row's last value; columns 0 and w - 1 hold no
+    # event, and their terms are never summed.
+    s, s_left, dh = grid(work.surv, 1), grid(work.surv), grid(work.dh)
+    np.maximum(y, 1.0, out=tmp)
+    np.divide(d, tmp, out=tmp)
+    np.subtract(1.0, tmp, out=tmp)
+    np.cumprod(tmp, axis=2, out=s)
+    # dH = dN / ((Y - dN) Y), or 0 where Y = dN: there min(dN, gap) = 0,
+    # and elsewhere gap >= Y >= dN
+    np.subtract(y, d, out=tmp)
+    np.multiply(tmp, y, out=tmp)
+    np.minimum(d, tmp, out=dh)
+    np.maximum(tmp, 1.0, out=tmp)
+    np.divide(dh, tmp, out=dh)
+
+    # mass[j] = jump masses of the other group's curve
+    mass = grid(work.mass)
+    np.subtract(s_left[::-1], s[::-1], out=mass)
+
+    terms = work.terms[:, :r]
+    np.add(s[0], s_left[0], out=tmp[0])
+    np.multiply(0.5, tmp[0], out=tmp[0])
+    np.multiply(tmp[0], mass[0], out=terms[0])
+    # sigma2_12 and sigma2_21 terms dH_j (A + A_minus + 2 atom)^2
+    a, a_minus = grid(work.tail), grid(work.strict, 1)
+    np.multiply(s, mass, out=tmp)
+    _reverse_cumsum(tmp, a)
+    np.multiply(s_left, mass, out=tmp)
+    _reverse_cumsum(tmp, grid(work.strict))
+    np.add(a, a_minus, out=a)
+    leftover = s[1, :, -1:] * s[0, :, -1:]
+    np.add(a[1], 2.0 * leftover, out=a[1])
+    np.square(a, out=a)
+    np.multiply(dh, a, out=terms[1:])
+
+    full = work.full_terms[:, :r]
+    full[:, :, ctx.event_slots] = terms[:, :, 1:-1]
+    sums = full.sum(axis=2)
+    p = np.clip(sums[0], 0.0, 1.0)
+    sigma2 = (n1 * n2 / n) * (0.25 * sums[1] + 0.25 * sums[2])
+    # a curve ends below 1.0 exactly when its group has an event
+    has_events = (s[0, :, -1] < 1.0) & (s[1, :, -1] < 1.0)
     valid = (sigma2 > 0.0) & has_events
     rate = np.sqrt(n1 * n2 / n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        stats = rate * (p - 0.5) / np.sqrt(sigma2)
-    stats = np.where(valid, stats, np.nan)
+    stats = np.full(r, np.nan)
+    np.divide(rate * (p - 0.5), np.sqrt(sigma2), out=stats, where=valid)
     return stats, valid

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import csv
 from importlib import resources
+from itertools import repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -30,12 +32,6 @@ def tongue_path():
     return resources.files("survcmp.data").joinpath("tongue.csv")
 
 
-def _apply_policy(time: float, event: bool, k: float, policy: str) -> tuple[float, bool]:
-    if time > k:
-        return k, policy == "event"
-    return time, event
-
-
 def ingest_csv(path, k: float, time_col: str = "time", status_col: str = "delta",
                group_col: str = "type", event_value: str = "1",
                censored_value: str = "0", beyond_horizon: str = "censor",
@@ -44,8 +40,10 @@ def ingest_csv(path, k: float, time_col: str = "time", status_col: str = "delta"
 
     The status column must contain only ``event_value`` and
     ``censored_value``.  Rows with time beyond k are rewritten per
-    ``beyond_horizon`` (see :data:`HORIZON_POLICIES`).  Errors carry the
-    1-based file row number (header = row 1).
+    ``beyond_horizon`` (see :data:`HORIZON_POLICIES`).  Fields are
+    stripped of surrounding whitespace and blank lines are skipped.
+    Errors name the first offending row by its 1-based file row number
+    (header = row 1).
     """
     if beyond_horizon not in HORIZON_POLICIES:
         raise ValueError(f"beyond_horizon must be one of {HORIZON_POLICIES}")
@@ -53,41 +51,73 @@ def ingest_csv(path, k: float, time_col: str = "time", status_col: str = "delta"
     if not np.isfinite(k) or k <= 0:
         raise ValueError("invalid horizon")
 
-    by_group: dict[str, list[tuple[float, bool]]] = {}
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for col in (time_col, status_col, group_col):
-            if col not in header:
-                raise ValueError(f"missing column {col!r}")
-        for row_no, row in enumerate(reader, start=2):
-            raw_time = (row[time_col] or "").strip()
-            try:
-                time = float(raw_time)
-            except ValueError:
-                raise ValueError(f"row {row_no}: non-numeric time {raw_time!r}") from None
-            if not np.isfinite(time) or time <= 0:
-                raise ValueError(f"row {row_no}: time must be positive, got {raw_time!r}")
-            status = (row[status_col] or "").strip()
-            if status == event_value:
-                event = True
-            elif status == censored_value:
-                event = False
-            else:
-                raise ValueError(f"row {row_no}: invalid status code {status!r}")
-            group = (row[group_col] or "").strip()
-            by_group.setdefault(group, []).append(_apply_policy(time, event, k, beyond_horizon))
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        rows = [row for row in reader if row]
+    where = {name: i for i, name in enumerate(header)}  # last duplicate wins
+    for col in (time_col, status_col, group_col):
+        if col not in where:
+            raise ValueError(f"missing column {col!r}")
+    if not rows:
+        raise ValueError("expected exactly 2 groups, found 0")
 
-    if len(by_group) != 2:
-        raise ValueError(f"expected exactly 2 groups, found {len(by_group)}")
-    labels = sorted(by_group, key=_label_key)
+    need = [where[time_col], where[status_col], where[group_col]]
+    n = len(rows)
+    fields = np.fromiter(map(len, rows), np.int64, n)
+    short = fields <= max(need)
+    for i in np.flatnonzero(short):
+        rows[i] = rows[i] + [""] * (max(need) + 1 - fields[i])
+    raw_times, statuses, groups = (list(map(str.strip, map(itemgetter(i), rows)))
+                                   for i in need)
+    del rows  # the row lists are most of the peak memory
+    times, parsed = _parse_times(raw_times)
+    codes = {event_value: 1, censored_value: 0}
+    status = np.fromiter(map(codes.get, statuses, repeat(-1)), np.int8, n)
+    is_event, bad_status = status == 1, status < 0
+    # `times` covers the rows before `parsed`; row `parsed`, if any, has no
+    # number.  Within a row the checks keep the row-by-row reader's order.
+    bad_time = ~np.isfinite(times) | (times <= 0)
+    bad = short[:parsed] | bad_time | bad_status[:parsed]
+    first = np.flatnonzero(bad)[0] if bad.any() else parsed
+    if first < n:
+        row_no = first + 2
+        if short[first]:
+            missing = header[max(need)]
+            raise ValueError(
+                f"row {row_no}: {fields[first]} fields, too few for column {missing!r}")
+        if first == parsed:
+            raise ValueError(f"row {row_no}: non-numeric time {raw_times[first]!r}")
+        if bad_time[first]:
+            raise ValueError(f"row {row_no}: time must be positive, got {raw_times[first]!r}")
+        raise ValueError(f"row {row_no}: invalid status code {statuses[first]!r}")
+
+    labels = {label: i for i, label in enumerate(dict.fromkeys(groups))}
+    if len(labels) != 2:
+        raise ValueError(f"expected exactly 2 groups, found {len(labels)}")
+    beyond = times > k
+    times[beyond] = k
+    events = np.where(beyond, beyond_horizon == "event", is_event)
+    group = np.fromiter(map(labels.__getitem__, groups), np.int64, n)
     samples = []
-    for label in labels:
-        rows = by_group[label]
-        times = np.array([t for t, _ in rows])
-        events = np.array([e for _, e in rows])
-        samples.append(Sample(times, events, k))
+    for label in sorted(labels, key=_label_key):
+        mine = group == labels[label]
+        samples.append(Sample(times[mine], events[mine], k))
     return samples[0], samples[1]
+
+
+def _parse_times(raw: list[str]) -> tuple[np.ndarray, int]:
+    """``float`` of each string up to the first that is not a number, and
+    how many that is (``len(raw)`` if all are)."""
+    try:
+        return np.array(list(map(float, raw)), dtype=float), len(raw)
+    except ValueError:
+        for parsed, value in enumerate(raw):
+            try:
+                float(value)
+            except ValueError:
+                return np.array(list(map(float, raw[:parsed])), dtype=float), parsed
+        raise
 
 
 def _label_key(label: str):

@@ -16,13 +16,14 @@ use the plain upper (or lower) tail.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import rng as _rng
-from ._engine import (BatchContext, batch_context, batch_statistics,
+from ._engine import (BatchContext, Workspace, batch_context, batch_statistics,
                       bootstrap_indices, permutation_indices)
 from .survival import Sample
 from .effect import EffectEstimate
@@ -166,13 +167,17 @@ def replicate_set(z: PooledSample, plan: ResamplingPlan) -> ReplicateSet:
     """
     ctx = _context(z)
     scheme_id = _rng.SCHEME_IDS[plan.scheme]
-    draw = bootstrap_indices if plan.scheme == "bootstrap" else permutation_indices
+    permutation = plan.scheme == "permutation"
+    draw = permutation_indices if permutation else bootstrap_indices
+    local = threading.local()  # one workspace per thread
 
     def run_block(block):
         index, size = block
         gen = _rng.stream(plan.seed, scheme_id, index)
         idx = draw(gen, size, z.n)
-        return batch_statistics(ctx, idx)
+        if not hasattr(local, "work"):
+            local.work = Workspace(ctx, min(plan.b, _rng.BLOCK))
+        return batch_statistics(ctx, idx, permutation=permutation, work=local.work)
 
     todo = _rng.blocks(plan.b)
     if plan.workers > 1 and len(todo) > 1:

@@ -1,7 +1,9 @@
 """Slow but exact reference forms, kept for the tests only.
 
 The mid-rank pairwise count gives the effect on uncensored data from all
-n1 x n2 pairs.  The plug-in variance in ``survcmp.variance`` is a
+n1 x n2 pairs.  ``reference_batch_statistics`` is the replicate engine on
+the full grid of pooled times, and ``reference_ingest_csv`` reads a CSV
+one row at a time.  The plug-in variance in ``survcmp.variance`` is a
 reassociated single sum over one group's event times; the forms here
 evaluate the same quantity the direct way: a covariance kernel per group,
 its four-limit average at any pair of points, and the O(m^2) quadratic
@@ -12,10 +14,12 @@ oracles.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 
 import numpy as np
 
+from survcmp.datasets import HORIZON_POLICIES, _label_key
 from survcmp.survival import KaplanMeierFit, Sample, kaplan_meier
 
 
@@ -149,3 +153,138 @@ def uncensored_pairwise_oracle(s1: Sample, s2: Sample) -> float:
     t2 = s2.times[None, :]
     wins = (t1 > t2).sum() + 0.5 * (t1 == t2).sum()
     return float(wins / (s1.n * s2.n))
+
+
+def _group_curves(pos, ev, q):
+    """Counts on the grid -> (S, S left limit, dH) per row."""
+    r, _ = pos.shape
+    offsets = (np.arange(r, dtype=np.int64) * q)[:, None]
+    flat = (pos + offsets).ravel()
+    total = np.bincount(flat, minlength=r * q).reshape(r, q).astype(float)
+    deaths = np.bincount(flat, weights=ev.ravel(), minlength=r * q).reshape(r, q)
+    # at-risk: subjects with recorded time at or after each grid slot
+    y = np.cumsum(total[:, ::-1], axis=1)[:, ::-1]
+    safe_y = np.where(y > 0, y, 1.0)
+    s = np.cumprod(1.0 - deaths / safe_y, axis=1)
+    s_left = np.concatenate([np.ones((r, 1)), s[:, :-1]], axis=1)
+    gap = (y - deaths) * y
+    dh = np.where(gap > 0, deaths / np.where(gap > 0, gap, 1.0), 0.0)
+    return s, s_left, dh
+
+
+def _tail_sums(values):
+    # tail[i] = sum over slots >= i; strict[i] = sum over slots > i
+    tail = np.cumsum(values[:, ::-1], axis=1)[:, ::-1]
+    strict = np.concatenate([tail[:, 1:], np.zeros((values.shape[0], 1))], axis=1)
+    return tail, strict
+
+
+def _sigma2_jk(sj, sj_left, dhj, mass_k, atom=0.0):
+    # atom: per row, S_j(k) times the mass S_k keeps past the window end
+    a_tail, _ = _tail_sums(sj * mass_k)
+    prod_left = sj_left * mass_k
+    _, a_strict = _tail_sums(prod_left)
+    return 0.25 * np.sum(dhj * (a_tail + a_strict + 2.0 * atom) ** 2, axis=1)
+
+
+def reference_batch_statistics(ctx, idx: np.ndarray):
+    """The replicate engine on the full grid of pooled distinct times.
+
+    This is the package's block evaluation as it was before it moved to
+    the event grid; ``survcmp._engine.batch_statistics`` must reproduce
+    its statistics and flags bit for bit.
+
+    Parameters
+    ----------
+    ctx : survcmp._engine.BatchContext
+        Prepared pooled data; only ``pos``, ``events``, ``q``, ``n1`` and
+        ``n2`` are read.
+    idx : ndarray of shape (r, n1 + n2)
+        Row-wise selections into the pooled sample; the first n1 columns
+        form group 1 of the replicate.
+
+    Returns
+    -------
+    stats : ndarray of shape (r,)
+        sqrt(n1 n2 / n) (p - 1/2) / sigma per row; NaN on degenerate rows.
+    valid : ndarray of bool
+        False where the replicate variance vanished or a replicate group
+        has no events.
+    """
+    n1, n2 = ctx.n1, ctx.n2
+    n = n1 + n2
+    if idx.ndim != 2 or idx.shape[1] != n:
+        raise ValueError("index matrix must have n1 + n2 columns")
+    pos = ctx.pos[idx]
+    ev = ctx.events[idx].astype(float)
+    s1, s1_left, dh1 = _group_curves(pos[:, :n1], ev[:, :n1], ctx.q)
+    s2, s2_left, dh2 = _group_curves(pos[:, n1:], ev[:, n1:], ctx.q)
+
+    mass2 = s2_left - s2
+    mass1 = s1_left - s1
+    p = np.clip(np.sum(0.5 * (s1 + s1_left) * mass2, axis=1), 0.0, 1.0)
+
+    leftover = s2[:, -1:] * s1[:, -1:]
+    sigma2 = (n1 * n2 / n) * (_sigma2_jk(s1, s1_left, dh1, mass2)
+                              + _sigma2_jk(s2, s2_left, dh2, mass1, leftover))
+    has_events = ev[:, :n1].any(axis=1) & ev[:, n1:].any(axis=1)
+    valid = (sigma2 > 0.0) & has_events
+    rate = np.sqrt(n1 * n2 / n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        stats = rate * (p - 0.5) / np.sqrt(sigma2)
+    stats = np.where(valid, stats, np.nan)
+    return stats, valid
+
+
+def _apply_policy(time: float, event: bool, k: float, policy: str) -> tuple[float, bool]:
+    if time > k:
+        return k, policy == "event"
+    return time, event
+
+
+def reference_ingest_csv(path, k: float, time_col: str = "time", status_col: str = "delta",
+                         group_col: str = "type", event_value: str = "1",
+                         censored_value: str = "0", beyond_horizon: str = "censor",
+                         ) -> tuple[Sample, Sample]:
+    """``survcmp.datasets.ingest_csv`` as a row-by-row ``csv.DictReader`` loop."""
+    if beyond_horizon not in HORIZON_POLICIES:
+        raise ValueError(f"beyond_horizon must be one of {HORIZON_POLICIES}")
+    k = float(k)
+    if not np.isfinite(k) or k <= 0:
+        raise ValueError("invalid horizon")
+
+    by_group: dict[str, list[tuple[float, bool]]] = {}
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        for col in (time_col, status_col, group_col):
+            if col not in header:
+                raise ValueError(f"missing column {col!r}")
+        for row_no, row in enumerate(reader, start=2):
+            raw_time = (row[time_col] or "").strip()
+            try:
+                time = float(raw_time)
+            except ValueError:
+                raise ValueError(f"row {row_no}: non-numeric time {raw_time!r}") from None
+            if not np.isfinite(time) or time <= 0:
+                raise ValueError(f"row {row_no}: time must be positive, got {raw_time!r}")
+            status = (row[status_col] or "").strip()
+            if status == event_value:
+                event = True
+            elif status == censored_value:
+                event = False
+            else:
+                raise ValueError(f"row {row_no}: invalid status code {status!r}")
+            group = (row[group_col] or "").strip()
+            by_group.setdefault(group, []).append(_apply_policy(time, event, k, beyond_horizon))
+
+    if len(by_group) != 2:
+        raise ValueError(f"expected exactly 2 groups, found {len(by_group)}")
+    labels = sorted(by_group, key=_label_key)
+    samples = []
+    for label in labels:
+        rows = by_group[label]
+        times = np.array([t for t, _ in rows])
+        events = np.array([e for _, e in rows])
+        samples.append(Sample(times, events, k))
+    return samples[0], samples[1]

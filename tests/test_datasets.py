@@ -1,9 +1,13 @@
 """CSV ingestion rules and the bundled dataset."""
 
+from importlib import resources
+
 import numpy as np
 import pytest
 
 from survcmp.datasets import HORIZON_POLICIES, ingest_csv, load_tongue, tongue_path
+
+from oracles import reference_ingest_csv
 
 
 def _write(tmp_path, text, name="data.csv"):
@@ -128,3 +132,65 @@ class TestIngestCsv:
 
     def test_policy_names_exported(self):
         assert HORIZON_POLICIES == ("censor", "event")
+
+
+class TestAgainstRowByRow:
+    """The column-wise reader against the row-by-row reference reader."""
+
+    MIXED = ("time,delta,arm,site\n"
+             " 5, 1 ,beta ,x\n"
+             "7,0, alpha,y\n"
+             "5,0,beta,x\n"
+             "\n"
+             "12.5,1,alpha,z\n"
+             "3.25, 1,alpha ,x\n"
+             "40,0,beta,y,extra\n"
+             "7,1,beta\n"
+             "1e1,1,alpha,x\n")
+
+    @pytest.mark.parametrize("policy", HORIZON_POLICIES)
+    @pytest.mark.parametrize("k", [6.0, 10.0, 50.0])
+    def test_samples_identical(self, tmp_path, policy, k):
+        path = _write(tmp_path, self.MIXED)
+        got = ingest_csv(path, k=k, group_col="arm", beyond_horizon=policy)
+        want = reference_ingest_csv(path, k=k, group_col="arm", beyond_horizon=policy)
+        for a, b in zip(got, want):
+            assert a.times.tobytes() == b.times.tobytes()
+            assert a.times.dtype == b.times.dtype
+            assert np.array_equal(a.events, b.events) and a.events.dtype == b.events.dtype
+            assert a.k == b.k
+
+    def test_bundled_data_identical(self):
+        for policy in HORIZON_POLICIES:
+            with resources.as_file(tongue_path()) as path:
+                got = ingest_csv(path, k=100.0, beyond_horizon=policy)
+                want = reference_ingest_csv(path, k=100.0, beyond_horizon=policy)
+            for a, b in zip(got, want):
+                assert a.times.tobytes() == b.times.tobytes()
+                assert np.array_equal(a.events, b.events)
+
+    @pytest.mark.parametrize("body", [
+        "5,1,1\n7,2,1\nabc,1,2\n",     # bad status comes first
+        "5,1,1\nabc,1,2\n7,2,1\n",     # non-numeric time comes first
+        "5,1,1\n-1,7,2\n",             # bad time and bad status in one row
+        "5,1,1\ninf,1,2\n",
+        "5,1,1\nnan,1,2\n",
+        "5,1,1\n6,1,2\n7,0,3\n",
+        "5,1,1\n5,1,1\n",
+        " 5 ,1,1\n 0 ,1,2\n",
+    ])
+    def test_errors_identical(self, tmp_path, body):
+        path = _write(tmp_path, "time,delta,type\n" + body)
+        with pytest.raises(ValueError) as want:
+            reference_ingest_csv(path, k=10.0)
+        with pytest.raises(ValueError) as got:
+            ingest_csv(path, k=10.0)
+        assert str(got.value) == str(want.value)
+
+    def test_short_row_rejected(self, tmp_path):
+        path = _write(tmp_path, "time,delta,type\n5,1,1\n6,1\n7,1,2\n")
+        with pytest.raises(ValueError, match="row 3: 2 fields, too few for column 'type'"):
+            ingest_csv(path, k=10.0)
+        path = _write(tmp_path, "time,delta,type\n5,1,1\n7,1,2\n6\n", name="b.csv")
+        with pytest.raises(ValueError, match="row 4: 1 fields, too few"):
+            ingest_csv(path, k=10.0)

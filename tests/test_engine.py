@@ -5,15 +5,18 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from survcmp._engine import (
+    Workspace,
     batch_context,
     batch_statistics,
     bootstrap_indices,
     permutation_indices,
 )
 from survcmp.inference import studentized_p
-from survcmp.resampling import pool
-from survcmp.rng import stream
+from survcmp.resampling import ResamplingPlan, pool, replicate_set
+from survcmp.rng import SCHEME_IDS, blocks, stream
 from survcmp.survival import Sample
+
+from oracles import reference_batch_statistics
 
 K = 10.0
 
@@ -129,6 +132,34 @@ class TestStructure:
         stats, valid = batch_statistics(ctx, np.stack([ident, swapped]))
         assert valid.all()
         assert_allclose(stats[0], -stats[1], atol=1e-12)
+
+    @pytest.mark.parametrize("scheme", ["bootstrap", "permutation"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_replicate_set_equals_reference_engine(self, scheme, workers):
+        # each block's stream through the full-grid reference, bit for bit;
+        # 600 replicates make two full blocks and a partial one
+        z = _pooled(np.random.default_rng(9006), 12, 9)
+        plan = ResamplingPlan(scheme=scheme, b=600, seed=17, workers=workers)
+        ctx = batch_context(z.times, z.events, z.n1, z.n2)
+        draw = bootstrap_indices if scheme == "bootstrap" else permutation_indices
+        parts = [reference_batch_statistics(
+                     ctx, draw(stream(17, SCHEME_IDS[scheme], index), size, z.n1 + z.n2))
+                 for index, size in blocks(600)]
+        stats = np.concatenate([s for s, _ in parts])
+        valid = np.concatenate([v for _, v in parts])
+        reps = replicate_set(z, plan)
+        assert_array_equal(reps.statistics, stats[valid])
+        assert reps.dropped == int((~valid).sum())
+
+    def test_workspace_must_fit(self):
+        z = _pooled(np.random.default_rng(9007), 5, 4)
+        ctx = batch_context(z.times, z.events, z.n1, z.n2)
+        idx = bootstrap_indices(stream(0, 1, 0), 8, 9)
+        with pytest.raises(ValueError, match="workspace"):
+            batch_statistics(ctx, idx, work=Workspace(ctx, 7))
+        other = batch_context(z.times, z.events, z.n1, z.n2)
+        with pytest.raises(ValueError, match="workspace"):
+            batch_statistics(ctx, idx, work=Workspace(other))
 
     def test_wrong_column_count_rejected(self):
         ctx = batch_context(np.array([1.0, 2.0]), np.array([True, True]), 1, 1)

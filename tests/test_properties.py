@@ -4,18 +4,21 @@ Examples come from hypothesis with a derandomized search, so every run
 checks the same pairs.  Times lie on a coarse integer grid, so ties
 within and between groups are common, and a window end past the last
 grid point lets a curve keep mass at k whenever its largest time is
-censored, which switches the boundary atom on.
+censored, which switches the boundary atom on.  The replicate engine is
+checked bit for bit against the full-grid reference engine.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from survcmp._engine import (Workspace, batch_context, batch_statistics,
+                             bootstrap_indices, permutation_indices)
 from survcmp.effect import mann_whitney_effect
 from survcmp.simulate import ScenarioConfig, _generate, calibrate_censoring
 from survcmp.survival import Sample, kaplan_meier
 from survcmp.variance import _sigma2_jk, variance_from_fits
 
-from oracles import cov_kernel, sigma2_jk
+from oracles import cov_kernel, reference_batch_statistics, sigma2_jk
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
 
@@ -84,3 +87,52 @@ def test_completely_separated_replication_is_degenerate():
     est = variance_from_fits(f1, f2)
     assert est.sigma2 == 0.0 == _oracle_variance(f1, f2)[0]
     assert est.degenerate and _oracle_variance(f1, f2)[1]
+
+
+@st.composite
+def engine_pools(draw):
+    """Tied, censored pools, some with leftover mass at k, some with
+    censored times before the first event, some with a single event."""
+    k = draw(st.sampled_from([4.0, 7.5, 12.0]))
+    n1, n2 = draw(st.integers(1, 25)), draw(st.integers(1, 25))
+    n = n1 + n2
+    times = np.array(draw(st.lists(st.integers(1, int(k)), min_size=n, max_size=n)), float)
+    events = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    if draw(st.booleans()):  # a censored time before every event
+        times[draw(st.integers(0, n - 1))] = 0.5
+        events[times == 0.5] = False
+    if draw(st.booleans()):  # the largest time censored: mass left at k
+        events[times == times.max()] = False
+    if draw(st.booleans()):  # one event only: many replicate groups have none
+        events[:] = False
+        events[draw(st.integers(0, n - 1))] = True
+    rows = draw(st.sampled_from([1, 7, 256]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return times, events, n1, n2, rows, seed
+
+
+def _assert_same(got, want):
+    assert np.array_equal(got[0], want[0], equal_nan=True)
+    assert got[0].tobytes() == want[0].tobytes()  # also the signs of zeros
+    assert np.array_equal(got[1], want[1])
+
+
+@PROPERTY
+@given(engine_pools())
+def test_engine_bitwise_equals_full_grid_reference(case):
+    times, events, n1, n2, rows, seed = case
+    ctx = batch_context(times, events, n1, n2)
+    rng = np.random.default_rng(seed)
+    # one workspace for every call, so stale arrays from a full block
+    # precede each smaller one
+    work = Workspace(ctx)
+    boot = bootstrap_indices(rng, 256, n1 + n2), bootstrap_indices(rng, rows, n1 + n2)
+    perm = permutation_indices(rng, 256, n1 + n2), permutation_indices(rng, rows, n1 + n2)
+    for idx in boot:
+        want = reference_batch_statistics(ctx, idx)
+        _assert_same(batch_statistics(ctx, idx, work=work), want)
+        _assert_same(batch_statistics(ctx, idx), want)
+    for idx in perm:
+        want = reference_batch_statistics(ctx, idx)
+        _assert_same(batch_statistics(ctx, idx, permutation=True, work=work), want)
+        _assert_same(batch_statistics(ctx, idx), want)
