@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 data or math error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -43,7 +44,13 @@ def _resolve_seed(flag_value, fallback=_DEFAULT_SEED):
     return fallback
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``survcmp`` argument parser, built once per process and shared.
+
+    Parsing leaves the parser unchanged, so every :func:`main` call reuses
+    it; callers must not add arguments to it.
+    """
     parser = argparse.ArgumentParser(
         prog="survcmp",
         description="Mann-Whitney effect and win ratio for right-censored two-sample data.")
@@ -102,10 +109,12 @@ def _json_num(x):
 
 
 def _analysis_results(s1, s2, args, seed):
-    # one effect and variance for the dataset, one replicate set per method
+    # one effect and variance for the dataset, one replicate set per method,
+    # all replicate sets on one pooled sample (and so one engine context)
     methods = _METHODS if args.method == "all" else (args.method,)
     targets = ("p", "w") if args.target == "both" else (args.target,)
     eff, var = _observed(s1, s2)
+    z = None if methods == ("asymptotic",) else pool(s1, s2)
     rows = []
     for method in methods:
         if method == "asymptotic":
@@ -113,7 +122,7 @@ def _analysis_results(s1, s2, args, seed):
                        for target in targets]
         else:
             plan = ResamplingPlan(method, args.b, seed, args.workers)
-            reps = replicate_set(pool(s1, s2), plan)
+            reps = replicate_set(z, plan)
             if args.dump_replicates:
                 with open(args.dump_replicates, "w") as fh:
                     reps.export(fh)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 from importlib import resources
-from itertools import repeat
+from itertools import islice, repeat
 from operator import itemgetter
 
 import numpy as np
@@ -25,6 +25,12 @@ __all__ = ["tongue_path", "ingest_csv", "load_tongue", "HORIZON_POLICIES"]
 #   event:  an event at k (survival past the window counts as reaching
 #           the truncated endpoint)
 HORIZON_POLICIES = ("censor", "event")
+
+# CSV rows are split into columns this many at a time and their lists are
+# freed block by block: a large file never holds all of them at once, and
+# they die before the garbage collector promotes them to the generations
+# whose collections scan everything the process holds
+_BLOCK_ROWS = 256
 
 
 def tongue_path():
@@ -54,23 +60,32 @@ def ingest_csv(path, k: float, time_col: str = "time", status_col: str = "delta"
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
-        rows = [row for row in reader if row]
-    where = {name: i for i, name in enumerate(header)}  # last duplicate wins
-    for col in (time_col, status_col, group_col):
-        if col not in where:
-            raise ValueError(f"missing column {col!r}")
-    if not rows:
+        where = {name: i for i, name in enumerate(header)}  # last duplicate wins
+        for col in (time_col, status_col, group_col):
+            if col not in where:
+                raise ValueError(f"missing column {col!r}")
+        need = [where[time_col], where[status_col], where[group_col]]
+        width = max(need) + 1
+        raw_times, statuses, groups = [], [], []
+        fields = {}  # field count of each row too short for a needed column
+        rows = filter(None, reader)  # blank lines read as []
+        while block := list(islice(rows, _BLOCK_ROWS)):
+            try:
+                columns = _columns(block, need)
+            except IndexError:  # pad short rows; they fail below, in row order
+                for i, row in enumerate(block):
+                    if len(row) < width:
+                        fields[len(raw_times) + i] = len(row)
+                        block[i] = row + [""] * (width - len(row))
+                columns = _columns(block, need)
+            raw_times += columns[0]
+            statuses += columns[1]
+            groups += columns[2]
+    n = len(raw_times)
+    if not n:
         raise ValueError("expected exactly 2 groups, found 0")
-
-    need = [where[time_col], where[status_col], where[group_col]]
-    n = len(rows)
-    fields = np.fromiter(map(len, rows), np.int64, n)
-    short = fields <= max(need)
-    for i in np.flatnonzero(short):
-        rows[i] = rows[i] + [""] * (max(need) + 1 - fields[i])
-    raw_times, statuses, groups = (list(map(str.strip, map(itemgetter(i), rows)))
-                                   for i in need)
-    del rows  # the row lists are most of the peak memory
+    short = np.zeros(n, bool)
+    short[list(fields)] = True
     times, parsed = _parse_times(raw_times)
     codes = {event_value: 1, censored_value: 0}
     status = np.fromiter(map(codes.get, statuses, repeat(-1)), np.int8, n)
@@ -83,7 +98,7 @@ def ingest_csv(path, k: float, time_col: str = "time", status_col: str = "delta"
     if first < n:
         row_no = first + 2
         if short[first]:
-            missing = header[max(need)]
+            missing = header[width - 1]
             raise ValueError(
                 f"row {row_no}: {fields[first]} fields, too few for column {missing!r}")
         if first == parsed:
@@ -104,6 +119,12 @@ def ingest_csv(path, k: float, time_col: str = "time", status_col: str = "delta"
         mine = group == labels[label]
         samples.append(Sample(times[mine], events[mine], k))
     return samples[0], samples[1]
+
+
+def _columns(rows: list[list[str]], need: list[int]) -> list[list[str]]:
+    """The stripped fields of each needed column, one C-level pass each;
+    IndexError when a row is too short."""
+    return [list(map(str.strip, map(itemgetter(i), rows))) for i in need]
 
 
 def _parse_times(raw: list[str]) -> tuple[np.ndarray, int]:

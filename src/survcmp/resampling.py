@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -52,7 +53,8 @@ class PooledSample:
     """Both groups' observations concatenated, labels erased.
 
     Group 1 occupies the first ``n1`` slots.  ``k`` is the shared window
-    end.
+    end.  ``context`` is the replicate engine's view of the pool, built on
+    first use and shared by every replicate set drawn from it.
     """
 
     times: np.ndarray
@@ -70,6 +72,10 @@ class PooledSample:
     @property
     def n(self) -> int:
         return self.n1 + self.n2
+
+    @cached_property
+    def context(self) -> BatchContext:
+        return batch_context(self.times, self.events, self.n1, self.n2)
 
 
 @dataclass(frozen=True)
@@ -133,12 +139,8 @@ def split(z: PooledSample) -> tuple[Sample, Sample]:
             Sample(z.times[z.n1:].copy(), z.events[z.n1:].copy(), z.k))
 
 
-def _context(z: PooledSample) -> BatchContext:
-    return batch_context(z.times, z.events, z.n1, z.n2)
-
-
 def _single(z: PooledSample, idx: np.ndarray) -> float:
-    stats, valid = batch_statistics(_context(z), idx[None, :])
+    stats, valid = batch_statistics(z.context, idx[None, :])
     if not valid[0]:
         raise ValueError("degenerate replicate")
     return float(stats[0])
@@ -165,7 +167,7 @@ def replicate_set(z: PooledSample, plan: ResamplingPlan) -> ReplicateSet:
     Replicate i draws from the block-(i // 256) stream regardless of
     ``workers``, so the set is bit-identical for any worker count.
     """
-    ctx = _context(z)
+    ctx = z.context
     scheme_id = _rng.SCHEME_IDS[plan.scheme]
     permutation = plan.scheme == "permutation"
     draw = permutation_indices if permutation else bootstrap_indices

@@ -214,21 +214,15 @@ class CensoringCalibration:
     achieved2: float
 
 
-def _censored_fraction(times, unit, rate, k):
-    # censored <=> C < min(T, K), with C = Exp(rate) built from fixed uniforms
-    if rate <= 0:
-        return 0.0
-    c = -np.log1p(-unit) / rate
-    return float(np.mean(c < np.minimum(times, k)))
-
-
 @lru_cache(maxsize=None)
 def calibrate_censoring(setup: int, level: str, draws: int = 100_000) -> CensoringCalibration:
     """Bisect exponential censoring rates onto the band midpoint.
 
     Uses a fixed internal stream, so the rates are reproducible constants
     of (setup, level).  The same uniforms are reused across bisection
-    steps, making the censored fraction monotone in the rate.  Scenario 3
+    steps, making the censored fraction monotone in the rate; their
+    exponential transform and the truncated survival times are computed
+    once per group, and each step only rescales and compares.  Scenario 3
     shares one rate across its identical groups.
     """
     if level == "none":
@@ -242,18 +236,23 @@ def calibrate_censoring(setup: int, level: str, draws: int = 100_000) -> Censori
 
     def solve(group):
         gen = _rng.stream(0, _CAL_TAG, setup, level_id, group)
-        times = draw_survival(setup, group, gen, draws)
-        unit = gen.random(draws)
+        reached = np.minimum(draw_survival(setup, group, gen, draws), k)
+        exp1 = -np.log1p(-gen.random(draws))  # standard exponentials
+
+        def fraction(rate):
+            # censored <=> C < min(T, K), with C = Exp(rate) = exp1 / rate
+            return float(np.mean(exp1 / rate < reached))
+
         lo, hi = 1e-6, 1e3
-        assert _censored_fraction(times, unit, lo, k) < target < _censored_fraction(times, unit, hi, k)
+        assert fraction(lo) < target < fraction(hi)
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            if _censored_fraction(times, unit, mid, k) < target:
+            if fraction(mid) < target:
                 lo = mid
             else:
                 hi = mid
         rate = 0.5 * (lo + hi)
-        return rate, 100.0 * _censored_fraction(times, unit, rate, k)
+        return rate, 100.0 * fraction(rate)
 
     rate1, achieved1 = solve(1)
     if setup == 3:

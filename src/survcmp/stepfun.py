@@ -28,7 +28,7 @@ class StepFunction:
         Right end of the time window.
     """
 
-    __slots__ = ("jump_times", "values", "initial_value", "k")
+    __slots__ = ("jump_times", "values", "initial_value", "k", "_padded")
 
     def __init__(self, jump_times, values, initial_value, k):
         jump_times = np.asarray(jump_times, dtype=float)
@@ -43,30 +43,25 @@ class StepFunction:
         self.values = values
         self.initial_value = float(initial_value)
         self.k = float(k)
-        jump_times.setflags(write=False)
-        values.setflags(write=False)
+        # value on each piece: the initial value, then one per jump
+        self._padded = np.concatenate(([self.initial_value], values))
+        for arr in (jump_times, values, self._padded):
+            arr.setflags(write=False)
 
     def __call__(self, t):
         """Evaluate at t (scalar or array), right-continuously."""
-        idx = np.searchsorted(self.jump_times, t, side="right")
-        padded = np.concatenate(([self.initial_value], self.values))
-        out = padded[idx]
+        out = self._padded[np.searchsorted(self.jump_times, t, side="right")]
         return float(out) if np.isscalar(t) else out
 
     def left_limit(self, t):
         """Value just before t, i.e. lim_{s -> t-} f(s)."""
-        idx = np.searchsorted(self.jump_times, t, side="left")
-        padded = np.concatenate(([self.initial_value], self.values))
-        out = padded[idx]
+        out = self._padded[np.searchsorted(self.jump_times, t, side="left")]
         return float(out) if np.isscalar(t) else out
 
     @property
     def deltas(self):
         """Jump sizes f(t_i) - f(t_i-), one per jump time."""
-        if self.jump_times.size == 0:
-            return np.empty(0)
-        prev = np.concatenate(([self.initial_value], self.values[:-1]))
-        return self.values - prev
+        return np.diff(self._padded)
 
     def __repr__(self):
         return (

@@ -164,7 +164,9 @@ def counting_processes(sample: Sample) -> CountingProcesses:
     order = np.argsort(sample.times, kind="stable")
     t = sample.times[order]
     e = sample.events[order]
-    distinct, start = np.unique(t, return_index=True)
+    # first position of each distinct time in the sorted order
+    start = np.flatnonzero(np.concatenate(([True], t[1:] != t[:-1])))
+    distinct = t[start]
     # y at a distinct time = subjects at or after its first occurrence
     y_all = sample.n - start
     dn_all = np.add.reduceat(e.astype(np.int64), start)
@@ -188,7 +190,7 @@ def kaplan_meier(sample: Sample) -> KaplanMeierFit:
     >>> s = truncate(([1.0, 2.0, 3.0], [True, False, True]), 10.0)
     >>> fit = kaplan_meier(s)
     >>> float(fit.survival(1.0)), float(fit.survival(3.0))
-    (0.6666666666666666, 0.0)
+    (0.6666666666666667, 0.0)
     """
     cp = counting_processes(sample)
     factors = 1.0 - cp.dn / cp.y

@@ -2,14 +2,16 @@
 
 The mid-rank pairwise count gives the effect on uncensored data from all
 n1 x n2 pairs.  ``reference_batch_statistics`` is the replicate engine on
-the full grid of pooled times, and ``reference_ingest_csv`` reads a CSV
-one row at a time.  The plug-in variance in ``survcmp.variance`` is a
-reassociated single sum over one group's event times; the forms here
-evaluate the same quantity the direct way: a covariance kernel per group,
-its four-limit average at any pair of points, and the O(m^2) quadratic
-form of that kernel against the other group's jump masses.  They share no
-code with the package's tail sums, which is what makes them useful as
-oracles.
+the full grid of pooled times, ``reference_ingest_csv`` reads a CSV one
+row at a time, ``reference_counting_processes`` finds the distinct times
+with ``np.unique``, and ``reference_calibrate_censoring`` rebuilds the
+censoring times from the uniforms at every bisection step.  The plug-in
+variance in ``survcmp.variance`` is a reassociated single sum over one
+group's event times; the forms here evaluate the same quantity the direct
+way: a covariance kernel per group, its four-limit average at any pair of
+points, and the O(m^2) quadratic form of that kernel against the other
+group's jump masses.  They share no code with the package's tail sums,
+which is what makes them useful as oracles.
 """
 
 from __future__ import annotations
@@ -19,8 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from survcmp import rng as _rng
 from survcmp.datasets import HORIZON_POLICIES, _label_key
-from survcmp.survival import KaplanMeierFit, Sample, kaplan_meier
+from survcmp.simulate import (_CAL_TAG, CENSORING_BANDS, CensoringCalibration,
+                              draw_survival, horizon)
+from survcmp.survival import CountingProcesses, KaplanMeierFit, Sample, kaplan_meier
 
 
 @dataclass(frozen=True)
@@ -288,3 +293,59 @@ def reference_ingest_csv(path, k: float, time_col: str = "time", status_col: str
         events = np.array([e for _, e in rows])
         samples.append(Sample(times, events, k))
     return samples[0], samples[1]
+
+
+def reference_counting_processes(sample: Sample) -> CountingProcesses:
+    """``survcmp.survival.counting_processes`` with ``np.unique`` finding
+    the distinct times and their first positions."""
+    order = np.argsort(sample.times, kind="stable")
+    t = sample.times[order]
+    e = sample.events[order]
+    distinct, start = np.unique(t, return_index=True)
+    y_all = sample.n - start
+    dn_all = np.add.reduceat(e.astype(np.int64), start)
+    has_event = dn_all > 0
+    return CountingProcesses(event_times=distinct[has_event], dn=dn_all[has_event],
+                             y=y_all[has_event])
+
+
+def _censored_fraction(times, unit, rate, k):
+    # censored <=> C < min(T, K), with C = Exp(rate) built from fixed uniforms
+    if rate <= 0:
+        return 0.0
+    c = -np.log1p(-unit) / rate
+    return float(np.mean(c < np.minimum(times, k)))
+
+
+def reference_calibrate_censoring(setup: int, level: str,
+                                  draws: int = 100_000) -> CensoringCalibration:
+    """``survcmp.simulate.calibrate_censoring`` transforming the uniforms
+    and truncating the survival times again at every bisection step."""
+    if level == "none":
+        return CensoringCalibration(0.0, 0.0, 0.0, 0.0)
+    lo_band, hi_band = CENSORING_BANDS[level]
+    target = 0.5 * (lo_band + hi_band) / 100.0
+    k = horizon(setup)
+    level_id = 1 if level == "strong" else 2
+
+    def solve(group):
+        gen = _rng.stream(0, _CAL_TAG, setup, level_id, group)
+        times = draw_survival(setup, group, gen, draws)
+        unit = gen.random(draws)
+        lo, hi = 1e-6, 1e3
+        assert _censored_fraction(times, unit, lo, k) < target < _censored_fraction(times, unit, hi, k)
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if _censored_fraction(times, unit, mid, k) < target:
+                lo = mid
+            else:
+                hi = mid
+        rate = 0.5 * (lo + hi)
+        return rate, 100.0 * _censored_fraction(times, unit, rate, k)
+
+    rate1, achieved1 = solve(1)
+    if setup == 3:
+        rate2, achieved2 = rate1, achieved1
+    else:
+        rate2, achieved2 = solve(2)
+    return CensoringCalibration(rate1, rate2, achieved1, achieved2)

@@ -155,6 +155,25 @@ class TestAnalyze:
         assert rc == 1
         assert "survcmp:" in err
 
+    def test_parser_built_once_and_reused(self, capsys):
+        cli.build_parser.cache_clear()
+        first = ["analyze", "--json", "--b", "99", "--seed", "4"]
+        rc, out1, _ = _run(capsys, first)
+        assert rc == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--method", "jackknife"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        # options the first call leaves at their defaults are set here
+        rc, other, _ = _run(capsys, ["analyze", "--json", "--method", "bootstrap",
+                                     "--target", "both", "--alternative", "greater",
+                                     "--alpha", "0.1", "--b", "49", "--seed", "9"])
+        assert rc == 0 and other != out1
+        rc, out2, _ = _run(capsys, first)
+        assert rc == 0 and out2 == out1
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+
     def test_usage_errors_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["analyze", "--method", "jackknife"])

@@ -194,3 +194,34 @@ class TestAgainstRowByRow:
         path = _write(tmp_path, "time,delta,type\n5,1,1\n7,1,2\n6\n", name="b.csv")
         with pytest.raises(ValueError, match="row 4: 1 fields, too few"):
             ingest_csv(path, k=10.0)
+
+    @staticmethod
+    def _many_rows(n):
+        # rows of both groups, with ties, whitespace and blank lines, over
+        # several of the reader's blocks
+        return "".join(f"{1 + (i * 7) % 50}, {i % 3 % 2} ,{1 + i % 2}\n" + "\n" * (i % 97 == 0)
+                       for i in range(n))
+
+    def test_samples_identical_across_blocks(self, tmp_path):
+        path = _write(tmp_path, "time,delta,type\n" + self._many_rows(700))
+        got = ingest_csv(path, k=30.0)
+        want = reference_ingest_csv(path, k=30.0)
+        for a, b in zip(got, want):
+            assert a.times.tobytes() == b.times.tobytes()
+            assert np.array_equal(a.events, b.events)
+
+    @pytest.mark.parametrize("at", [0, 255, 256, 600])
+    def test_errors_in_later_blocks(self, tmp_path, at):
+        rows = [f"{1 + i % 50},1,{1 + i % 2}\n" for i in range(700)]
+        short = rows.copy()
+        short[at] = "6,1\n"
+        path = _write(tmp_path, "time,delta,type\n" + "".join(short))
+        with pytest.raises(ValueError, match=f"row {at + 2}: 2 fields, too few for column 'type'"):
+            ingest_csv(path, k=10.0)
+        rows[at] = "6,9,1\n"
+        path = _write(tmp_path, "time,delta,type\n" + "".join(rows), name="b.csv")
+        with pytest.raises(ValueError) as want:
+            reference_ingest_csv(path, k=10.0)
+        with pytest.raises(ValueError) as got:
+            ingest_csv(path, k=10.0)
+        assert str(got.value) == str(want.value) == f"row {at + 2}: invalid status code '9'"

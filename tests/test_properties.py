@@ -15,10 +15,11 @@ from survcmp._engine import (Workspace, batch_context, batch_statistics,
                              bootstrap_indices, permutation_indices)
 from survcmp.effect import mann_whitney_effect
 from survcmp.simulate import ScenarioConfig, _generate, calibrate_censoring
-from survcmp.survival import Sample, kaplan_meier
+from survcmp.survival import Sample, counting_processes, kaplan_meier
 from survcmp.variance import _sigma2_jk, variance_from_fits
 
-from oracles import cov_kernel, reference_batch_statistics, sigma2_jk
+from oracles import (cov_kernel, reference_batch_statistics, reference_counting_processes,
+                     sigma2_jk)
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
 
@@ -72,6 +73,17 @@ def test_swap_identity(pair):
     p21 = mann_whitney_effect(s2, s1).p_hat
     leftover = kaplan_meier(s1).survival(s1.k) * kaplan_meier(s2).survival(s2.k)
     assert abs(p12 + p21 - (1.0 - leftover)) <= 1e-12
+
+
+@PROPERTY
+@given(tied_censored_pairs())
+def test_counting_processes_equal_unique_form_bitwise(pair):
+    for sample in pair:
+        got, want = counting_processes(sample), reference_counting_processes(sample)
+        for name in ("event_times", "dn", "y"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
 
 
 def test_completely_separated_replication_is_degenerate():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from survcmp import resampling
 from survcmp.datasets import load_tongue
 from survcmp.effect import mann_whitney_effect
 from survcmp.inference import asymptotic_ci
@@ -145,6 +146,22 @@ class TestReplicateSets:
         a = replicate_set(canonical(pool(s1, s2)), plan)
         b = replicate_set(canonical(pool(s2, s1)), plan)
         assert_array_equal(a.statistics, b.statistics)
+
+    def test_one_context_per_pool_same_bytes_as_fresh_pools(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        s1, s2 = _random_censored(rng, 12), _random_censored(rng, 9)
+        plans = [ResamplingPlan("bootstrap", 600, 5), ResamplingPlan("permutation", 600, 5)]
+        fresh = [replicate_set(pool(s1, s2), plan) for plan in plans]
+        built = []
+        original = resampling.batch_context
+        monkeypatch.setattr(resampling, "batch_context",
+                            lambda *args: built.append(1) or original(*args))
+        z = pool(s1, s2)
+        shared = [replicate_set(z, plan) for plan in plans]
+        assert len(built) == 1
+        for got, want in zip(shared, fresh):
+            assert got.statistics.tobytes() == want.statistics.tobytes()
+            assert got.dropped == want.dropped
 
     def test_all_censored_pool_drops_everything(self):
         times = np.linspace(1.0, 4.0, 8)

@@ -1,6 +1,7 @@
 """Scenario laws, censoring calibration, and the coverage harness."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from survcmp.simulate import (
     true_effect,
     truncation_proportions,
 )
+
+from oracles import reference_calibrate_censoring
 
 N_BIG = 1_000_000
 
@@ -126,6 +129,14 @@ class TestCalibration:
         cal = calibrate_censoring(1, "strong")
         assert_allclose(cal.rate1, 1.4646785916807836, atol=1e-12)
         assert_allclose(cal.rate2, 1.444548560881123, atol=1e-12)
+
+    def test_equals_per_step_reference_bitwise(self):
+        for setup in (1, 2, 3):
+            for level in ("strong", "moderate"):
+                got = calibrate_censoring(setup, level)
+                want = reference_calibrate_censoring(setup, level)
+                assert ([x.hex() for x in astuple(got)]
+                        == [x.hex() for x in astuple(want)]), (setup, level)
 
     def test_stronger_band_needs_larger_rate(self):
         for setup in (1, 2, 3):

@@ -76,3 +76,11 @@ class TestValidation:
         f = StepFunction([1.0], [0.5], 1.0, 2.0)
         with pytest.raises(ValueError):
             f.jump_times[0] = 0.5
+
+    def test_value_table_is_read_only_and_not_handed_out(self):
+        f = StepFunction([1.0, 2.5], [0.6, 0.2], 1.0, 4.0)
+        with pytest.raises(ValueError):
+            f._padded[0] = 0.5
+        out = f(np.array([0.5, 1.0]))
+        out[0] = 0.0  # evaluations are copies of the table's entries
+        assert f(0.5) == 1.0 and f.left_limit(1.0) == 1.0
