@@ -6,7 +6,6 @@ import numpy as np
 from survcmp import (
     Sample,
     counting_processes,
-    integration_by_parts_value,
     kaplan_meier,
     mann_whitney_effect,
     nelson_aalen,
@@ -41,7 +40,18 @@ print("\ncumulative hazard at event times:",
 
 eff = mann_whitney_effect(s1, s2)
 print(f"\np_hat = {eff.p_hat:.6f}  (integral of S1+- against the drops of S2)")
-print(f"by-parts form = {integration_by_parts_value(s1, s2):.6f}")
+
+
+def below_k(f, g):
+    # int_[0, K) f dg: f at g's jumps strictly below K times the jump sizes
+    keep = g.jump_times < K
+    return float(np.sum(f(g.jump_times[keep]) * g.deltas[keep]))
+
+
+# the by-parts companion 1/2 - int_[0,K) S1 dS2 / 2 + int_[0,K) S2 dS1 / 2
+by_parts = (0.5 - 0.5 * below_k(fit1.survival, fit2.survival)
+            + 0.5 * below_k(fit2.survival, fit1.survival))
+print(f"by-parts form = {by_parts:.6f}")
 left = fit1.survival.left_limit(K) * fit2.survival.left_limit(K)
 print(f"difference = half the leftover mass product = {left / 2:.6f}")
 

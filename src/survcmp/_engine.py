@@ -1,4 +1,11 @@
-"""Vectorized evaluation of studentized statistics over many resamples.
+"""The studentized statistic, for the observed data and for every resample.
+
+One row of an index matrix selects a two-group sample from the pooled
+data; :func:`batch_statistics` returns each row's effect p, variance
+terms sigma2_12 and sigma2_21 and validity, and :func:`studentize` turns
+them into sqrt(n1 n2 / n) (p - p0) / sigma.  The observed data are the
+identity row 0..n-1 (:func:`identity_row`), so the observed statistic and
+its replicates come from the same arithmetic, bit for bit.
 
 The event grid.  The pooled sample's distinct times form the full grid of
 q slots, but a replicate's Kaplan-Meier curve can only step where the pool
@@ -25,12 +32,13 @@ group 1's leftover mass S_1(k) as an atom just past the window end, which
 adds S_2(k) S_1(k) to both A and A_minus at every s: it is the boundary
 term -S_1(k) d_2(k) of the linearization in group 2's curve.
 
-The bitwise contract.  Every statistic and validity flag equals, bit for
-bit, the one the same formulas give on the full grid (the reference
-engine in ``tests/oracles.py``).  The row sums are the one place where the
-grid width shows: numpy's pairwise summation groups terms by position, so
-the per-slot terms of p, sigma2_12 and sigma2_21 go back to their
-full-grid slots, between exact zeros, before they are summed.
+The bitwise contract.  Every row's p, variance terms and validity flag
+equal, bit for bit, the ones the same formulas give on the full grid (the
+reference engine in ``tests/oracles.py``).  The row sums are the one
+place where the grid width shows: numpy's pairwise summation groups
+terms by position, so the per-slot terms of p, sigma2_12 and sigma2_21
+go back to their full-grid slots, between exact zeros, before they are
+summed.
 
 Permutation rows hold every pooled observation once, so group 2's death
 and at-risk counts are the pooled counts minus group 1's, in exact
@@ -43,13 +51,15 @@ are never shared between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .rng import BLOCK
 
-__all__ = ["BatchContext", "Workspace", "batch_context", "batch_statistics",
-           "bootstrap_indices", "permutation_indices"]
+__all__ = ["BatchContext", "RowStatistics", "Workspace", "batch_context",
+           "batch_statistics", "bootstrap_indices", "identity_row",
+           "permutation_indices", "studentize"]
 
 
 @dataclass(frozen=True)
@@ -89,14 +99,40 @@ def batch_context(times: np.ndarray, events: np.ndarray, n1: int, n2: int) -> Ba
     grid, pos = np.unique(np.asarray(times, dtype=float), return_inverse=True)
     pos = pos.astype(np.int64)
     events = np.asarray(events, bool).copy()
-    slots = np.unique(pos[events])
-    column = np.searchsorted(slots, pos, side="right")
+    # a slot is an event column when a pooled event lands on it; each
+    # observation's column counts the event slots at or before its own
+    hit = np.bincount(pos[events], minlength=grid.size) > 0
+    slots = np.flatnonzero(hit)
+    column = np.cumsum(hit)[pos]
     width = slots.size + 2
     deaths = np.bincount(column[events], minlength=width).astype(float)
     at_risk = np.cumsum(np.bincount(column, minlength=width)[::-1])[::-1].astype(float)
     return BatchContext(pos=pos, events=events, q=int(grid.size), n1=int(n1), n2=int(n2),
                         event_slots=slots, column=column,
                         pool_deaths=deaths, pool_at_risk=at_risk)
+
+
+class RowStatistics(NamedTuple):
+    """Per-row pieces of the studentized statistic.
+
+    ``p`` is the effect clipped to [0, 1], ``sigma2_12`` and ``sigma2_21``
+    are the two variance terms (the second with group 1's leftover mass
+    at the window end), ``sigma2`` = (n1 n2 / n) (sigma2_12 + sigma2_21),
+    and ``valid`` is False where sigma2 vanishes or a group has no events.
+    """
+
+    p: np.ndarray
+    sigma2_12: np.ndarray
+    sigma2_21: np.ndarray
+    sigma2: np.ndarray
+    valid: np.ndarray
+
+
+def studentize(p, sigma2, valid, n1: int, n2: int, p0: float):
+    """sqrt(n1 n2 / n) (p - p0) / sigma where valid, NaN elsewhere."""
+    rate = np.sqrt(n1 * n2 / (n1 + n2))
+    return np.divide(rate * (p - p0), np.sqrt(sigma2), out=np.full(np.shape(p), np.nan),
+                     where=valid)
 
 
 def bootstrap_indices(rng: np.random.Generator, r: int, n: int) -> np.ndarray:
@@ -145,8 +181,8 @@ def _reverse_cumsum(values, out):
 
 
 def batch_statistics(ctx: BatchContext, idx: np.ndarray, *, permutation: bool = False,
-                     work: Workspace | None = None):
-    """Studentized statistics for each row of the index matrix.
+                     work: Workspace | None = None) -> RowStatistics:
+    """The effect, variance terms and validity of each row of the index matrix.
 
     Parameters
     ----------
@@ -164,11 +200,8 @@ def batch_statistics(ctx: BatchContext, idx: np.ndarray, *, permutation: bool = 
 
     Returns
     -------
-    stats : ndarray of shape (r,)
-        sqrt(n1 n2 / n) (p - 1/2) / sigma per row; NaN on degenerate rows.
-    valid : ndarray of bool
-        False where the replicate variance vanished or a replicate group
-        has no events.
+    RowStatistics
+        Arrays of shape (r,), freshly allocated.
     """
     n1, n2 = ctx.n1, ctx.n2
     n = n1 + n2
@@ -242,12 +275,20 @@ def batch_statistics(ctx: BatchContext, idx: np.ndarray, *, permutation: bool = 
     full = work.full_terms[:, :r]
     full[:, :, ctx.event_slots] = terms[:, :, 1:-1]
     sums = full.sum(axis=2)
-    p = np.clip(sums[0], 0.0, 1.0)
-    sigma2 = (n1 * n2 / n) * (0.25 * sums[1] + 0.25 * sums[2])
+    sigma2_12, sigma2_21 = 0.25 * sums[1], 0.25 * sums[2]
+    sigma2 = (n1 * n2 / n) * (sigma2_12 + sigma2_21)
     # a curve ends below 1.0 exactly when its group has an event
     has_events = (s[0, :, -1] < 1.0) & (s[1, :, -1] < 1.0)
-    valid = (sigma2 > 0.0) & has_events
-    rate = np.sqrt(n1 * n2 / n)
-    stats = np.full(r, np.nan)
-    np.divide(rate * (p - 0.5), np.sqrt(sigma2), out=stats, where=valid)
-    return stats, valid
+    return RowStatistics(p=np.clip(sums[0], 0.0, 1.0), sigma2_12=sigma2_12,
+                         sigma2_21=sigma2_21, sigma2=sigma2,
+                         valid=(sigma2 > 0.0) & has_events)
+
+
+def identity_row(ctx: BatchContext) -> RowStatistics:
+    """The observed data's row: group 1 is the first n1 pooled observations.
+
+    The identity is a permutation, so group 2's counts are the pooled
+    counts minus group 1's.
+    """
+    idx = np.arange(ctx.n1 + ctx.n2, dtype=np.int64)[None, :]
+    return batch_statistics(ctx, idx, permutation=True)

@@ -22,7 +22,8 @@ from dataclasses import replace as _replace
 
 from .datasets import HORIZON_POLICIES, ingest_csv, tongue_path
 from .inference import _asymptotic, _observed
-from .resampling import ResamplingPlan, _resampling_results, pool, replicate_set
+from .resampling import ResamplingPlan, _resampling_results, replicate_set
+from .survival import pool
 from . import simulate as sim
 
 __all__ = ["main", "build_parser"]
@@ -109,12 +110,12 @@ def _json_num(x):
 
 
 def _analysis_results(s1, s2, args, seed):
-    # one effect and variance for the dataset, one replicate set per method,
-    # all replicate sets on one pooled sample (and so one engine context)
+    # one pooled sample, so one engine context for the observed row and
+    # every replicate set; one replicate set per method
     methods = _METHODS if args.method == "all" else (args.method,)
     targets = ("p", "w") if args.target == "both" else (args.target,)
-    eff, var = _observed(s1, s2)
-    z = None if methods == ("asymptotic",) else pool(s1, s2)
+    z = pool(s1, s2)
+    eff, var = _observed(z)
     rows = []
     for method in methods:
         if method == "asymptotic":

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .effect import EffectEstimate, effect_from_fits
-from .survival import Sample, kaplan_meier
-from .variance import VarianceEstimate, variance_from_fits
+from ._engine import identity_row, studentize
+from .effect import EffectEstimate
+from .survival import PooledSample, Sample, pool
+from .variance import VarianceEstimate
 
 __all__ = [
     "InferenceResult",
@@ -83,12 +84,11 @@ def _rate(n1: int, n2: int) -> float:
     return float(np.sqrt(n1 * n2 / (n1 + n2)))
 
 
-def _observed(s1: Sample, s2: Sample) -> tuple[EffectEstimate, VarianceEstimate]:
-    # the observed effect and variance, from one Kaplan-Meier fit per group
-    if s1.k != s2.k:
-        raise ValueError("incompatible horizons")
-    f1, f2 = kaplan_meier(s1), kaplan_meier(s2)
-    return effect_from_fits(f1, f2), variance_from_fits(f1, f2)
+def _observed(z: PooledSample) -> tuple[EffectEstimate, VarianceEstimate]:
+    # the observed effect and variance: the engine's identity row on the
+    # pool's context, which the pool's replicate sets share
+    row = identity_row(z.context)
+    return EffectEstimate.from_row(row, z.n1, z.n2), VarianceEstimate.from_row(row, z.n1, z.n2)
 
 
 def studentized_p(s1: Sample, s2: Sample, p0: float = 0.5) -> float:
@@ -97,13 +97,14 @@ def studentized_p(s1: Sample, s2: Sample, p0: float = 0.5) -> float:
     Raises a "degenerate variance" error when sigma_hat == 0 or a group
     has no events.
     """
-    return _studentized_p(*_observed(s1, s2), p0)
+    return _studentized_p(*_observed(pool(s1, s2)), p0)
 
 
 def _studentized_p(eff: EffectEstimate, var: VarianceEstimate, p0: float) -> float:
     if var.degenerate:
         raise ValueError("degenerate variance")
-    return _rate(eff.n1, eff.n2) * (eff.p_hat - p0) / var.sigma
+    # the replicates' studentization, so the observed row's T is theirs bit for bit
+    return float(studentize(eff.p_hat, var.sigma2, True, eff.n1, eff.n2, p0))
 
 
 def studentized_w(s1: Sample, s2: Sample, w0: float = 1.0) -> float:
@@ -114,7 +115,7 @@ def studentized_w(s1: Sample, s2: Sample, w0: float = 1.0) -> float:
     and "degenerate variance" at sigma_hat == 0 or when a group has no
     events.
     """
-    return _studentized_w(*_observed(s1, s2), w0)
+    return _studentized_w(*_observed(pool(s1, s2)), w0)
 
 
 def _studentized_w(eff: EffectEstimate, var: VarianceEstimate, w0: float) -> float:
@@ -194,7 +195,7 @@ def asymptotic_ci(s1: Sample, s2: Sample, alpha: float = 0.05, target: str = "p"
     z_alpha and extend to the respective range boundary.
     """
     _check_options(target, alternative)
-    return _asymptotic(*_observed(s1, s2), alpha, target, alternative)
+    return _asymptotic(*_observed(pool(s1, s2)), alpha, target, alternative)
 
 
 def asymptotic_test(s1: Sample, s2: Sample, alpha: float = 0.05, target: str = "p",

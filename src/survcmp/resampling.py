@@ -18,27 +18,21 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from functools import cached_property
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import rng as _rng
-from ._engine import (BatchContext, Workspace, batch_context, batch_statistics,
-                      bootstrap_indices, permutation_indices)
-from .survival import Sample
+from ._engine import (Workspace, batch_statistics, bootstrap_indices, permutation_indices,
+                      studentize)
+from .survival import PooledSample, Sample, pool
 from .effect import EffectEstimate
 from .variance import VarianceEstimate
 from .inference import InferenceResult, _build, _check_options, _observed, _studentized_p
 
 __all__ = [
-    "PooledSample",
     "ResamplingPlan",
     "ReplicateSet",
-    "pool",
-    "split",
-    "bootstrap_replicate",
-    "permutation_replicate",
     "replicate_set",
     "replicate_quantile",
     "resampling_test",
@@ -46,36 +40,6 @@ __all__ = [
 ]
 
 _SCHEMES = ("bootstrap", "permutation")
-
-
-@dataclass(frozen=True)
-class PooledSample:
-    """Both groups' observations concatenated, labels erased.
-
-    Group 1 occupies the first ``n1`` slots.  ``k`` is the shared window
-    end.  ``context`` is the replicate engine's view of the pool, built on
-    first use and shared by every replicate set drawn from it.
-    """
-
-    times: np.ndarray
-    events: np.ndarray
-    n1: int
-    n2: int
-    k: float
-
-    def __post_init__(self):
-        if self.times.size != self.n1 + self.n2:
-            raise ValueError("pooled size must be n1 + n2")
-        self.times.setflags(write=False)
-        self.events.setflags(write=False)
-
-    @property
-    def n(self) -> int:
-        return self.n1 + self.n2
-
-    @cached_property
-    def context(self) -> BatchContext:
-        return batch_context(self.times, self.events, self.n1, self.n2)
 
 
 @dataclass(frozen=True)
@@ -122,45 +86,6 @@ class ReplicateSet:
             fh.write(f"{float(value)!r}\n")
 
 
-def pool(s1: Sample, s2: Sample) -> PooledSample:
-    """Concatenate two samples, group 1 first, keeping the shared window."""
-    if s1.k != s2.k:
-        raise ValueError("incompatible horizons")
-    return PooledSample(
-        times=np.concatenate([s1.times, s2.times]),
-        events=np.concatenate([s1.events, s2.events]),
-        n1=s1.n, n2=s2.n, k=s1.k,
-    )
-
-
-def split(z: PooledSample) -> tuple[Sample, Sample]:
-    """Undo :func:`pool` without shuffling."""
-    return (Sample(z.times[:z.n1].copy(), z.events[:z.n1].copy(), z.k),
-            Sample(z.times[z.n1:].copy(), z.events[z.n1:].copy(), z.k))
-
-
-def _single(z: PooledSample, idx: np.ndarray) -> float:
-    stats, valid = batch_statistics(z.context, idx[None, :])
-    if not valid[0]:
-        raise ValueError("degenerate replicate")
-    return float(stats[0])
-
-
-def bootstrap_replicate(z: PooledSample, rng: np.random.Generator) -> float:
-    """One pooled-bootstrap statistic sqrt(n1 n2 / n) (p* - 1/2) / sigma*.
-
-    Draws n observations with replacement from the pooled sample; the
-    first n1 form replicate group 1.  Raises "degenerate replicate" when
-    the replicate variance vanishes or a replicate group has no events.
-    """
-    return _single(z, bootstrap_indices(rng, 1, z.n)[0])
-
-
-def permutation_replicate(z: PooledSample, rng: np.random.Generator) -> float:
-    """One permutation statistic: same functional on shuffled labels."""
-    return _single(z, permutation_indices(rng, 1, z.n)[0])
-
-
 def replicate_set(z: PooledSample, plan: ResamplingPlan) -> ReplicateSet:
     """All replicate statistics under the plan, dropped ones counted.
 
@@ -179,7 +104,8 @@ def replicate_set(z: PooledSample, plan: ResamplingPlan) -> ReplicateSet:
         idx = draw(gen, size, z.n)
         if not hasattr(local, "work"):
             local.work = Workspace(ctx, min(plan.b, _rng.BLOCK))
-        return batch_statistics(ctx, idx, permutation=permutation, work=local.work)
+        rows = batch_statistics(ctx, idx, permutation=permutation, work=local.work)
+        return studentize(rows.p, rows.sigma2, rows.valid, z.n1, z.n2, 0.5), rows.valid
 
     todo = _rng.blocks(plan.b)
     if plan.workers > 1 and len(todo) > 1:
@@ -246,10 +172,11 @@ def _resampling_results(eff: EffectEstimate, var: VarianceEstimate, reps: Replic
 def _resample_inference(s1: Sample, s2: Sample, plan: ResamplingPlan,
                         alpha: float, alternative: str, target: str) -> InferenceResult:
     _check_options(target, alternative)
-    eff, var = _observed(s1, s2)
+    z = pool(s1, s2)
+    eff, var = _observed(z)
     if var.degenerate:  # fail before drawing any replicate
         raise ValueError("degenerate variance")
-    reps = replicate_set(pool(s1, s2), plan)
+    reps = replicate_set(z, plan)
     return _resampling_results(eff, var, reps, plan, alpha, alternative, (target,))[0]
 
 

@@ -25,9 +25,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import rng as _rng
-from .survival import Sample
+from .survival import Sample, pool
 from .inference import _asymptotic, _observed
-from .resampling import ResamplingPlan, _resampling_results, pool, replicate_set
+from .resampling import ResamplingPlan, _resampling_results, replicate_set
 
 __all__ = [
     "SETUPS",
@@ -373,10 +373,10 @@ def coverage_study(config: ScenarioConfig) -> CoverageRow:
     for rep in range(config.reps):
         s1, s2, inner_seed = _generate(config, cal, rep)
         try:
-            # one effect and variance serve all three intervals
-            eff, var = _observed(s1, s2)
-            results = [_asymptotic(eff, var, config.alpha, "p", "two-sided")]
+            # one pooled sample serves all three intervals
             z = pool(s1, s2)
+            eff, var = _observed(z)
+            results = [_asymptotic(eff, var, config.alpha, "p", "two-sided")]
             for scheme in ("bootstrap", "permutation"):
                 plan = ResamplingPlan(scheme, config.b, inner_seed, config.workers)
                 results += _resampling_results(eff, var, replicate_set(z, plan), plan,

@@ -1,4 +1,4 @@
-"""Censored samples, risk-set bookkeeping and product-limit estimation.
+"""Censored samples, their pooled form, risk sets and product-limit curves.
 
 All survival times are analysed on a window [0, k] chosen by the caller.
 Observations beyond the window are treated as events at k (the subject is
@@ -11,35 +11,25 @@ subject in the risk set at that time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from ._engine import BatchContext, batch_context
 from .stepfun import StepFunction
 
 __all__ = [
-    "Observation",
     "Sample",
+    "PooledSample",
     "CountingProcesses",
     "KaplanMeierFit",
     "truncate",
+    "pool",
+    "split",
     "counting_processes",
     "kaplan_meier",
     "nelson_aalen",
 ]
-
-
-@dataclass(frozen=True)
-class Observation:
-    """A single right-censored observation.
-
-    ``time`` is the recorded time (must be positive), ``event`` is True for
-    an observed event and False for censoring, ``group`` is an optional
-    sample label.
-    """
-
-    time: float
-    event: bool
-    group: int | None = None
 
 
 class Sample:
@@ -76,6 +66,54 @@ class Sample:
 
     def __repr__(self):
         return f"Sample(n={self.n}, events={int(self.events.sum())}, k={self.k})"
+
+
+@dataclass(frozen=True)
+class PooledSample:
+    """Both groups' observations concatenated, labels erased.
+
+    Group 1 occupies the first ``n1`` slots.  ``k`` is the shared window
+    end.  ``context`` is the statistic engine's view of the pool, built on
+    first use and shared by the observed statistic and every replicate set
+    drawn from the pool.
+    """
+
+    times: np.ndarray
+    events: np.ndarray
+    n1: int
+    n2: int
+    k: float
+
+    def __post_init__(self):
+        if self.times.size != self.n1 + self.n2:
+            raise ValueError("pooled size must be n1 + n2")
+        self.times.setflags(write=False)
+        self.events.setflags(write=False)
+
+    @property
+    def n(self) -> int:
+        return self.n1 + self.n2
+
+    @cached_property
+    def context(self) -> BatchContext:
+        return batch_context(self.times, self.events, self.n1, self.n2)
+
+
+def pool(s1: Sample, s2: Sample) -> PooledSample:
+    """Concatenate two samples, group 1 first, keeping the shared window."""
+    if s1.k != s2.k:
+        raise ValueError("incompatible horizons")
+    return PooledSample(
+        times=np.concatenate([s1.times, s2.times]),
+        events=np.concatenate([s1.events, s2.events]),
+        n1=s1.n, n2=s2.n, k=s1.k,
+    )
+
+
+def split(z: PooledSample) -> tuple[Sample, Sample]:
+    """Undo :func:`pool` without shuffling."""
+    return (Sample(z.times[:z.n1].copy(), z.events[:z.n1].copy(), z.k),
+            Sample(z.times[z.n1:].copy(), z.events[z.n1:].copy(), z.k))
 
 
 @dataclass(frozen=True)
@@ -121,29 +159,22 @@ def truncate(raw, k) -> Sample:
     """Truncate raw observations to the window [0, k] and build a Sample.
 
     Times greater than k are replaced by an event at k; a time exactly at k
-    keeps its recorded status.  ``raw`` may be an iterable of
-    :class:`Observation` (or (time, event) pairs), or a pair of arrays
-    (times, events).
+    keeps its recorded status.  ``raw`` is a pair of arrays (times, events).
 
     Raises
     ------
     ValueError
-        If the collection is empty ("empty sample"), k is not a positive
+        If there are no observations ("empty sample"), k is not a positive
         finite number ("invalid horizon"), or a time is not positive and
         finite (raised by :class:`Sample`).
     """
     kf = float(k)
     if not np.isfinite(kf) or kf <= 0:
         raise ValueError("invalid horizon")
-    if isinstance(raw, tuple) and len(raw) == 2:
-        times = np.asarray(raw[0], dtype=float)
-        events = np.asarray(raw[1], dtype=bool)
-    else:
-        pairs = [(o.time, o.event) if isinstance(o, Observation) else (o[0], o[1]) for o in raw]
-        if not pairs:
-            raise ValueError("empty sample")
-        times = np.array([p[0] for p in pairs], dtype=float)
-        events = np.array([bool(p[1]) for p in pairs], dtype=bool)
+    if len(raw) == 0:
+        raise ValueError("empty sample")
+    times = np.asarray(raw[0], dtype=float)
+    events = np.asarray(raw[1], dtype=bool)
     # only finite times past the window are rewritten; Sample rejects the rest
     over = np.isfinite(times) & (times > kf)
     times = np.where(over, kf, times)

@@ -18,20 +18,13 @@ The boundary term is the mass that group 1's curve keeps at the window
 end.  The group-2 term therefore integrates group 2's kernel against
 group 1's mass plus an atom of size S1(k) placed just past k.  Without
 that atom the variance falls short whenever group 1's curve ends above
-zero, as it does when its largest observation is censored.
+zero, as it does when its largest observation is censored.  The result is
+the delta-method variance of p_hat with Greenwood covariances, exactly.
 
-The kernel is S_j(u) S_j(v) H_j(u ^ v), and H_j(u ^ v) is a sum of
-hazard-variance increments dH_j(s) over s <= u and s <= v.  Summing over
-s last turns the double integral over (u, v) into one sum over group j's
-event times (the same reassociation the replicate engine uses):
-
-    sigma2_jk = 1/4 * sum_s dH_j(s) * (A(s) + A_minus(s))^2,
-
-with A(s) the tail sum of S_j(u) |dS_k(u)| over k's jump times u >= s and
-A_minus(s) the strict tail (u > s) of S_j(u-) |dS_k(u)|.  The boundary
-atom adds S_j(k) S_k(k) to both.  That is O(m log m) time and O(m) memory;
-the pairwise O(m^2) quadratic form it equals is kept as a test oracle
-(``tests/oracles.py``).
+Both terms are computed by the statistic engine (``_engine.py``, whose
+docstring gives the single-sum form it evaluates) as part of the observed
+row; this module holds the result type.  The pairwise O(m^2) quadratic
+form the engine equals is kept as a test oracle (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -40,9 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .survival import KaplanMeierFit, Sample, kaplan_meier
+from ._engine import RowStatistics, identity_row
+from .survival import Sample, pool
 
-__all__ = ["VarianceEstimate", "variance_estimate", "variance_from_fits"]
+__all__ = ["VarianceEstimate", "variance_estimate"]
 
 
 @dataclass(frozen=True)
@@ -65,58 +59,21 @@ class VarianceEstimate:
     def sigma(self) -> float:
         return float(np.sqrt(self.sigma2))
 
-
-def _sigma2_jk(fit_j: KaplanMeierFit, fit_k: KaplanMeierFit, boundary: bool = False) -> float:
-    """Group j's kernel integrated twice against fit_k's mass, as tail sums.
-
-    With ``boundary`` the mass fit_k keeps at the window end, S_k(k), is
-    one more atom just past k (see the module docstring).  Nonnegative.
-    """
-    cp = fit_j.counting
-    gap = (cp.y - cp.dn) * cp.y
-    # a jump to zero (dN == Y) adds nothing to H_j
-    dh = np.where(gap > 0, cp.dn / np.where(gap > 0, gap, 1), 0.0)
-    s, g = fit_j.survival, fit_k.survival
-    u, mass = g.jump_times, -g.deltas
-    tail = np.append(np.cumsum((s(u) * mass)[::-1])[::-1], 0.0)
-    strict = np.append(np.cumsum((s.left_limit(u) * mass)[::-1])[::-1], 0.0)
-    atom = s(g.k) * g(g.k) if boundary else 0.0
-    a = tail[np.searchsorted(u, cp.event_times, side="left")] + atom
-    a_minus = strict[np.searchsorted(u, cp.event_times, side="right")] + atom
-    return 0.25 * float(np.sum(dh * (a + a_minus) ** 2))
+    @classmethod
+    def from_row(cls, row: RowStatistics, n1: int, n2: int) -> VarianceEstimate:
+        """The estimate in the first row of an engine result."""
+        return cls(sigma2=float(row.sigma2[0]), sigma2_12=float(row.sigma2_12[0]),
+                   sigma2_21=float(row.sigma2_21[0]), n1=n1, n2=n2,
+                   degenerate=not row.valid[0])
 
 
 def variance_estimate(s1: Sample, s2: Sample) -> VarianceEstimate:
     """Variance estimate for the studentized effect statistic.
 
     sigma2 = (n1 n2 / n) * (sigma2_12 + sigma2_21) where sigma2_jk
-    integrates group j's normalized kernel against group k's mass.  The
-    group-2 term sigma2_21 also carries group 1's leftover mass S1(k) as
-    an atom just past the window end: the product rule leaves the
-    boundary term -S1(k) d2(k) when p_hat is linearized in group 2's
-    curve.  The group-1 term has no such term.  The result is the
-    delta-method variance of p_hat with Greenwood covariances, exactly.
+    integrates group j's normalized kernel against group k's mass, and
+    sigma2_21 also carries group 1's leftover mass S1(k) as an atom just
+    past the window end (see the module docstring).
     """
-    if s1.k != s2.k:
-        raise ValueError("incompatible horizons")
-    f1 = kaplan_meier(s1)
-    f2 = kaplan_meier(s2)
-    return variance_from_fits(f1, f2)
-
-
-def variance_from_fits(f1: KaplanMeierFit, f2: KaplanMeierFit) -> VarianceEstimate:
-    """Variance estimate from two already-computed Kaplan-Meier fits."""
-    s12 = _sigma2_jk(f1, f2)
-    s21 = _sigma2_jk(f2, f1, boundary=True)
-    n1, n2 = f1.n, f2.n
-    n = n1 + n2
-    sigma2 = (n1 * n2 / n) * (s12 + s21)
-    no_events = f1.counting.event_times.size == 0 or f2.counting.event_times.size == 0
-    return VarianceEstimate(
-        sigma2=sigma2,
-        sigma2_12=s12,
-        sigma2_21=s21,
-        n1=n1,
-        n2=n2,
-        degenerate=no_events or sigma2 <= 0.0,
-    )
+    z = pool(s1, s2)
+    return VarianceEstimate.from_row(identity_row(z.context), z.n1, z.n2)

@@ -1,17 +1,22 @@
 """Slow but exact reference forms, kept for the tests only.
 
 The mid-rank pairwise count gives the effect on uncensored data from all
-n1 x n2 pairs.  ``reference_batch_statistics`` is the replicate engine on
-the full grid of pooled times, ``reference_ingest_csv`` reads a CSV one
-row at a time, ``reference_counting_processes`` finds the distinct times
-with ``np.unique``, and ``reference_calibrate_censoring`` rebuilds the
+n1 x n2 pairs.  ``wilcoxon_integral`` and ``integration_by_parts_value``
+give the effect and its by-parts companion as exact jump sums over
+Kaplan-Meier step functions.  ``reference_batch_statistics`` is the
+statistic engine on the full grid of pooled times, ``reference_batch_context``
+builds the engine's context with two ``np.unique`` calls and a
+``searchsorted``, ``reference_ingest_csv`` reads a CSV one row at a time,
+``reference_counting_processes`` finds the distinct times with
+``np.unique``, and ``reference_calibrate_censoring`` rebuilds the
 censoring times from the uniforms at every bisection step.  The plug-in
-variance in ``survcmp.variance`` is a reassociated single sum over one
+variance in ``survcmp._engine`` is a reassociated single sum over one
 group's event times; the forms here evaluate the same quantity the direct
 way: a covariance kernel per group, its four-limit average at any pair of
 points, and the O(m^2) quadratic form of that kernel against the other
 group's jump masses.  They share no code with the package's tail sums,
-which is what makes them useful as oracles.
+which is what makes them useful as oracles.  ``bootstrap_replicate`` and
+``permutation_replicate`` draw and evaluate one replicate on its own.
 """
 
 from __future__ import annotations
@@ -22,10 +27,57 @@ from dataclasses import dataclass
 import numpy as np
 
 from survcmp import rng as _rng
+from survcmp._engine import (BatchContext, batch_statistics, bootstrap_indices,
+                             permutation_indices, studentize)
 from survcmp.datasets import HORIZON_POLICIES, _label_key
 from survcmp.simulate import (_CAL_TAG, CENSORING_BANDS, CensoringCalibration,
                               draw_survival, horizon)
-from survcmp.survival import CountingProcesses, KaplanMeierFit, Sample, kaplan_meier
+from survcmp.stepfun import StepFunction
+from survcmp.survival import (CountingProcesses, KaplanMeierFit, PooledSample, Sample,
+                              kaplan_meier)
+
+
+def wilcoxon_integral(f_normalized, g: StepFunction) -> float:
+    """Integrate a normalized curve against the mass of a step function.
+
+    Computes sum over the jump times u of ``g`` of f_normalized(u) times
+    the downward mass -(g(u) - g(u-)).  Exact jump summation, no grid.
+
+    Parameters
+    ----------
+    f_normalized : callable
+        Vectorized evaluator of the mid-point-normalized curve, e.g.
+        ``KaplanMeierFit.normalized``.
+    g : StepFunction
+        Non-increasing step function whose jumps carry the mass.
+    """
+    u = g.jump_times
+    if u.size == 0:
+        return 0.0
+    return float(np.sum(f_normalized(u) * -g.deltas))
+
+
+def integration_by_parts_value(s1: Sample, s2: Sample) -> float:
+    """Companion value 1/2 - int_[0,k) S1 dS2 / 2 + int_[0,k) S2 dS1 / 2.
+
+    The half-open domain excludes jumps exactly at k.  Equals the effect
+    estimate whenever at least one Kaplan-Meier curve has no mass left at
+    k; in general the two differ by S1(k) S2(k) / 2.
+    """
+    if s1.k != s2.k:
+        raise ValueError("incompatible horizons")
+    f1 = kaplan_meier(s1).survival
+    f2 = kaplan_meier(s2).survival
+
+    def _below_k(f: StepFunction, g: StepFunction) -> float:
+        # int_[0,k) f dg, exact jump sum over g's jumps strictly below k
+        u = g.jump_times
+        keep = u < g.k
+        if not keep.any():
+            return 0.0
+        return float(np.sum(f(u[keep]) * g.deltas[keep]))
+
+    return 0.5 - 0.5 * _below_k(f1, f2) + 0.5 * _below_k(f2, f1)
 
 
 @dataclass(frozen=True)
@@ -192,12 +244,59 @@ def _sigma2_jk(sj, sj_left, dhj, mass_k, atom=0.0):
     return 0.25 * np.sum(dhj * (a_tail + a_strict + 2.0 * atom) ** 2, axis=1)
 
 
+def reference_batch_context(times, events, n1: int, n2: int) -> BatchContext:
+    """``survcmp._engine.batch_context`` finding the event slots with a
+    second ``np.unique`` and each observation's column by ``searchsorted``."""
+    grid, pos = np.unique(np.asarray(times, dtype=float), return_inverse=True)
+    pos = pos.astype(np.int64)
+    events = np.asarray(events, bool).copy()
+    slots = np.unique(pos[events])
+    column = np.searchsorted(slots, pos, side="right")
+    width = slots.size + 2
+    deaths = np.bincount(column[events], minlength=width).astype(float)
+    at_risk = np.cumsum(np.bincount(column, minlength=width)[::-1])[::-1].astype(float)
+    return BatchContext(pos=pos, events=events, q=int(grid.size), n1=int(n1), n2=int(n2),
+                        event_slots=slots, column=column,
+                        pool_deaths=deaths, pool_at_risk=at_risk)
+
+
+def assert_same_context(got: BatchContext, want: BatchContext) -> None:
+    """Two engine contexts hold the same arrays, dtypes and bytes alike."""
+    assert (got.q, got.n1, got.n2) == (want.q, want.n1, want.n2)
+    for name in ("pos", "events", "event_slots", "column", "pool_deaths", "pool_at_risk"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def _single(z: PooledSample, idx: np.ndarray) -> float:
+    rows = batch_statistics(z.context, idx[None, :])
+    if not rows.valid[0]:
+        raise ValueError("degenerate replicate")
+    return float(studentize(rows.p, rows.sigma2, rows.valid, z.n1, z.n2, 0.5)[0])
+
+
+def bootstrap_replicate(z: PooledSample, rng: np.random.Generator) -> float:
+    """One pooled-bootstrap statistic sqrt(n1 n2 / n) (p* - 1/2) / sigma*.
+
+    Draws n observations with replacement from the pooled sample; the
+    first n1 form replicate group 1.  Raises "degenerate replicate" when
+    the replicate variance vanishes or a replicate group has no events.
+    """
+    return _single(z, bootstrap_indices(rng, 1, z.n)[0])
+
+
+def permutation_replicate(z: PooledSample, rng: np.random.Generator) -> float:
+    """One permutation statistic: same functional on shuffled labels."""
+    return _single(z, permutation_indices(rng, 1, z.n)[0])
+
+
 def reference_batch_statistics(ctx, idx: np.ndarray):
-    """The replicate engine on the full grid of pooled distinct times.
+    """The statistic engine on the full grid of pooled distinct times.
 
     This is the package's block evaluation as it was before it moved to
     the event grid; ``survcmp._engine.batch_statistics`` must reproduce
-    its statistics and flags bit for bit.
+    every component bit for bit.
 
     Parameters
     ----------
@@ -210,11 +309,9 @@ def reference_batch_statistics(ctx, idx: np.ndarray):
 
     Returns
     -------
-    stats : ndarray of shape (r,)
-        sqrt(n1 n2 / n) (p - 1/2) / sigma per row; NaN on degenerate rows.
-    valid : ndarray of bool
-        False where the replicate variance vanished or a replicate group
-        has no events.
+    tuple of ndarrays of shape (r,)
+        p, sigma2_12, sigma2_21, sigma2 and valid, as in
+        ``survcmp._engine.RowStatistics``.
     """
     n1, n2 = ctx.n1, ctx.n2
     n = n1 + n2
@@ -230,15 +327,11 @@ def reference_batch_statistics(ctx, idx: np.ndarray):
     p = np.clip(np.sum(0.5 * (s1 + s1_left) * mass2, axis=1), 0.0, 1.0)
 
     leftover = s2[:, -1:] * s1[:, -1:]
-    sigma2 = (n1 * n2 / n) * (_sigma2_jk(s1, s1_left, dh1, mass2)
-                              + _sigma2_jk(s2, s2_left, dh2, mass1, leftover))
+    sigma2_12 = _sigma2_jk(s1, s1_left, dh1, mass2)
+    sigma2_21 = _sigma2_jk(s2, s2_left, dh2, mass1, leftover)
+    sigma2 = (n1 * n2 / n) * (sigma2_12 + sigma2_21)
     has_events = ev[:, :n1].any(axis=1) & ev[:, n1:].any(axis=1)
-    valid = (sigma2 > 0.0) & has_events
-    rate = np.sqrt(n1 * n2 / n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        stats = rate * (p - 0.5) / np.sqrt(sigma2)
-    stats = np.where(valid, stats, np.nan)
-    return stats, valid
+    return p, sigma2_12, sigma2_21, sigma2, (sigma2 > 0.0) & has_events
 
 
 def _apply_policy(time: float, event: bool, k: float, policy: str) -> tuple[float, bool]:

@@ -64,8 +64,8 @@ class TestAnalyze:
         assert names == ["asymptotic:p", "asymptotic:w"]
 
     def test_target_both_output_frozen(self, capsys):
-        # recorded before the observed statistic and the replicate sets
-        # were shared between targets; the sharing must not move a byte
+        # recorded with the observed statistic as the engine's identity row;
+        # a change that keeps the arithmetic must not move a byte
         golden = Path(__file__).parent / "golden" / "analyze_all_both_seed1.json"
         rc, out, _ = _run(capsys, ["analyze", "--method", "all", "--target", "both",
                                    "--json", "--seed", "1"])

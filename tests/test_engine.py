@@ -1,4 +1,6 @@
-"""Batched statistic evaluation agrees with the one-pair module path."""
+"""Batched statistic evaluation: rows against re-formed samples, the
+observed statistic as the identity row, the context and the reference
+engine."""
 
 import numpy as np
 import pytest
@@ -10,15 +12,23 @@ from survcmp._engine import (
     batch_statistics,
     bootstrap_indices,
     permutation_indices,
+    studentize,
 )
+from survcmp.datasets import load_tongue
 from survcmp.inference import studentized_p
-from survcmp.resampling import ResamplingPlan, pool, replicate_set
+from survcmp.resampling import ResamplingPlan, replicate_set
 from survcmp.rng import SCHEME_IDS, blocks, stream
-from survcmp.survival import Sample
+from survcmp.survival import Sample, pool, split, truncate
 
-from oracles import reference_batch_statistics
+from oracles import assert_same_context, reference_batch_context, reference_batch_statistics
 
 K = 10.0
+
+
+def _studentized(ctx, idx, **kwargs):
+    # rows studentized at p0 = 1/2, as the replicate sets do
+    rows = batch_statistics(ctx, idx, **kwargs)
+    return studentize(rows.p, rows.sigma2, rows.valid, ctx.n1, ctx.n2, 0.5), rows.valid
 
 
 def _pooled(rng, n1, n2):
@@ -42,7 +52,7 @@ def _row_statistic(z, row):
 class TestAgreement:
     def _check_matrix(self, z, idx):
         ctx = batch_context(z.times, z.events, z.n1, z.n2)
-        stats, valid = batch_statistics(ctx, idx)
+        stats, valid = _studentized(ctx, idx)
         for r, row in enumerate(idx):
             expected, ok = _row_statistic(z, row)
             assert valid[r] == ok
@@ -90,8 +100,7 @@ class TestAgreement:
         z = pool(Sample(times[:2], events[:2], K), Sample(times[2:], events[2:], K))
         idx = np.arange(5, dtype=np.int64)[None, :]
         ctx = batch_context(z.times, z.events, z.n1, z.n2)
-        _, valid = batch_statistics(ctx, idx)
-        assert not valid[0]
+        assert not batch_statistics(ctx, idx).valid[0]
         self._check_matrix(z, idx)
 
     def test_degenerate_row_flagged_invalid(self):
@@ -115,10 +124,45 @@ class TestStructure:
         for case in (z, leftover):
             ctx = batch_context(case.times, case.events, case.n1, case.n2)
             idx = np.arange(case.n1 + case.n2, dtype=np.int64)[None, :]
-            stats, valid = batch_statistics(ctx, idx)
-            assert valid[0]
-            expected, _ = _row_statistic(case, idx[0])
-            assert_allclose(stats[0], expected, atol=1e-12)
+            expected = studentized_p(*split(case))
+            for permutation in (False, True):
+                stats, valid = _studentized(ctx, idx, permutation=permutation)
+                assert valid[0]
+                assert stats[0].tobytes() == np.float64(expected).tobytes()
+
+    def test_observed_statistic_is_identity_row_on_criterion_06_data(self):
+        # criterion 06's datasets: ties, censoring, 8 per group; the observed
+        # statistic must be the identity row's, bit for bit, so a test at
+        # T == c is decided by the replicates and not by rounding
+        valid = 0
+        for rep in range(2000):
+            gen = stream(600, 7, rep)
+            latent = np.minimum(gen.geometric(0.3, 16), 5).astype(float)
+            cens = gen.exponential(1.0 / 0.2, 16)
+            t, ev = np.minimum(latent, cens), latent <= cens
+            s1, s2 = truncate((t[:8], ev[:8]), 5.0), truncate((t[8:], ev[8:]), 5.0)
+            z = pool(s1, s2)
+            ctx = batch_context(z.times, z.events, 8, 8)
+            stats, ok = _studentized(ctx, np.arange(16, dtype=np.int64)[None, :])
+            if not ok[0]:
+                continue
+            valid += 1
+            assert np.float64(studentized_p(s1, s2)).tobytes() == stats[0].tobytes(), rep
+        assert valid == 1989
+
+    def test_context_equals_two_unique_form(self):
+        # the sort-free event columns against np.unique + searchsorted, on a
+        # 2 x 2000 pool with ties, the bundled data and a 15/15 pool
+        rng = np.random.default_rng(9008)
+        big = np.ceil(rng.exponential(1.2, 4000) * 1000) / 1000
+        s1, s2 = load_tongue()
+        tongue = pool(s1, s2)
+        cases = [(big, rng.random(4000) < 0.8, 2000, 2000),
+                 (tongue.times, tongue.events, tongue.n1, tongue.n2),
+                 (np.round(rng.uniform(0.1, 2.0, 30), 2), rng.random(30) < 0.6, 15, 15)]
+        for times, events, n1, n2 in cases:
+            assert_same_context(batch_context(times, events, n1, n2),
+                                reference_batch_context(times, events, n1, n2))
 
     def test_swap_antisymmetry_equal_groups(self):
         rng = np.random.default_rng(9004)
@@ -129,7 +173,7 @@ class TestStructure:
         ctx = batch_context(z.times, z.events, n1, n2)
         ident = np.arange(n1 + n2, dtype=np.int64)
         swapped = np.concatenate([ident[n1:], ident[:n1]])
-        stats, valid = batch_statistics(ctx, np.stack([ident, swapped]))
+        stats, valid = _studentized(ctx, np.stack([ident, swapped]))
         assert valid.all()
         assert_allclose(stats[0], -stats[1], atol=1e-12)
 
@@ -145,8 +189,8 @@ class TestStructure:
         parts = [reference_batch_statistics(
                      ctx, draw(stream(17, SCHEME_IDS[scheme], index), size, z.n1 + z.n2))
                  for index, size in blocks(600)]
-        stats = np.concatenate([s for s, _ in parts])
-        valid = np.concatenate([v for _, v in parts])
+        p, _, _, sigma2, valid = (np.concatenate(c) for c in zip(*parts))
+        stats = studentize(p, sigma2, valid, z.n1, z.n2, 0.5)
         reps = replicate_set(z, plan)
         assert_array_equal(reps.statistics, stats[valid])
         assert reps.dropped == int((~valid).sum())

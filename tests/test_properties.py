@@ -5,7 +5,8 @@ checks the same pairs.  Times lie on a coarse integer grid, so ties
 within and between groups are common, and a window end past the last
 grid point lets a curve keep mass at k whenever its largest time is
 censored, which switches the boundary atom on.  The replicate engine is
-checked bit for bit against the full-grid reference engine.
+checked bit for bit against the full-grid reference engine, and its
+observed row against the O(m^2) quadratic form.
 """
 
 import numpy as np
@@ -16,10 +17,10 @@ from survcmp._engine import (Workspace, batch_context, batch_statistics,
 from survcmp.effect import mann_whitney_effect
 from survcmp.simulate import ScenarioConfig, _generate, calibrate_censoring
 from survcmp.survival import Sample, counting_processes, kaplan_meier
-from survcmp.variance import _sigma2_jk, variance_from_fits
+from survcmp.variance import variance_estimate
 
-from oracles import (cov_kernel, reference_batch_statistics, reference_counting_processes,
-                     sigma2_jk)
+from oracles import (assert_same_context, cov_kernel, reference_batch_context,
+                     reference_batch_statistics, reference_counting_processes, sigma2_jk)
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
 
@@ -47,11 +48,12 @@ def _oracle_variance(f1, f2):
 @PROPERTY
 @given(tied_censored_pairs())
 def test_tail_sums_equal_quadratic_form(pair):
-    f1, f2 = (kaplan_meier(s) for s in pair)
-    for fit_j, fit_k in ((f1, f2), (f2, f1)):
-        for boundary in (False, True):
-            fast = _sigma2_jk(fit_j, fit_k, boundary)
-            slow = sigma2_jk(cov_kernel(fit_j), fit_k, boundary)
+    # the engine's observed row against the O(m^2) oracle, both group orders
+    for s1, s2 in (pair, pair[::-1]):
+        est = variance_estimate(s1, s2)
+        f1, f2 = kaplan_meier(s1), kaplan_meier(s2)
+        for fast, slow in ((est.sigma2_12, sigma2_jk(cov_kernel(f1), f2)),
+                           (est.sigma2_21, sigma2_jk(cov_kernel(f2), f1, boundary=True))):
             assert abs(fast - slow) <= 1e-12 * slow
 
 
@@ -59,7 +61,7 @@ def test_tail_sums_equal_quadratic_form(pair):
 @given(tied_censored_pairs())
 def test_degenerate_flag_agrees_with_oracle(pair):
     f1, f2 = (kaplan_meier(s) for s in pair)
-    est = variance_from_fits(f1, f2)
+    est = variance_estimate(*pair)
     sigma2, degenerate = _oracle_variance(f1, f2)
     assert abs(est.sigma2 - sigma2) <= 1e-12 * sigma2
     assert est.degenerate == degenerate
@@ -96,7 +98,7 @@ def test_completely_separated_replication_is_degenerate():
     assert s1.times[s1.events].min() > s2.times.max()
     assert mann_whitney_effect(s1, s2).p_hat == 1.0
     f1, f2 = kaplan_meier(s1), kaplan_meier(s2)
-    est = variance_from_fits(f1, f2)
+    est = variance_estimate(s1, s2)
     assert est.sigma2 == 0.0 == _oracle_variance(f1, f2)[0]
     assert est.degenerate and _oracle_variance(f1, f2)[1]
 
@@ -124,9 +126,11 @@ def engine_pools(draw):
 
 
 def _assert_same(got, want):
-    assert np.array_equal(got[0], want[0], equal_nan=True)
-    assert got[0].tobytes() == want[0].tobytes()  # also the signs of zeros
-    assert np.array_equal(got[1], want[1])
+    # every component, also the signs of zeros
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
 
 
 @PROPERTY
@@ -134,6 +138,7 @@ def _assert_same(got, want):
 def test_engine_bitwise_equals_full_grid_reference(case):
     times, events, n1, n2, rows, seed = case
     ctx = batch_context(times, events, n1, n2)
+    assert_same_context(ctx, reference_batch_context(times, events, n1, n2))
     rng = np.random.default_rng(seed)
     # one workspace for every call, so stale arrays from a full block
     # precede each smaller one

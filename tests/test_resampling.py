@@ -7,26 +7,23 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from survcmp import resampling
+from survcmp import survival
 from survcmp.datasets import load_tongue
 from survcmp.effect import mann_whitney_effect
 from survcmp.inference import asymptotic_ci
 from survcmp.resampling import (
-    PooledSample,
     ReplicateSet,
     ResamplingPlan,
-    bootstrap_replicate,
-    permutation_replicate,
-    pool,
     replicate_quantile,
     replicate_set,
     resampling_ci,
     resampling_test,
-    split,
 )
 from survcmp.rng import stream
 from survcmp.simulate import draw_survival
-from survcmp.survival import Sample, truncate
+from survcmp.survival import PooledSample, Sample, pool, split, truncate
+
+from oracles import bootstrap_replicate, permutation_replicate
 
 K = 10.0
 
@@ -153,8 +150,8 @@ class TestReplicateSets:
         plans = [ResamplingPlan("bootstrap", 600, 5), ResamplingPlan("permutation", 600, 5)]
         fresh = [replicate_set(pool(s1, s2), plan) for plan in plans]
         built = []
-        original = resampling.batch_context
-        monkeypatch.setattr(resampling, "batch_context",
+        original = survival.batch_context
+        monkeypatch.setattr(survival, "batch_context",
                             lambda *args: built.append(1) or original(*args))
         z = pool(s1, s2)
         shared = [replicate_set(z, plan) for plan in plans]

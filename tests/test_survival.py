@@ -5,7 +5,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from survcmp.survival import (
-    Observation,
     Sample,
     counting_processes,
     kaplan_meier,
@@ -29,13 +28,6 @@ class TestTruncate:
     def test_time_exactly_at_k_keeps_status(self):
         s = truncate(([10.0, 10.0], [False, True]), 10.0)
         assert s.events.tolist() == [False, True]
-
-    def test_accepts_observations_and_pairs(self):
-        obs = [Observation(2.0, True), Observation(3.0, False)]
-        s = truncate(obs, 5.0)
-        assert s.n == 2
-        s2 = truncate([(2.0, True), (3.0, False)], 5.0)
-        assert_allclose(s.times, s2.times)
 
     def test_empty_collection_rejected(self):
         with pytest.raises(ValueError, match="empty sample"):
