@@ -9,7 +9,6 @@ from survcmp import (
     kaplan_meier,
     mann_whitney_effect,
     nelson_aalen,
-    variance_estimate,
 )
 
 K = 10.0
@@ -55,7 +54,6 @@ print(f"by-parts form = {by_parts:.6f}")
 left = fit1.survival.left_limit(K) * fit2.survival.left_limit(K)
 print(f"difference = half the leftover mass product = {left / 2:.6f}")
 
-var = variance_estimate(s1, s2)
-print(f"\nvariance pieces: sigma2_12 = {var.sigma2_12:.6f}  "
-      f"sigma2_21 = {var.sigma2_21:.6f}")
-print(f"combined sigma2 = (n1 n2 / n)(sum) = {var.sigma2:.6f}")
+print(f"\nvariance pieces: sigma2_12 = {eff.sigma2_12:.6f}  "
+      f"sigma2_21 = {eff.sigma2_21:.6f}")
+print(f"combined sigma2 = (n1 n2 / n)(sum) = {eff.sigma2:.6f}")

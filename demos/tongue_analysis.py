@@ -9,7 +9,6 @@ from survcmp import (
     load_tongue,
     mann_whitney_effect,
     resampling_ci,
-    variance_estimate,
 )
 
 # 80 patients, split by tumor DNA profile, followed up to week 200
@@ -18,10 +17,9 @@ print(f"aneuploid n={s1.n}  diploid n={s2.n}  window [0, {s1.k:g}] weeks")
 print(f"events: {int(s1.events.sum())} vs {int(s2.events.sum())}")
 
 eff = mann_whitney_effect(s1, s2)
-var = variance_estimate(s1, s2)
 print(f"\nP(aneuploid outlives diploid, ties half) = {eff.p_hat:.4f}")
 print(f"win ratio = {eff.w_hat:.4f}")
-print(f"sigma_hat = {np.sqrt(var.sigma2):.4f}")
+print(f"sigma_hat = {np.sqrt(eff.sigma2):.4f}")
 
 # three routes to a 95% interval for the same quantity
 print("\n95% two-sided intervals for p")

@@ -10,9 +10,7 @@ submodules.
 """
 
 from .survival import Sample, counting_processes, kaplan_meier, nelson_aalen, pool
-from .effect import mann_whitney_effect
-from .variance import variance_estimate
-from .inference import asymptotic_ci, asymptotic_test, studentized_p
+from .inference import asymptotic_ci, asymptotic_test, mann_whitney_effect, studentized_p
 from .resampling import (
     ReplicateSet,
     ResamplingPlan,
@@ -32,7 +30,6 @@ __all__ = [
     "nelson_aalen",
     "pool",
     "mann_whitney_effect",
-    "variance_estimate",
     "studentized_p",
     "asymptotic_ci",
     "asymptotic_test",

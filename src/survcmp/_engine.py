@@ -20,17 +20,39 @@ reversed cumulative sums, for both groups in one pass.  This is exact: on
 the full grid a slot without an event only multiplies S by 1.0 and adds
 exact zeros to every cumulative sum.
 
-The variance double integral collapses to a single sum via
+The variance.  The estimator's asymptotic variance decomposes into two
+terms, one per group.  Each term integrates a covariance kernel of that
+group's Kaplan-Meier process against the other group's Kaplan-Meier mass,
+with the kernel normalized by averaging its four one-sided limits so that
+tied jump points are weighted like mid-ranks.
+
+The two terms are not mirror images.  Write p_hat = -sum S1^+-(u) dS2(u)
+with S^+- the mid-point curve.  Perturbing S1 by d1 changes p_hat by
+-int d1^+- dS2, a plain integral against group 2's mass.  Perturbing S2 by
+d2 changes it by -int S1^+- dd2, and the step-function product rule
+d(fg) = f^+- dg + g^+- df turns that into
+
+    int d2^+- dS1 - S1(k) d2(k).
+
+The boundary term is the mass that group 1's curve keeps at the window
+end.  The group-2 term therefore integrates group 2's kernel against
+group 1's mass plus an atom of size S1(k) placed just past k.  Without
+that atom the variance falls short whenever group 1's curve ends above
+zero, as it does when its largest observation is censored.  The result is
+the delta-method variance of p_hat with Greenwood covariances, exactly;
+the pairwise O(m^2) quadratic form it equals is kept as a test oracle
+(``tests/oracles.py``).
+
+The double integral collapses to a single sum via
 
     sigma2_jk = 1/4 * sum_s dH_j(s) * (A(s) + A_minus(s))^2
 
 with A(s) the tail sum of S_j times the mass of S_k at or after s, and
 A_minus the strict-tail analogue with left limits; this is the same
 quantity the quadratic-form oracle computes pairwise, reassociated around
-the minimum in H_j(u ^ v).  The group-2 term (j, k) = (2, 1) also counts
-group 1's leftover mass S_1(k) as an atom just past the window end, which
-adds S_2(k) S_1(k) to both A and A_minus at every s: it is the boundary
-term -S_1(k) d_2(k) of the linearization in group 2's curve.
+the minimum in H_j(u ^ v).  The group-2 term (j, k) = (2, 1) counts the
+atom S_1(k) just past the window end by adding S_2(k) S_1(k) to both A
+and A_minus at every s.
 
 The bitwise contract.  Every row's p, variance terms and validity flag
 equal, bit for bit, the ones the same formulas give on the full grid (the

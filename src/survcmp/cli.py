@@ -20,15 +20,13 @@ import os
 import sys
 from dataclasses import replace as _replace
 
-from .datasets import HORIZON_POLICIES, ingest_csv, tongue_path
-from .inference import _asymptotic, _observed
-from .resampling import ResamplingPlan, _resampling_results, replicate_set
-from .survival import pool
+from .datasets import ingest_csv, tongue_path
+from .resampling import METHODS, analyze
+from .survival import HORIZON_POLICIES, pool
 from . import simulate as sim
 
 __all__ = ["main", "build_parser"]
 
-_METHODS = ("asymptotic", "bootstrap", "permutation")
 _DEFAULT_SEED = 0
 
 
@@ -68,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--beyond-horizon", choices=HORIZON_POLICIES, default="censor",
                     help="treat rows with time > K as censored at K or as events at K")
     an.add_argument("--alpha", type=float, default=0.05)
-    an.add_argument("--method", choices=_METHODS + ("all",), default="all")
+    an.add_argument("--method", choices=METHODS + ("all",), default="all")
     an.add_argument("--alternative", choices=("two-sided", "greater", "less"),
                     default="two-sided")
     an.add_argument("--target", choices=("p", "w", "both"), default="p")
@@ -90,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     si.add_argument("--b", type=int, help="resampling replicates (default 1999)")
     si.add_argument("--alpha", type=float)
     si.add_argument("--seed", type=int)
-    si.add_argument("--workers", type=int, default=1)
+    si.add_argument("--workers", type=int)
     si.add_argument("--out", help="write tables here instead of stdout")
     si.add_argument("--tsv", action="store_true", help="tab-separated output")
     si.add_argument("--table1", action="store_true",
@@ -110,27 +108,17 @@ def _json_num(x):
 
 
 def _analysis_results(s1, s2, args, seed):
-    # one pooled sample, so one engine context for the observed row and
-    # every replicate set; one replicate set per method
-    methods = _METHODS if args.method == "all" else (args.method,)
+    methods = METHODS if args.method == "all" else (args.method,)
     targets = ("p", "w") if args.target == "both" else (args.target,)
-    z = pool(s1, s2)
-    eff, var = _observed(z)
     rows = []
-    for method in methods:
-        if method == "asymptotic":
-            results = [_asymptotic(eff, var, args.alpha, target, args.alternative)
-                       for target in targets]
-        else:
-            plan = ResamplingPlan(method, args.b, seed, args.workers)
-            reps = replicate_set(z, plan)
-            if args.dump_replicates:
-                with open(args.dump_replicates, "w") as fh:
-                    reps.export(fh)
-            results = _resampling_results(eff, var, reps, plan, args.alpha,
-                                          args.alternative, targets)
-        for target, res in zip(targets, results):
-            rows.append((method if len(targets) == 1 else f"{method}:{target}", res))
+    for reps, results in analyze(pool(s1, s2), methods, targets, args.alpha,
+                                 args.alternative, args.b, seed, args.workers):
+        if args.dump_replicates:  # one resampling method only
+            with open(args.dump_replicates, "w") as fh:
+                reps.export(fh)
+        for res in results:
+            name = res.method if len(targets) == 1 else f"{res.method}:{res.target}"
+            rows.append((name, res))
     return rows
 
 
@@ -140,8 +128,8 @@ def _analysis_json(s1, s2, rows, seed) -> str:
         "n1": s1.n,
         "n2": s2.n,
         "k": s1.k,
-        "p_hat": first.effect.p_hat,
-        "w_hat": _json_num(first.effect.w_hat),
+        "p_hat": first.estimate.p_hat,
+        "w_hat": _json_num(first.estimate.w_hat),
         "sigma_hat": first.sigma,
         "methods": [
             {
@@ -167,10 +155,10 @@ def _fmt_ci(ci) -> str:
 
 def _analysis_text(s1, s2, rows, seed) -> str:
     first = rows[0][1]
-    w = "inf" if first.effect.w_infinite else f"{first.effect.w_hat:.4f}"
+    w = "inf" if first.estimate.w_infinite else f"{first.estimate.w_hat:.4f}"
     lines = [
         f"n1 {s1.n}  n2 {s2.n}  window {s1.k:g}",
-        f"effect {first.effect.p_hat:.4f}  win ratio {w}  "
+        f"effect {first.estimate.p_hat:.4f}  win ratio {w}  "
         f"sigma {first.sigma:.4f}  seed {seed}",
         "",
     ]
@@ -219,11 +207,9 @@ def _run_simulate(args) -> str:
         cells = [(s, lv) for s in setups for lv in levels]
         return sim.proportions_text(cells, pre_censoring=args.pre_censoring)
     if args.full_study:
-        configs = sim.full_study_configs(base_seed=seed, workers=args.workers)
-        if args.reps is not None:
-            configs = [_replace(c, reps=args.reps) for c in configs]
-        if args.b is not None:
-            configs = [_replace(c, b=args.b) for c in configs]
+        overrides = {key: getattr(args, key) for key in ("reps", "b", "workers")
+                     if getattr(args, key) is not None}
+        configs = [_replace(c, **overrides) for c in sim.full_study_configs(base_seed=seed)]
         rows = []
         for i, cfg in enumerate(configs, start=1):
             rows.append(sim.coverage_study(cfg))
@@ -232,7 +218,7 @@ def _run_simulate(args) -> str:
     kwargs = sim.parse_config_file(args.config) if args.config else {}
     for key in ("setup", "censoring", "n1", "n2", "reps", "b", "alpha", "workers"):
         value = getattr(args, key)
-        if value is not None and (key != "workers" or value != 1 or "workers" not in kwargs):
+        if value is not None:
             kwargs[key] = value
     if args.seed is not None or "seed" not in kwargs:
         kwargs["seed"] = seed

@@ -15,16 +15,9 @@ from operator import itemgetter
 
 import numpy as np
 
-from .survival import Sample
+from .survival import HORIZON_POLICIES, Sample, _beyond_horizon
 
-__all__ = ["tongue_path", "ingest_csv", "load_tongue", "HORIZON_POLICIES"]
-
-# what to do with recorded times beyond the analysis window [0, k]:
-#   censor: administratively censored at k (the subject was under
-#           observation and alive at the window end)
-#   event:  an event at k (survival past the window counts as reaching
-#           the truncated endpoint)
-HORIZON_POLICIES = ("censor", "event")
+__all__ = ["tongue_path", "ingest_csv", "load_tongue"]
 
 # CSV rows are split into columns this many at a time and their lists are
 # freed block by block: a large file never holds all of them at once, and
@@ -110,9 +103,7 @@ def ingest_csv(path, k: float, time_col: str = "time", status_col: str = "delta"
     labels = {label: i for i, label in enumerate(dict.fromkeys(groups))}
     if len(labels) != 2:
         raise ValueError(f"expected exactly 2 groups, found {len(labels)}")
-    beyond = times > k
-    times[beyond] = k
-    events = np.where(beyond, beyond_horizon == "event", is_event)
+    times, events = _beyond_horizon(times, is_event, k, beyond_horizon)
     group = np.fromiter(map(labels.__getitem__, groups), np.int64, n)
     samples = []
     for label in sorted(labels, key=_label_key):

@@ -1,4 +1,9 @@
-"""Asymptotic confidence intervals and tests for the effect and win ratio.
+"""The observed estimate, and asymptotic intervals and tests built on it.
+
+The effect p = P(T1 > T2) + P(T1 = T2) / 2 and the two variance terms of
+its studentization are the observed row of the statistic engine
+(``_engine.py``, whose docstring derives them); :class:`Estimate` holds
+that row.
 
 The studentized statistic sqrt(n1 n2 / n) (p_hat - p0) / sigma_hat is
 asymptotically standard normal, which yields Wald-type intervals for the
@@ -14,13 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from ._engine import identity_row, studentize
-from .effect import EffectEstimate
+from ._engine import RowStatistics, identity_row, studentize
 from .survival import PooledSample, Sample, pool
-from .variance import VarianceEstimate
 
 __all__ = [
+    "Estimate",
     "InferenceResult",
+    "mann_whitney_effect",
     "studentized_p",
     "studentized_w",
     "normal_quantile",
@@ -29,6 +34,45 @@ __all__ = [
 ]
 
 _ALTERNATIVES = ("two-sided", "greater", "less")
+
+
+@dataclass(frozen=True)
+class Estimate:
+    """The observed effect, win ratio and variance of the studentized effect.
+
+    ``p_hat`` lies in [0, 1]; ``w_hat`` = p_hat / (1 - p_hat), with +inf
+    when p_hat == 1 (flagged, not an error).  sigma2 = (n1 n2 / n)
+    (sigma2_12 + sigma2_21).  ``degenerate`` is True when the studentized
+    statistic is undefined: sigma2 vanishes, or a group has no events (its
+    Kaplan-Meier curve is flat at 1 and carries no sampling variability of
+    its own).
+    """
+
+    p_hat: float
+    w_hat: float
+    sigma2: float
+    sigma2_12: float
+    sigma2_21: float
+    n1: int
+    n2: int
+    degenerate: bool
+
+    @property
+    def sigma(self) -> float:
+        return float(np.sqrt(self.sigma2))
+
+    @property
+    def w_infinite(self) -> bool:
+        return np.isinf(self.w_hat)
+
+    @classmethod
+    def from_row(cls, row: RowStatistics, n1: int, n2: int) -> Estimate:
+        """The estimate in the first row of an engine result."""
+        p = float(row.p[0])
+        return cls(p_hat=p, w_hat=np.inf if p >= 1.0 else p / (1.0 - p),
+                   sigma2=float(row.sigma2[0]), sigma2_12=float(row.sigma2_12[0]),
+                   sigma2_21=float(row.sigma2_21[0]), n1=n1, n2=n2,
+                   degenerate=not row.valid[0])
 
 
 @dataclass(frozen=True)
@@ -45,8 +89,7 @@ class InferenceResult:
     method: str
     target: str
     alternative: str
-    effect: EffectEstimate
-    variance: VarianceEstimate
+    estimate: Estimate
     statistic: float
     ci: tuple[float, float]
     ci_raw: tuple[float, float]
@@ -58,7 +101,7 @@ class InferenceResult:
 
     @property
     def sigma(self) -> float:
-        return self.variance.sigma
+        return self.estimate.sigma
 
     @property
     def reject(self) -> bool:
@@ -84,11 +127,24 @@ def _rate(n1: int, n2: int) -> float:
     return float(np.sqrt(n1 * n2 / (n1 + n2)))
 
 
-def _observed(z: PooledSample) -> tuple[EffectEstimate, VarianceEstimate]:
-    # the observed effect and variance: the engine's identity row on the
-    # pool's context, which the pool's replicate sets share
-    row = identity_row(z.context)
-    return EffectEstimate.from_row(row, z.n1, z.n2), VarianceEstimate.from_row(row, z.n1, z.n2)
+def _observed(z: PooledSample) -> Estimate:
+    # the engine's identity row on the pool's context, which the pool's
+    # replicate sets share
+    return Estimate.from_row(identity_row(z.context), z.n1, z.n2)
+
+
+def mann_whitney_effect(s1: Sample, s2: Sample) -> Estimate:
+    """Estimate p = P(T1 > T2) + P(T1 = T2) / 2 on the common window.
+
+    The mid-point-normalized Kaplan-Meier curve of group 1 is integrated
+    against the Kaplan-Meier mass of group 2; the normalization gives ties
+    half weight, so the estimate equals the mid-rank pairwise count on
+    uncensored data.  Both samples must share the same window end k;
+    otherwise an "incompatible horizons" error is raised.  Mass that
+    either Kaplan-Meier curve retains above its last event contributes
+    nothing.  The variance terms of the studentized effect come with it.
+    """
+    return _observed(pool(s1, s2))
 
 
 def studentized_p(s1: Sample, s2: Sample, p0: float = 0.5) -> float:
@@ -97,14 +153,14 @@ def studentized_p(s1: Sample, s2: Sample, p0: float = 0.5) -> float:
     Raises a "degenerate variance" error when sigma_hat == 0 or a group
     has no events.
     """
-    return _studentized_p(*_observed(pool(s1, s2)), p0)
+    return _studentized_p(_observed(pool(s1, s2)), p0)
 
 
-def _studentized_p(eff: EffectEstimate, var: VarianceEstimate, p0: float) -> float:
-    if var.degenerate:
+def _studentized_p(est: Estimate, p0: float) -> float:
+    if est.degenerate:
         raise ValueError("degenerate variance")
     # the replicates' studentization, so the observed row's T is theirs bit for bit
-    return float(studentize(eff.p_hat, var.sigma2, True, eff.n1, eff.n2, p0))
+    return float(studentize(est.p_hat, est.sigma2, True, est.n1, est.n2, p0))
 
 
 def studentized_w(s1: Sample, s2: Sample, w0: float = 1.0) -> float:
@@ -115,50 +171,48 @@ def studentized_w(s1: Sample, s2: Sample, w0: float = 1.0) -> float:
     and "degenerate variance" at sigma_hat == 0 or when a group has no
     events.
     """
-    return _studentized_w(*_observed(pool(s1, s2)), w0)
+    return _studentized_w(_observed(pool(s1, s2)), w0)
 
 
-def _studentized_w(eff: EffectEstimate, var: VarianceEstimate, w0: float) -> float:
-    if eff.p_hat >= 1.0:
+def _studentized_w(est: Estimate, w0: float) -> float:
+    if est.p_hat >= 1.0:
         raise ValueError("win ratio degenerate")
-    if var.degenerate:
+    if est.degenerate:
         raise ValueError("degenerate variance")
-    return _rate(eff.n1, eff.n2) * (1.0 - eff.p_hat) ** 2 * (eff.w_hat - w0) / var.sigma
+    return _rate(est.n1, est.n2) * (1.0 - est.p_hat) ** 2 * (est.w_hat - w0) / est.sigma
 
 
-def _interval(center: float, halfwidth_lo: float, halfwidth_hi: float, target: str,
+def _interval(center: float, halfwidth: float, target: str,
               alternative: str) -> tuple[tuple[float, float], tuple[float, float]]:
     """Raw and clamped interval endpoints for the given alternative."""
     lo_b, hi_b = (0.0, 1.0) if target == "p" else (0.0, np.inf)
     if alternative == "two-sided":
-        raw = (center - halfwidth_lo, center + halfwidth_hi)
+        raw = (center - halfwidth, center + halfwidth)
     elif alternative == "greater":
-        raw = (center - halfwidth_lo, hi_b)
+        raw = (center - halfwidth, hi_b)
     else:
-        raw = (lo_b if target == "p" else 0.0, center + halfwidth_hi)
+        raw = (lo_b, center + halfwidth)
     clamped = (min(max(raw[0], lo_b), hi_b), min(max(raw[1], lo_b), hi_b))
     return raw, clamped
 
 
-def _build(method: str, target: str, alternative: str, eff: EffectEstimate,
-           var: VarianceEstimate, alpha: float, crit_lo: float, crit_hi: float,
-           statistic: float, p_value: float, critical: float,
+def _build(method: str, target: str, alternative: str, est: Estimate, alpha: float,
+           critical: float, statistic: float, p_value: float,
            b: int = 0, dropped: int = 0) -> InferenceResult:
-    se = var.sigma / _rate(eff.n1, eff.n2)
+    se = est.sigma / _rate(est.n1, est.n2)
     if target == "p":
-        center = eff.p_hat
+        center = est.p_hat
         scale = 1.0
     else:
-        if eff.p_hat >= 1.0:
+        if est.p_hat >= 1.0:
             raise ValueError("win ratio degenerate")
-        center = eff.w_hat
-        scale = 1.0 / (1.0 - eff.p_hat) ** 2
-    raw, clamped = _interval(center, crit_lo * se * scale, crit_hi * se * scale,
-                             target, alternative)
+        center = est.w_hat
+        scale = 1.0 / (1.0 - est.p_hat) ** 2
+    raw, clamped = _interval(center, critical * se * scale, target, alternative)
     return InferenceResult(
-        method=method, target=target, alternative=alternative, effect=eff,
-        variance=var, statistic=statistic, ci=clamped, ci_raw=raw,
-        p_value=p_value, critical=critical, alpha=alpha, b=b, dropped=dropped,
+        method=method, target=target, alternative=alternative, estimate=est,
+        statistic=statistic, ci=clamped, ci_raw=raw, p_value=p_value,
+        critical=critical, alpha=alpha, b=b, dropped=dropped,
     )
 
 
@@ -177,12 +231,12 @@ def _check_options(target: str, alternative: str) -> None:
         raise ValueError(f"alternative must be one of {_ALTERNATIVES}")
 
 
-def _asymptotic(eff: EffectEstimate, var: VarianceEstimate, alpha: float, target: str,
+def _asymptotic(est: Estimate, alpha: float, target: str,
                 alternative: str) -> InferenceResult:
-    stat = _studentized_p(eff, var, 0.5) if target == "p" else _studentized_w(eff, var, 1.0)
+    stat = _studentized_p(est, 0.5) if target == "p" else _studentized_w(est, 1.0)
     z = normal_quantile(alpha / 2 if alternative == "two-sided" else alpha)
-    return _build("asymptotic", target, alternative, eff, var, alpha, z, z,
-                  stat, _normal_p_value(stat, alternative), z)
+    return _build("asymptotic", target, alternative, est, alpha, z,
+                  stat, _normal_p_value(stat, alternative))
 
 
 def asymptotic_ci(s1: Sample, s2: Sample, alpha: float = 0.05, target: str = "p",
@@ -195,7 +249,7 @@ def asymptotic_ci(s1: Sample, s2: Sample, alpha: float = 0.05, target: str = "p"
     z_alpha and extend to the respective range boundary.
     """
     _check_options(target, alternative)
-    return _asymptotic(*_observed(pool(s1, s2)), alpha, target, alternative)
+    return _asymptotic(_observed(pool(s1, s2)), alpha, target, alternative)
 
 
 def asymptotic_test(s1: Sample, s2: Sample, alpha: float = 0.05, target: str = "p",

@@ -1,4 +1,4 @@
-"""Pooled bootstrap and permutation inference for the effect statistic.
+"""Pooled bootstrap and permutation inference, and every method from one pool.
 
 Both schemes erase the group labels, re-form two groups of the original
 sizes from the pooled sample (with replacement for the bootstrap, by
@@ -12,6 +12,10 @@ when the pooled survival curve keeps mass at the window end (the pooled
 centering value is (1 - S(k)^2) / 2, not 1/2), and the absolute-value
 quantile widens both sides accordingly; separate one-sided constructions
 use the plain upper (or lower) tail.
+
+:func:`analyze` runs the asymptotic, bootstrap and permutation methods on
+one pooled sample, for the command line, the coverage study and
+:func:`resampling_ci` alike.
 """
 
 from __future__ import annotations
@@ -26,20 +30,22 @@ from . import rng as _rng
 from ._engine import (Workspace, batch_statistics, bootstrap_indices, permutation_indices,
                       studentize)
 from .survival import PooledSample, Sample, pool
-from .effect import EffectEstimate
-from .variance import VarianceEstimate
-from .inference import InferenceResult, _build, _check_options, _observed, _studentized_p
+from .inference import (Estimate, InferenceResult, _asymptotic, _build, _check_options,
+                        _observed, _studentized_p)
 
 __all__ = [
+    "METHODS",
     "ResamplingPlan",
     "ReplicateSet",
     "replicate_set",
     "replicate_quantile",
+    "analyze",
     "resampling_test",
     "resampling_ci",
 ]
 
 _SCHEMES = ("bootstrap", "permutation")
+METHODS = ("asymptotic",) + _SCHEMES
 
 
 @dataclass(frozen=True)
@@ -139,45 +145,56 @@ def _exceedance(count: int, b_eff: int) -> float:
     return (1 + count) / (b_eff + 1)
 
 
-def _resampling_results(eff: EffectEstimate, var: VarianceEstimate, reps: ReplicateSet,
-                        plan: ResamplingPlan, alpha: float, alternative: str,
-                        targets) -> list[InferenceResult]:
+def _resampling_results(est: Estimate, reps: ReplicateSet, plan: ResamplingPlan,
+                        alpha: float, alternative: str, targets) -> list[InferenceResult]:
     """One replicate set read off as an interval and test for each target.
 
     The replicates studentize the effect, so the critical value and the
     p-value are shared by the targets; only the interval is rescaled.
     """
-    t_obs = _studentized_p(eff, var, 0.5)
+    t_obs = _studentized_p(est, 0.5)
     stats = reps.statistics
     if reps.b_eff == 0:
         raise ValueError("no valid replicates")
 
+    # the tail that calibrates the alternative, read as an upper tail
     if alternative == "greater":
-        crit = replicate_quantile(reps, alpha)
-        p_val = _exceedance(int((stats >= t_obs).sum()), reps.b_eff)
+        tail, t = stats, t_obs
     elif alternative == "less":
-        neg = ReplicateSet(statistics=-stats, dropped=reps.dropped)
-        crit = replicate_quantile(neg, alpha)
-        p_val = _exceedance(int((stats <= t_obs).sum()), reps.b_eff)
+        tail, t = -stats, -t_obs
     else:
-        absr = ReplicateSet(statistics=np.abs(stats), dropped=reps.dropped)
-        crit = replicate_quantile(absr, alpha)
-        p_val = _exceedance(int((np.abs(stats) >= abs(t_obs)).sum()), reps.b_eff)
-
-    return [_build(plan.scheme, target, alternative, eff, var, alpha,
-                   crit, crit, t_obs, min(p_val, 1.0), crit,
-                   b=plan.b, dropped=reps.dropped) for target in targets]
+        tail, t = np.abs(stats), abs(t_obs)
+    crit = replicate_quantile(ReplicateSet(statistics=tail, dropped=reps.dropped), alpha)
+    p_val = _exceedance(int((tail >= t).sum()), reps.b_eff)
+    return [_build(plan.scheme, target, alternative, est, alpha, crit, t_obs,
+                   min(p_val, 1.0), b=plan.b, dropped=reps.dropped) for target in targets]
 
 
-def _resample_inference(s1: Sample, s2: Sample, plan: ResamplingPlan,
-                        alpha: float, alternative: str, target: str) -> InferenceResult:
-    _check_options(target, alternative)
-    z = pool(s1, s2)
-    eff, var = _observed(z)
-    if var.degenerate:  # fail before drawing any replicate
-        raise ValueError("degenerate variance")
-    reps = replicate_set(z, plan)
-    return _resampling_results(eff, var, reps, plan, alpha, alternative, (target,))[0]
+def analyze(z: PooledSample, methods, targets, alpha: float, alternative: str, b: int,
+            seed: int, workers: int) -> list[tuple[ReplicateSet | None, list[InferenceResult]]]:
+    """Each of ``methods`` (see :data:`METHODS`) as its replicate set (None
+    for 'asymptotic') and one result per target, in order.
+
+    One observed estimate and one engine context serve every method; a
+    resampling method draws ``replicate_set(z, ResamplingPlan(method, b,
+    seed, workers))``, unless the estimate is degenerate: that raises
+    "degenerate variance" before any replicate is drawn.
+    """
+    for target in targets:
+        _check_options(target, alternative)
+    est = _observed(z)
+    out = []
+    for method in methods:
+        if method == "asymptotic":
+            out.append((None, [_asymptotic(est, alpha, target, alternative)
+                               for target in targets]))
+            continue
+        plan = ResamplingPlan(method, b, seed, workers)
+        if est.degenerate:  # fail before drawing any replicate
+            raise ValueError("degenerate variance")
+        reps = replicate_set(z, plan)
+        out.append((reps, _resampling_results(est, reps, plan, alpha, alternative, targets)))
+    return out
 
 
 def resampling_test(s1: Sample, s2: Sample, plan: ResamplingPlan,
@@ -191,7 +208,7 @@ def resampling_test(s1: Sample, s2: Sample, plan: ResamplingPlan,
     replicates.  The p-value is the (1 + count) / (b_eff + 1) exceedance
     rule on the matching tail.
     """
-    return _resample_inference(s1, s2, plan, alpha, alternative, target)
+    return resampling_ci(s1, s2, plan, alpha=alpha, alternative=alternative, target=target)
 
 
 def resampling_ci(s1: Sample, s2: Sample, plan: ResamplingPlan,
@@ -204,4 +221,6 @@ def resampling_ci(s1: Sample, s2: Sample, plan: ResamplingPlan,
     and extend to the range boundary.  The win-ratio interval rescales
     the halfwidth by 1 / (1 - p_hat)^2.
     """
-    return _resample_inference(s1, s2, plan, alpha, alternative, target)
+    [(_, [result])] = analyze(pool(s1, s2), (plan.scheme,), (target,), alpha, alternative,
+                              plan.b, plan.seed, plan.workers)
+    return result

@@ -25,9 +25,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import rng as _rng
-from .survival import Sample, pool
-from .inference import _asymptotic, _observed
-from .resampling import ResamplingPlan, _resampling_results, replicate_set
+from .survival import pool, truncate
+from .resampling import METHODS, analyze
 
 __all__ = [
     "SETUPS",
@@ -298,7 +297,6 @@ class ScenarioConfig:
     b: int = 1999
     seed: int = 0
     workers: int = 1
-    k: float | None = None
 
     def __post_init__(self):
         if self.setup not in SETUPS:
@@ -315,10 +313,6 @@ class ScenarioConfig:
             raise ValueError("seed must fit in 64 unsigned bits")
         if self.workers < 1:
             raise ValueError("workers must be positive")
-        if self.k is None:
-            object.__setattr__(self, "k", horizon(self.setup))
-        elif not 0.0 < self.k < float("inf"):
-            raise ValueError("invalid horizon")
 
 
 @dataclass(frozen=True)
@@ -341,19 +335,19 @@ class CoverageRow:
 
 
 def _generate(config: ScenarioConfig, cal: CensoringCalibration, rep: int):
+    # a recorded time past the window is an event at its end (``truncate``)
     gen = _rng.stream(config.seed, _rng.DATA_TAG, rep)
     samples = []
     for group, size, rate in ((1, config.n1, cal.rate1), (2, config.n2, cal.rate2)):
         latent = draw_survival(config.setup, group, gen, size)
-        truncated = np.minimum(latent, config.k)
         if rate > 0:
             c = -np.log1p(-gen.random(size)) / rate
-            observed = np.minimum(truncated, c)
-            events = truncated <= c
+            observed = np.minimum(latent, c)
+            events = latent <= c
         else:
-            observed = truncated
+            observed = latent
             events = np.ones(size, dtype=bool)
-        samples.append(Sample(observed, events, config.k))
+        samples.append(truncate((observed, events), horizon(config.setup)))
     return samples[0], samples[1], _rng.derive_seed(gen)
 
 
@@ -373,19 +367,13 @@ def coverage_study(config: ScenarioConfig) -> CoverageRow:
     for rep in range(config.reps):
         s1, s2, inner_seed = _generate(config, cal, rep)
         try:
-            # one pooled sample serves all three intervals
-            z = pool(s1, s2)
-            eff, var = _observed(z)
-            results = [_asymptotic(eff, var, config.alpha, "p", "two-sided")]
-            for scheme in ("bootstrap", "permutation"):
-                plan = ResamplingPlan(scheme, config.b, inner_seed, config.workers)
-                results += _resampling_results(eff, var, replicate_set(z, plan), plan,
-                                               config.alpha, "two-sided", ("p",))
+            methods = analyze(pool(s1, s2), METHODS, ("p",), config.alpha, "two-sided",
+                              config.b, inner_seed, config.workers)
         except ValueError:
             excluded += 1
             continue
         used += 1
-        for slot, res in enumerate(results):
+        for slot, (_, [res]) in enumerate(methods):
             lo, hi = res.ci
             if lo <= truth <= hi:
                 hits[slot] += 1
@@ -449,7 +437,7 @@ def proportions_text(cells, pre_censoring: bool = False) -> str:
 def parse_config_file(path) -> dict:
     """key=value scenario file -> keyword dict for ScenarioConfig."""
     numeric = {"setup": int, "n1": int, "n2": int, "reps": int, "b": int,
-               "seed": int, "workers": int, "alpha": float, "k": float}
+               "seed": int, "workers": int, "alpha": float}
     out: dict = {}
     with open(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -472,7 +460,7 @@ def parse_config_file(path) -> dict:
     return out
 
 
-def full_study_configs(base_seed: int = 0, workers: int = 1) -> list[ScenarioConfig]:
+def full_study_configs(base_seed: int = 0) -> list[ScenarioConfig]:
     """The complete published grid: 10^4 replications, B = 1999 per cell.
 
     Equal sizes 10..30 and unequal sizes (m, 2m), all three scenarios and
@@ -487,6 +475,6 @@ def full_study_configs(base_seed: int = 0, workers: int = 1) -> list[ScenarioCon
             for level in _LEVELS:
                 configs.append(ScenarioConfig(
                     setup=setup, censoring=level, n1=n1, n2=n2,
-                    reps=10_000, b=1999, seed=base_seed + cell, workers=workers))
+                    reps=10_000, b=1999, seed=base_seed + cell))
                 cell += 1
     return configs

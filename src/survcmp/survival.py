@@ -1,10 +1,11 @@
 """Censored samples, their pooled form, risk sets and product-limit curves.
 
 All survival times are analysed on a window [0, k] chosen by the caller.
-Observations beyond the window are treated as events at k (the subject is
-known to have survived past k, and the window end is the largest time the
-analysis distinguishes).  Ties are first-class: tied event times aggregate
-into a single jump, and a censoring tied with an event leaves the censored
+A recorded time beyond the window becomes a time at k, and one policy of
+:data:`HORIZON_POLICIES` sets its status there: censored (the CLI's and
+``ingest_csv``'s default) or an event (:func:`truncate` and the
+simulator).  Ties are first-class: tied event times aggregate into a
+single jump, and a censoring tied with an event leaves the censored
 subject in the risk set at that time.
 """
 
@@ -19,6 +20,7 @@ from ._engine import BatchContext, batch_context
 from .stepfun import StepFunction
 
 __all__ = [
+    "HORIZON_POLICIES",
     "Sample",
     "PooledSample",
     "CountingProcesses",
@@ -30,6 +32,21 @@ __all__ = [
     "kaplan_meier",
     "nelson_aalen",
 ]
+
+# what to do with recorded times beyond the analysis window [0, k]:
+#   censor: administratively censored at k (the subject was under
+#           observation and alive at the window end)
+#   event:  an event at k (survival past the window counts as reaching
+#           the truncated endpoint)
+HORIZON_POLICIES = ("censor", "event")
+
+
+def _beyond_horizon(times: np.ndarray, events: np.ndarray, k: float,
+                    policy: str) -> tuple[np.ndarray, np.ndarray]:
+    """Move finite times past k to k, with the policy's status there."""
+    # non-finite times are left for Sample to reject
+    over = np.isfinite(times) & (times > k)
+    return np.where(over, k, times), np.where(over, policy == "event", events)
 
 
 class Sample:
@@ -175,11 +192,7 @@ def truncate(raw, k) -> Sample:
         raise ValueError("empty sample")
     times = np.asarray(raw[0], dtype=float)
     events = np.asarray(raw[1], dtype=bool)
-    # only finite times past the window are rewritten; Sample rejects the rest
-    over = np.isfinite(times) & (times > kf)
-    times = np.where(over, kf, times)
-    events = np.where(over, True, events)
-    return Sample(times, events, kf)
+    return Sample(*_beyond_horizon(times, events, kf, "event"), kf)
 
 
 def counting_processes(sample: Sample) -> CountingProcesses:

@@ -29,12 +29,12 @@ import numpy as np
 from survcmp import rng as _rng
 from survcmp._engine import (BatchContext, batch_statistics, bootstrap_indices,
                              permutation_indices, studentize)
-from survcmp.datasets import HORIZON_POLICIES, _label_key
+from survcmp.datasets import _label_key
 from survcmp.simulate import (_CAL_TAG, CENSORING_BANDS, CensoringCalibration,
-                              draw_survival, horizon)
+                              ScenarioConfig, draw_survival, horizon)
 from survcmp.stepfun import StepFunction
-from survcmp.survival import (CountingProcesses, KaplanMeierFit, PooledSample, Sample,
-                              kaplan_meier)
+from survcmp.survival import (HORIZON_POLICIES, CountingProcesses, KaplanMeierFit,
+                              PooledSample, Sample, kaplan_meier)
 
 
 def wilcoxon_integral(f_normalized, g: StepFunction) -> float:
@@ -442,3 +442,24 @@ def reference_calibrate_censoring(setup: int, level: str,
     else:
         rate2, achieved2 = solve(2)
     return CensoringCalibration(rate1, rate2, achieved1, achieved2)
+
+
+def reference_generate(config: ScenarioConfig, cal: CensoringCalibration, rep: int):
+    """``survcmp.simulate._generate`` truncating the latent times at k
+    before censoring them, inline: a recorded time at k is an event, also
+    when the censoring time equals k."""
+    k = horizon(config.setup)
+    gen = _rng.stream(config.seed, _rng.DATA_TAG, rep)
+    samples = []
+    for group, size, rate in ((1, config.n1, cal.rate1), (2, config.n2, cal.rate2)):
+        latent = draw_survival(config.setup, group, gen, size)
+        truncated = np.minimum(latent, k)
+        if rate > 0:
+            c = -np.log1p(-gen.random(size)) / rate
+            observed = np.minimum(truncated, c)
+            events = truncated <= c
+        else:
+            observed = truncated
+            events = np.ones(size, dtype=bool)
+        samples.append(Sample(observed, events, k))
+    return samples[0], samples[1], _rng.derive_seed(gen)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from survcmp import cli, resampling
+from survcmp import cli, resampling, simulate
 from survcmp.cli import main
 
 
@@ -80,8 +80,7 @@ class TestAnalyze:
             schemes.append(plan.scheme)
             return original(z, plan)
 
-        for module in (cli, resampling):
-            monkeypatch.setattr(module, "replicate_set", counting)
+        monkeypatch.setattr(resampling, "replicate_set", counting)
         rc, _, _ = _run(capsys, ["analyze", "--method", "all", "--target", "both",
                                  "--b", "99", "--json"])
         assert rc == 0
@@ -221,6 +220,23 @@ class TestSimulate:
         row_ovr = overridden.strip().splitlines()[1].split("\t")
         assert row_cfg != row_ovr
 
+    def test_workers_flag_overrides_config_file(self, capsys, tmp_path, monkeypatch):
+        seen = []
+        original = simulate.coverage_study
+
+        def recording(config):
+            seen.append(config.workers)
+            return original(config)
+
+        monkeypatch.setattr(simulate, "coverage_study", recording)
+        cfg = tmp_path / "cell.cfg"
+        cfg.write_text("setup=3\ncensoring=none\nn1=10\nn2=10\nreps=2\nb=19\nworkers=4\n")
+        for flags, want in (([], 4), (["--workers", "1"], 1), (["--workers", "2"], 2)):
+            rc, _, _ = _run(capsys, ["simulate", "--config", str(cfg), "--tsv"] + flags)
+            assert rc == 0
+            assert seen == [want]
+            seen.clear()
+
     def test_table1_filtered_by_setup(self, capsys):
         rc, out, _ = _run(capsys, ["simulate", "--table1", "--setup", "2"])
         assert rc == 0
@@ -238,10 +254,19 @@ class TestSimulate:
         assert [r[0] for r in rows] == ["1", "2", "3"]
         assert all(r[1] == "none" for r in rows)
 
-    def test_full_study_scaled_down(self, capsys):
+    def test_full_study_scaled_down(self, capsys, monkeypatch):
+        workers = []
+        original = simulate.coverage_study
+
+        def recording(config):
+            workers.append(config.workers)
+            return original(config)
+
+        monkeypatch.setattr(simulate, "coverage_study", recording)
         rc, out, err = _run(capsys, ["simulate", "--full-study", "--reps", "2",
-                                     "--b", "19", "--tsv"])
+                                     "--b", "19", "--workers", "2", "--tsv"])
         assert rc == 0
+        assert workers == [2] * 90
         lines = out.strip().splitlines()
         assert len(lines) == 91
         progress = [l for l in err.strip().splitlines() if l.endswith("done")]

@@ -5,7 +5,8 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from survcmp.datasets import HORIZON_POLICIES, ingest_csv, load_tongue, tongue_path
+from survcmp.datasets import ingest_csv, load_tongue, tongue_path
+from survcmp.survival import HORIZON_POLICIES
 
 from oracles import reference_ingest_csv
 

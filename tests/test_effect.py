@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from survcmp.datasets import load_tongue
-from survcmp.effect import mann_whitney_effect
+from survcmp.inference import mann_whitney_effect
 from survcmp.survival import Sample, kaplan_meier, truncate
 
 from oracles import integration_by_parts_value, uncensored_pairwise_oracle, wilcoxon_integral

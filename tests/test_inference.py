@@ -5,16 +5,15 @@ import pytest
 from numpy.testing import assert_allclose
 
 from survcmp.datasets import load_tongue
-from survcmp.effect import mann_whitney_effect
 from survcmp.inference import (
     asymptotic_ci,
     asymptotic_test,
+    mann_whitney_effect,
     normal_quantile,
     studentized_p,
     studentized_w,
 )
 from survcmp.survival import Sample
-from survcmp.variance import variance_estimate
 
 K = 10.0
 
@@ -73,12 +72,12 @@ class TestStatistics:
         checked = 0
         for _ in range(80):
             s1, s2 = _random_pair(rng)
-            eff, var = mann_whitney_effect(s1, s2), variance_estimate(s1, s2)
-            if eff.p_hat >= 1.0 or var.degenerate:
+            est = mann_whitney_effect(s1, s2)
+            if est.p_hat >= 1.0 or est.degenerate:
                 continue
-            rate = np.sqrt(eff.n1 * eff.n2 / (eff.n1 + eff.n2))
+            rate = np.sqrt(est.n1 * est.n2 / (est.n1 + est.n2))
             for w0 in (0.5, 1.0, 2.0):
-                other = rate * (eff.w_hat - w0) / (var.sigma * (1.0 + eff.w_hat) ** 2)
+                other = rate * (est.w_hat - w0) / (est.sigma * (1.0 + est.w_hat) ** 2)
                 assert_allclose(studentized_w(s1, s2, w0), other, rtol=1e-12, atol=1e-12)
             checked += 1
         assert checked >= 60
@@ -95,7 +94,7 @@ class TestStatistics:
         # undefined
         s1 = Sample([1.0, 2.0], [False, False], K)
         s2 = Sample([1.5, 2.5, 3.0], [True, True, False], K)
-        assert variance_estimate(s1, s2).sigma2 > 0.0
+        assert mann_whitney_effect(s1, s2).sigma2 > 0.0
         with pytest.raises(ValueError, match="degenerate variance"):
             studentized_p(s1, s2)
         with pytest.raises(ValueError, match="degenerate variance"):
@@ -117,13 +116,13 @@ class TestIntervals:
                 res = asymptotic_ci(s1, s2)
             except ValueError:
                 continue
-            est = variance_estimate(s1, s2)
+            est = mann_whitney_effect(s1, s2)
             n = est.n1 + est.n2
             se = np.sqrt(est.sigma2) / np.sqrt(est.n1 * est.n2 / n)
             lo, hi = res.ci_raw
             assert_allclose(hi - lo, 2.0 * normal_quantile(0.025) * se, atol=1e-12)
             mid = 0.5 * (lo + hi)
-            assert_allclose(mid, res.effect.p_hat, atol=1e-12)
+            assert_allclose(mid, res.estimate.p_hat, atol=1e-12)
 
     def test_clamped_to_unit_interval(self):
         s1 = Sample([5.0, 6.0, 7.0], [True] * 3, K)
@@ -146,8 +145,8 @@ class TestIntervals:
         s1, s2 = load_tongue()
         res_p = asymptotic_ci(s1, s2, target="p")
         res_w = asymptotic_ci(s1, s2, target="w")
-        p_hat = res_p.effect.p_hat
-        assert_allclose(res_w.effect.w_hat, p_hat / (1.0 - p_hat), atol=1e-12)
+        p_hat = res_p.estimate.p_hat
+        assert_allclose(res_w.estimate.w_hat, p_hat / (1.0 - p_hat), atol=1e-12)
         assert res_w.ci[0] >= 0.0
 
     def test_duality_with_test(self):

@@ -14,10 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 from survcmp._engine import (Workspace, batch_context, batch_statistics,
                              bootstrap_indices, permutation_indices)
-from survcmp.effect import mann_whitney_effect
+from survcmp.inference import mann_whitney_effect
 from survcmp.simulate import ScenarioConfig, _generate, calibrate_censoring
 from survcmp.survival import Sample, counting_processes, kaplan_meier
-from survcmp.variance import variance_estimate
 
 from oracles import (assert_same_context, cov_kernel, reference_batch_context,
                      reference_batch_statistics, reference_counting_processes, sigma2_jk)
@@ -50,7 +49,7 @@ def _oracle_variance(f1, f2):
 def test_tail_sums_equal_quadratic_form(pair):
     # the engine's observed row against the O(m^2) oracle, both group orders
     for s1, s2 in (pair, pair[::-1]):
-        est = variance_estimate(s1, s2)
+        est = mann_whitney_effect(s1, s2)
         f1, f2 = kaplan_meier(s1), kaplan_meier(s2)
         for fast, slow in ((est.sigma2_12, sigma2_jk(cov_kernel(f1), f2)),
                            (est.sigma2_21, sigma2_jk(cov_kernel(f2), f1, boundary=True))):
@@ -61,7 +60,7 @@ def test_tail_sums_equal_quadratic_form(pair):
 @given(tied_censored_pairs())
 def test_degenerate_flag_agrees_with_oracle(pair):
     f1, f2 = (kaplan_meier(s) for s in pair)
-    est = variance_estimate(*pair)
+    est = mann_whitney_effect(*pair)
     sigma2, degenerate = _oracle_variance(f1, f2)
     assert abs(est.sigma2 - sigma2) <= 1e-12 * sigma2
     assert est.degenerate == degenerate
@@ -98,7 +97,7 @@ def test_completely_separated_replication_is_degenerate():
     assert s1.times[s1.events].min() > s2.times.max()
     assert mann_whitney_effect(s1, s2).p_hat == 1.0
     f1, f2 = kaplan_meier(s1), kaplan_meier(s2)
-    est = variance_estimate(s1, s2)
+    est = mann_whitney_effect(s1, s2)
     assert est.sigma2 == 0.0 == _oracle_variance(f1, f2)[0]
     assert est.degenerate and _oracle_variance(f1, f2)[1]
 

@@ -9,8 +9,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from survcmp import survival
 from survcmp.datasets import load_tongue
-from survcmp.effect import mann_whitney_effect
-from survcmp.inference import asymptotic_ci
+from survcmp.inference import asymptotic_ci, mann_whitney_effect
 from survcmp.resampling import (
     ReplicateSet,
     ResamplingPlan,

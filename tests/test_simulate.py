@@ -30,7 +30,9 @@ from survcmp.simulate import (
     truncation_proportions,
 )
 
-from oracles import reference_calibrate_censoring
+from survcmp.simulate import _generate
+
+from oracles import reference_calibrate_censoring, reference_generate
 
 N_BIG = 1_000_000
 
@@ -177,7 +179,6 @@ class TestTruncationProportions:
 class TestScenarioConfig:
     def test_defaults_fill_horizon(self):
         cfg = ScenarioConfig(setup=2, censoring="moderate", n1=10, n2=20)
-        assert cfg.k == 1.7646
         assert (cfg.alpha, cfg.reps, cfg.b) == (0.05, 1000, 1999)
 
     def test_rejections(self):
@@ -191,7 +192,6 @@ class TestScenarioConfig:
             (dict(base, b=0), "reps and b"),
             (dict(base, seed=-1), "seed"),
             (dict(base, workers=0), "workers"),
-            (dict(base, k=-2.0), "invalid horizon"),
         ]
         for kwargs, match in bad:
             with pytest.raises(ValueError, match=match):
@@ -217,12 +217,30 @@ class TestConfigFile:
             ("setup 2\n", "line 2: expected key=value"),
             ("setup=abc\n", "line 2: bad value for setup"),
             ("foo=1\n", "line 2: unknown key 'foo'"),
+            ("k=0.5\n", "line 2: unknown key 'k'"),
         ]
         for text, match in cases:
             path = tmp_path / "bad.cfg"
             path.write_text("n1=5\n" + text)
             with pytest.raises(ValueError, match=match):
                 parse_config_file(path)
+
+
+class TestGenerate:
+    def test_equals_truncate_first_reference_bitwise(self):
+        # the two forms differ only where a censoring time equals k exactly
+        for setup in (1, 2, 3):
+            for level in ("strong", "moderate", "none"):
+                cal = calibrate_censoring(setup, level)
+                config = ScenarioConfig(setup=setup, censoring=level, n1=20, n2=30, seed=9)
+                for rep in range(25):
+                    got = _generate(config, cal, rep)
+                    want = reference_generate(config, cal, rep)
+                    assert got[2] == want[2]
+                    for a, b in zip(got[:2], want[:2]):
+                        assert a.k == b.k == horizon(setup)
+                        assert a.times.tobytes() == b.times.tobytes(), (setup, level, rep)
+                        assert_array_equal(a.events, b.events)
 
 
 class TestCoverageStudy:

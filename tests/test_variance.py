@@ -5,8 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from survcmp.datasets import load_tongue
+from survcmp.inference import mann_whitney_effect
 from survcmp.survival import Sample, kaplan_meier
-from survcmp.variance import variance_estimate
 
 from oracles import cov_kernel, normalized_kernel_value, sigma2_jk
 
@@ -93,7 +93,7 @@ class TestHandOracle:
         assert_allclose(sigma2_jk(kernel2, fit1), 0.0, atol=1e-14)
 
     def test_combined_scaling(self):
-        est = variance_estimate(self.s1, self.s2)
+        est = mann_whitney_effect(self.s1, self.s2)
         assert_allclose(est.sigma2_12, 0.125, atol=1e-14)
         assert_allclose(est.sigma2_21, 0.0, atol=1e-14)
         # (n1 n2 / n) * 0.125 = (2/3) * 0.125
@@ -120,7 +120,7 @@ class TestBruteForceAgreement:
             worst = max(worst, abs(sigma2_jk(k2, f1) - _brute_force_jk(k2, f1)))
             worst = max(worst, abs(sigma2_jk(k2, f1, boundary=True)
                                    - _brute_force_jk(k2, f1, boundary=True)))
-            est = variance_estimate(s1, s2)
+            est = mann_whitney_effect(s1, s2)
             worst = max(worst, abs(est.sigma2_12 - _brute_force_jk(k1, f2)))
             worst = max(worst, abs(est.sigma2_21 - _brute_force_jk(k2, f1, boundary=True)))
         assert leftover >= 10
@@ -148,7 +148,7 @@ class TestDeltaMethodOracle:
             s1 = _random_tied_leftover(rng, int(rng.integers(2, 25)))
             s2 = _random_censored(rng, int(rng.integers(2, 25)))
             assert kaplan_meier(s1).survival(K) > 0
-            est = variance_estimate(s1, s2)
+            est = mann_whitney_effect(s1, s2)
             q12, q21 = _delta_method(s1, s2)
             worst = max(worst, abs(est.sigma2_12 - q12), abs(est.sigma2_21 - q21))
         assert worst <= 1e-12
@@ -173,11 +173,11 @@ class TestDegeneracy:
         # the group-2 term weight, so sigma2 > 0 but the flag must be set
         s1 = Sample([1.0, 2.0], [False, False], K)
         s2 = Sample([1.5, 2.5, 3.0], [True, True, False], K)
-        est = variance_estimate(s1, s2)
+        est = mann_whitney_effect(s1, s2)
         assert est.sigma2 > 0.0
         assert est.degenerate
-        assert variance_estimate(s2, s1).degenerate
-        assert not variance_estimate(s2, s2).degenerate
+        assert mann_whitney_effect(s2, s1).degenerate
+        assert not mann_whitney_effect(s2, s2).degenerate
 
 
 class TestProperties:
@@ -186,7 +186,7 @@ class TestProperties:
         for _ in range(60):
             s1 = _random_censored(rng, int(rng.integers(3, 25)))
             s2 = _random_censored(rng, int(rng.integers(3, 25)))
-            est = variance_estimate(s1, s2)
+            est = mann_whitney_effect(s1, s2)
             assert est.sigma2_12 >= -1e-14
             assert est.sigma2_21 >= -1e-14
             assert est.sigma2 >= -1e-14
@@ -200,7 +200,7 @@ class TestProperties:
         def implied(m):
             s1 = Sample(np.minimum(t1[:m], K), t1[:m] <= K, K)
             s2 = Sample(np.minimum(t2[:m], K), t2[:m] <= K, K)
-            est = variance_estimate(s1, s2)
+            est = mann_whitney_effect(s1, s2)
             n = est.n1 + est.n2
             return est.sigma2 / n
 
@@ -211,13 +211,13 @@ class TestProperties:
         s1 = Sample([1.0], [True], 5.0)
         s2 = Sample([1.0], [True], 6.0)
         with pytest.raises(ValueError, match="incompatible horizons"):
-            variance_estimate(s1, s2)
+            mann_whitney_effect(s1, s2)
 
 
 class TestTongueValues:
     def test_component_values_frozen(self):
         s1, s2 = load_tongue()
-        est = variance_estimate(s1, s2)
+        est = mann_whitney_effect(s1, s2)
         assert_allclose(est.sigma2_12, 0.0014570610156, atol=1e-10)
         assert_allclose(est.sigma2_21, 0.0035265492103, atol=1e-10)
         n1, n2 = est.n1, est.n2
@@ -228,7 +228,7 @@ class TestTongueValues:
     def test_components_match_delta_method(self):
         s1, s2 = load_tongue()
         assert kaplan_meier(s1).survival(s1.k) > 0
-        est = variance_estimate(s1, s2)
+        est = mann_whitney_effect(s1, s2)
         q12, q21 = _delta_method(s1, s2)
         assert_allclose(est.sigma2_12, q12, atol=1e-12)
         assert_allclose(est.sigma2_21, q21, atol=1e-12)
