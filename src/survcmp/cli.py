@@ -207,7 +207,12 @@ def _run_simulate(args) -> str:
         cells = [(s, lv) for s in setups for lv in levels]
         return sim.proportions_text(cells, pre_censoring=args.pre_censoring)
     if args.full_study:
-        overrides = {key: getattr(args, key) for key in ("reps", "b", "workers")
+        fixed = [key for key in ("setup", "censoring", "n1", "n2", "config")
+                 if getattr(args, key) is not None]
+        if fixed:
+            raise ValueError("settings the full study fixes: " + ", ".join(fixed)
+                             + " (drop them or --full-study)")
+        overrides = {key: getattr(args, key) for key in ("reps", "b", "alpha", "workers")
                      if getattr(args, key) is not None}
         configs = [_replace(c, **overrides) for c in sim.full_study_configs(base_seed=seed)]
         rows = []

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 from importlib import resources
-from itertools import islice, repeat
+from itertools import islice
 from operator import itemgetter
 
 import numpy as np
@@ -37,27 +37,106 @@ def ingest_csv(path, k: float, time_col: str = "time", status_col: str = "delta"
                ) -> tuple[Sample, Sample]:
     """Read a two-group CSV into a pair of Samples keyed by sorted label.
 
-    The status column must contain only ``event_value`` and
-    ``censored_value``.  Rows with time beyond k are rewritten per
-    ``beyond_horizon`` (see :data:`HORIZON_POLICIES`).  Fields are
-    stripped of surrounding whitespace and blank lines are skipped.
-    Errors name the first offending row by its 1-based file row number
-    (header = row 1).
+    The dialect is that of ``csv.reader``'s default: comma delimiter,
+    ``"`` quoting with doubled quotes inside, and ``\\n``, ``\\r\\n`` or
+    ``\\r`` line ends.  Blank lines are skipped, every field is stripped of
+    surrounding whitespace, fields past the needed columns are ignored and
+    times are read as Python's ``float`` spells them.  The status column
+    must contain only ``event_value`` and ``censored_value``.  Rows with
+    time beyond k are rewritten per ``beyond_horizon`` (see
+    :data:`HORIZON_POLICIES`).  Group labels sort as numbers where
+    ``float`` reads them as one (NaN aside), and as text after them.
+
+    numpy's C reader (``np.loadtxt``) reads a file with no quote, no NUL
+    character and no line longer than ``csv.field_size_limit()``.  The
+    ``csv.reader`` path reads the file when the C reader cannot, or when a
+    row fails a check; it alone names the row.  Errors name the first
+    offending row by its 1-based file line (header = line 1, blank lines
+    counted); a quoted field spanning lines is named by its last line.
     """
     if beyond_horizon not in HORIZON_POLICIES:
         raise ValueError(f"beyond_horizon must be one of {HORIZON_POLICIES}")
     k = float(k)
     if not np.isfinite(k) or k <= 0:
         raise ValueError("invalid horizon")
+    names = (time_col, status_col, group_col)
+    codes = {event_value: True, censored_value: False}
+    times, is_event, groups = (_read_fast(path, names, codes)
+                               or _read_rows(path, names, codes))
 
+    label = {raw: raw.strip() for raw in set(groups.tolist())}
+    labels = sorted(set(label.values()), key=_label_key)
+    if len(labels) != 2:
+        raise ValueError(f"expected exactly 2 groups, found {len(labels)}")
+    in_first = _among(groups, [raw for raw, name in label.items() if name == labels[0]])
+    times, events = _beyond_horizon(times, is_event, k, beyond_horizon)
+    return (Sample(times[in_first], events[in_first], k),
+            Sample(times[~in_first], events[~in_first], k))
+
+
+def _need(header: list[str], names) -> list[int]:
+    """Index of each named column; the last of duplicate names wins."""
+    where = {name: i for i, name in enumerate(header)}
+    for name in names:
+        if name not in where:
+            raise ValueError(f"missing column {name!r}")
+    return [where[name] for name in names]
+
+
+def _among(fields: np.ndarray, members: list[str]) -> np.ndarray:
+    """Which strings of an object array are among ``members``."""
+    if len(members) > 4:  # one dict pass beats a comparison pass per member
+        return np.fromiter(map(set(members).__contains__, fields.tolist()), bool, fields.size)
+    flags = np.zeros(fields.size, bool)
+    for member in members:
+        # an object scalar: a numpy string would drop trailing NULs
+        flags |= fields == np.array(member, dtype=object)
+    return flags
+
+
+def _read_fast(path, names, codes):
+    """Times, event flags and raw group fields by numpy's C reader, or None
+    when it cannot read the file as ``csv.reader`` would or a row fails a
+    check."""
+    # universal newlines end lines where csv.reader ends unquoted records
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except UnicodeDecodeError:  # reported as the csv.reader path meets it
+        return None
+    # csv.reader alone knows quotes and fields longer than its limit (so
+    # maybe on a line that long); NUL is an error to it before Python 3.11
+    if '"' in text or "\0" in text:
+        return None
+    lines = text.split("\n")
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, lines)) > limit:
+        return None
+    need = _need(lines[0].split(",") if lines[0] else [], names)
+    if not any(islice(lines, 1, None)):  # no rows; loadtxt would warn
+        return None
+    try:
+        # object fields hold each field whole, however long
+        rows = np.loadtxt(lines, dtype=[("t", float), ("s", object), ("g", object)],
+                          delimiter=",", comments=None, skiprows=1, usecols=need, ndmin=1)
+    except ValueError:  # a short row, or a time only float() reads
+        return None
+    times, statuses = rows["t"], rows["s"]
+    # each distinct raw status once: True, False, or None for neither code
+    code = {raw: codes.get(raw.strip()) for raw in set(statuses.tolist())}
+    # NaN fails both comparisons
+    if None in code.values() or not ((times > 0) & (times < np.inf)).all():
+        return None
+    return times, _among(statuses, [raw for raw, event in code.items() if event]), rows["g"]
+
+
+def _read_rows(path, names, codes):
+    """Times, event flags and stripped group fields by ``csv.reader``;
+    ValueError naming the file line of the first row that fails a check."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
-        where = {name: i for i, name in enumerate(header)}  # last duplicate wins
-        for col in (time_col, status_col, group_col):
-            if col not in where:
-                raise ValueError(f"missing column {col!r}")
-        need = [where[time_col], where[status_col], where[group_col]]
+        need = _need(header, names)
         width = max(need) + 1
         raw_times, statuses, groups = [], [], []
         fields = {}  # field count of each row too short for a needed column
@@ -75,21 +154,19 @@ def ingest_csv(path, k: float, time_col: str = "time", status_col: str = "delta"
             statuses += columns[1]
             groups += columns[2]
     n = len(raw_times)
-    if not n:
-        raise ValueError("expected exactly 2 groups, found 0")
     short = np.zeros(n, bool)
     short[list(fields)] = True
     times, parsed = _parse_times(raw_times)
-    codes = {event_value: 1, censored_value: 0}
-    status = np.fromiter(map(codes.get, statuses, repeat(-1)), np.int8, n)
-    is_event, bad_status = status == 1, status < 0
+    status = np.array(statuses, object)  # stripped fields
+    is_event = _among(status, [value for value, event in codes.items() if event])
+    bad_status = ~_among(status, list(codes))
     # `times` covers the rows before `parsed`; row `parsed`, if any, has no
     # number.  Within a row the checks keep the row-by-row reader's order.
     bad_time = ~np.isfinite(times) | (times <= 0)
     bad = short[:parsed] | bad_time | bad_status[:parsed]
-    first = np.flatnonzero(bad)[0] if bad.any() else parsed
+    first = int(np.flatnonzero(bad)[0]) if bad.any() else parsed
     if first < n:
-        row_no = first + 2
+        row_no = _line_number(path, first)
         if short[first]:
             missing = header[width - 1]
             raise ValueError(
@@ -99,17 +176,16 @@ def ingest_csv(path, k: float, time_col: str = "time", status_col: str = "delta"
         if bad_time[first]:
             raise ValueError(f"row {row_no}: time must be positive, got {raw_times[first]!r}")
         raise ValueError(f"row {row_no}: invalid status code {statuses[first]!r}")
+    return times, is_event, np.array(groups, object)
 
-    labels = {label: i for i, label in enumerate(dict.fromkeys(groups))}
-    if len(labels) != 2:
-        raise ValueError(f"expected exactly 2 groups, found {len(labels)}")
-    times, events = _beyond_horizon(times, is_event, k, beyond_horizon)
-    group = np.fromiter(map(labels.__getitem__, groups), np.int64, n)
-    samples = []
-    for label in sorted(labels, key=_label_key):
-        mine = group == labels[label]
-        samples.append(Sample(times[mine], events[mine], k))
-    return samples[0], samples[1]
+
+def _line_number(path, row: int) -> int:
+    """The file line on which data row ``row`` (0-based) ends."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        next(islice(filter(None, reader), row, None))
+        return reader.line_num
 
 
 def _columns(rows: list[list[str]], need: list[int]) -> list[list[str]]:
@@ -133,10 +209,13 @@ def _parse_times(raw: list[str]) -> tuple[np.ndarray, int]:
 
 
 def _label_key(label: str):
+    """Numbers first, by value; then text.  A label ``float`` reads as NaN
+    sorts as text, so the order is total and no row order can change it."""
     try:
-        return (0, float(label), label)
+        value = float(label)
     except ValueError:
-        return (1, 0.0, label)
+        value = np.nan
+    return (0, value, label) if value == value else (1, 0.0, label)
 
 
 def load_tongue(k: float = 200.0, beyond_horizon: str = "censor") -> tuple[Sample, Sample]:

@@ -344,7 +344,8 @@ def reference_ingest_csv(path, k: float, time_col: str = "time", status_col: str
                          group_col: str = "type", event_value: str = "1",
                          censored_value: str = "0", beyond_horizon: str = "censor",
                          ) -> tuple[Sample, Sample]:
-    """``survcmp.datasets.ingest_csv`` as a row-by-row ``csv.DictReader`` loop."""
+    """``survcmp.datasets.ingest_csv`` as a row-by-row ``csv.reader`` loop;
+    errors name the file line on which the row ends."""
     if beyond_horizon not in HORIZON_POLICIES:
         raise ValueError(f"beyond_horizon must be one of {HORIZON_POLICIES}")
     k = float(k)
@@ -353,27 +354,34 @@ def reference_ingest_csv(path, k: float, time_col: str = "time", status_col: str
 
     by_group: dict[str, list[tuple[float, bool]]] = {}
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh)
+        header = next(reader, [])
         for col in (time_col, status_col, group_col):
             if col not in header:
                 raise ValueError(f"missing column {col!r}")
-        for row_no, row in enumerate(reader, start=2):
-            raw_time = (row[time_col] or "").strip()
+        where = {name: i for i, name in enumerate(header)}
+        need = [where[time_col], where[status_col], where[group_col]]
+        last = max(need)
+        for row in reader:
+            if not row:
+                continue
+            row_no = reader.line_num
+            if len(row) <= last:
+                raise ValueError(f"row {row_no}: {len(row)} fields, "
+                                 f"too few for column {header[last]!r}")
+            raw_time, status, group = (row[i].strip() for i in need)
             try:
                 time = float(raw_time)
             except ValueError:
                 raise ValueError(f"row {row_no}: non-numeric time {raw_time!r}") from None
             if not np.isfinite(time) or time <= 0:
                 raise ValueError(f"row {row_no}: time must be positive, got {raw_time!r}")
-            status = (row[status_col] or "").strip()
             if status == event_value:
                 event = True
             elif status == censored_value:
                 event = False
             else:
                 raise ValueError(f"row {row_no}: invalid status code {status!r}")
-            group = (row[group_col] or "").strip()
             by_group.setdefault(group, []).append(_apply_policy(time, event, k, beyond_horizon))
 
     if len(by_group) != 2:

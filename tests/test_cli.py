@@ -255,24 +255,36 @@ class TestSimulate:
         assert all(r[1] == "none" for r in rows)
 
     def test_full_study_scaled_down(self, capsys, monkeypatch):
-        workers = []
+        seen = []
         original = simulate.coverage_study
 
         def recording(config):
-            workers.append(config.workers)
+            seen.append((config.workers, config.alpha))
             return original(config)
 
         monkeypatch.setattr(simulate, "coverage_study", recording)
         rc, out, err = _run(capsys, ["simulate", "--full-study", "--reps", "2",
-                                     "--b", "19", "--workers", "2", "--tsv"])
+                                     "--b", "19", "--workers", "2", "--alpha", "0.1", "--tsv"])
         assert rc == 0
-        assert workers == [2] * 90
+        assert seen == [(2, 0.1)] * 90
         lines = out.strip().splitlines()
         assert len(lines) == 91
         progress = [l for l in err.strip().splitlines() if l.endswith("done")]
         assert len(progress) == 90
         assert progress[0] == "cell 1/90 done"
         assert progress[-1] == "cell 90/90 done"
+
+    @pytest.mark.parametrize("flags", [["--setup", "1"], ["--censoring", "none"],
+                                       ["--n1", "5"], ["--n2", "5"],
+                                       ["--setup", "2", "--n1", "5"], ["--config", "cell.cfg"]])
+    def test_full_study_rejects_settings_it_fixes(self, capsys, monkeypatch, flags):
+        monkeypatch.setattr(simulate, "coverage_study", lambda config: pytest.fail("ran a cell"))
+        rc, out, err = _run(capsys, ["simulate", "--full-study", "--reps", "1", "--b", "9"]
+                            + flags)
+        assert rc == 1 and out == ""
+        names = ", ".join(flag[2:] for flag in flags[::2])
+        assert err == (f"survcmp: settings the full study fixes: {names} "
+                       "(drop them or --full-study)\n")
 
     def test_out_writes_file(self, capsys, tmp_path):
         target = tmp_path / "table.tsv"

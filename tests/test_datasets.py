@@ -1,10 +1,14 @@
 """CSV ingestion rules and the bundled dataset."""
 
+import csv
+import random
 from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from survcmp import datasets
 from survcmp.datasets import ingest_csv, load_tongue, tongue_path
 from survcmp.survival import HORIZON_POLICIES
 
@@ -13,8 +17,17 @@ from oracles import reference_ingest_csv
 
 def _write(tmp_path, text, name="data.csv"):
     path = tmp_path / name
-    path.write_text(text)
+    # newline="" keeps every line end as written
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
     return path
+
+
+def _assert_same_samples(got, want):
+    for a, b in zip(got, want):
+        assert a.times.dtype == b.times.dtype and a.times.tobytes() == b.times.tobytes()
+        assert a.events.dtype == b.events.dtype and np.array_equal(a.events, b.events)
+        assert a.k == b.k
 
 
 class TestBundledData:
@@ -125,6 +138,27 @@ class TestIngestCsv:
         with pytest.raises(ValueError, match="expected exactly 2 groups, found 3"):
             ingest_csv(three, k=10.0)
 
+    def test_error_rows_are_file_lines(self, tmp_path):
+        # blank lines count, whatever the line ends
+        for end in ("\n", "\r\n", "\r"):
+            text = end.join(["type,time,delta", "", "1,2.0,1", "1,abc,0", "2,3,1", ""])
+            path = _write(tmp_path, text)
+            with pytest.raises(ValueError, match="^row 4: non-numeric time 'abc'$"):
+                ingest_csv(path, k=10.0)
+        # a quoted field spanning lines is named by the line it ends on
+        path = _write(tmp_path, 'time,delta,type\n5,1,"a\nb"\n\n7,2,"a\nb"\n')
+        with pytest.raises(ValueError, match="^row 6: invalid status code '2'$"):
+            ingest_csv(path, k=10.0)
+
+    def test_group_order_does_not_depend_on_row_order(self, tmp_path):
+        # a label float() reads as NaN sorts as text, after every number
+        rows = ["1,1,nan", "2,1,1", "3,0,1"]
+        for order in (rows, rows[::-1], rows[1:] + rows[:1]):
+            path = _write(tmp_path, "time,delta,type\n" + "\n".join(order) + "\n")
+            s1, s2 = ingest_csv(path, k=10.0)
+            assert (s1.n, s2.n) == (2, 1)
+            assert s2.times.tolist() == [1.0]
+
     def test_invalid_horizon(self, tmp_path):
         path = _write(tmp_path, self.BASIC)
         for bad in (0.0, -5.0, float("inf"), float("nan")):
@@ -155,20 +189,14 @@ class TestAgainstRowByRow:
         path = _write(tmp_path, self.MIXED)
         got = ingest_csv(path, k=k, group_col="arm", beyond_horizon=policy)
         want = reference_ingest_csv(path, k=k, group_col="arm", beyond_horizon=policy)
-        for a, b in zip(got, want):
-            assert a.times.tobytes() == b.times.tobytes()
-            assert a.times.dtype == b.times.dtype
-            assert np.array_equal(a.events, b.events) and a.events.dtype == b.events.dtype
-            assert a.k == b.k
+        _assert_same_samples(got, want)
 
     def test_bundled_data_identical(self):
         for policy in HORIZON_POLICIES:
             with resources.as_file(tongue_path()) as path:
                 got = ingest_csv(path, k=100.0, beyond_horizon=policy)
                 want = reference_ingest_csv(path, k=100.0, beyond_horizon=policy)
-            for a, b in zip(got, want):
-                assert a.times.tobytes() == b.times.tobytes()
-                assert np.array_equal(a.events, b.events)
+            _assert_same_samples(got, want)
 
     @pytest.mark.parametrize("body", [
         "5,1,1\n7,2,1\nabc,1,2\n",     # bad status comes first
@@ -185,6 +213,17 @@ class TestAgainstRowByRow:
         with pytest.raises(ValueError) as want:
             reference_ingest_csv(path, k=10.0)
         with pytest.raises(ValueError) as got:
+            ingest_csv(path, k=10.0)
+        assert str(got.value) == str(want.value)
+
+    def test_undecodable_byte_error_identical(self, tmp_path):
+        # the byte lies past the text layer's first chunk, whose offsets
+        # the message reports
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"time,delta,type\n" + b"5,1,1\n6,0,2\n" * 2000 + b"7,1,\xff\n")
+        with pytest.raises(UnicodeDecodeError) as want:
+            reference_ingest_csv(path, k=10.0)
+        with pytest.raises(UnicodeDecodeError) as got:
             ingest_csv(path, k=10.0)
         assert str(got.value) == str(want.value)
 
@@ -205,11 +244,7 @@ class TestAgainstRowByRow:
 
     def test_samples_identical_across_blocks(self, tmp_path):
         path = _write(tmp_path, "time,delta,type\n" + self._many_rows(700))
-        got = ingest_csv(path, k=30.0)
-        want = reference_ingest_csv(path, k=30.0)
-        for a, b in zip(got, want):
-            assert a.times.tobytes() == b.times.tobytes()
-            assert np.array_equal(a.events, b.events)
+        _assert_same_samples(ingest_csv(path, k=30.0), reference_ingest_csv(path, k=30.0))
 
     @pytest.mark.parametrize("at", [0, 255, 256, 600])
     def test_errors_in_later_blocks(self, tmp_path, at):
@@ -226,3 +261,158 @@ class TestAgainstRowByRow:
         with pytest.raises(ValueError) as got:
             ingest_csv(path, k=10.0)
         assert str(got.value) == str(want.value) == f"row {at + 2}: invalid status code '9'"
+
+
+def _bench_shaped_rows(n):
+    """(label, time, event) rows like the benchmark's generated input."""
+    gen = np.random.default_rng(5)
+    times = np.maximum(np.ceil(gen.exponential(1.2, n) * 1000), 1) / 1000
+    return [(1 + i % 2, repr(float(t)), int(gen.random() < 0.7)) for i, t in enumerate(times)]
+
+
+class TestFastPath:
+    """Inputs numpy's C reader must take without the csv.reader path."""
+
+    @pytest.fixture(autouse=True)
+    def no_fallback(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("the csv.reader path read the file")
+        monkeypatch.setattr(datasets, "_read_rows", fail)
+
+    def test_bundled_data(self):
+        for policy in HORIZON_POLICIES:
+            s1, s2 = load_tongue(beyond_horizon=policy)
+            assert (s1.n, s2.n) == (52, 28)
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_csv_writer_line_ends(self, tmp_path, end):
+        # csv.writer ends lines with \r\n unless told otherwise
+        path = tmp_path / "data.csv"
+        with open(path, "w", newline="") as fh:
+            out = csv.writer(fh, lineterminator=end)
+            out.writerow(["type", "time", "delta"])
+            out.writerows(_bench_shaped_rows(400))
+        _assert_same_samples(ingest_csv(path, k=1.6), reference_ingest_csv(path, k=1.6))
+
+    def test_blank_lines_and_padded_fields(self, tmp_path):
+        text = ("time,delta,type\n\n 5 , 1 ,1\n\n\n7\t,0, 2 \n"
+                " 3,\t1,  1\n9 ,0 ,2\t\n\n")
+        path = _write(tmp_path, text)
+        _assert_same_samples(ingest_csv(path, k=8.0), reference_ingest_csv(path, k=8.0))
+
+    def test_long_labels_whole(self, tmp_path):
+        # no fixed string width truncates a label
+        long = "arm-" + "\u00e9" * 5000
+        path = _write(tmp_path, f"time,delta,type\n5,1,{long}\n7,0,{long}x\n6,1,{long}\n")
+        got = ingest_csv(path, k=10.0)
+        _assert_same_samples(got, reference_ingest_csv(path, k=10.0))
+        assert (got[0].n, got[1].n) == (2, 1)
+
+
+# Spellings for the differential test.  Every time in TIMES and ODD_TIMES
+# is one float() reads as positive and finite, the odd ones in a way
+# numpy's reader does not; BAD_TIMES are not.
+TIMES = ["3", "7", "12", "2.5", "0.125", "41.75", "1e1", "3.", "+.5", "1E+1", "0.5e1",
+         "7\xa0", "\t4"]
+ODD_TIMES = ["1_0", "١٢", "٣.٥"]
+BAD_TIMES = ["inf", "-inf", "nan", "Infinity", "1e400", "1e-400", "0x1", "0", "-1", "",
+             "abc", "1 2", "1.5e", "5\x00"]
+BAD_STATUS = ["2", "", "yes", "1.0", "0\x00"]
+PLAIN_LABELS = ["1", "2", "10", "9", "-0", "0", "1e5", "inf", "nan", "NaN", "a", "B",
+                "a b", "β", "١", "#", "x" * 300, "é" * 60, "\x00"]
+QUOTED_LABELS = ["a,b", 'say "hi"', "two\nlines", "cr\rlf", ""]
+PADS = ["", "", "", " ", "  ", "\t", "\xa0"]
+FAULTS = [None] * 4 + ["time", "status", "short", "space_line", "third_group", "one_group",
+                       "header"]
+
+
+@st.composite
+def csv_files(draw):
+    """Text of a two-group CSV, written with one kind of line end, and
+    with at most one fault.  The file's shape comes from hypothesis, its
+    rows from a generator seeded by it, which keeps the draws few."""
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    quoting, odd = draw(st.booleans()), draw(st.booleans())
+    header = draw(st.permutations(["type", "time", "delta", "note"]))
+    labels = draw(st.lists(st.sampled_from(PLAIN_LABELS + QUOTED_LABELS * quoting),
+                           min_size=2, max_size=2, unique=True))
+    n = draw(st.integers(1, 25))
+    fault = draw(st.sampled_from(FAULTS))
+    at = draw(st.integers(0, n - 1))
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+
+    def field(value):
+        if quoting and (any(c in value for c in ',"\n\r') or rnd.random() < 0.5):
+            return '"' + value.replace('"', '""') + '"'
+        return rnd.choice(PADS) + value + rnd.choice(PADS)
+
+    lines = [",".join(header)]
+    if fault == "header":
+        lines[0] = lines[0].replace("time", "time ")
+    for i in range(n):
+        spellings = ODD_TIMES if odd and rnd.random() < 0.1 else TIMES
+        row = {"time": rnd.choice(spellings), "delta": rnd.choice("10"),
+               "type": labels[0] if fault == "one_group" else rnd.choice(labels),
+               "note": rnd.choice(["", "x", "1", "note"])}
+        if i == at and fault == "time":
+            row["time"] = rnd.choice(BAD_TIMES)
+        if i == at and fault == "status":
+            row["delta"] = rnd.choice(BAD_STATUS)
+        if i == at and fault == "third_group":
+            row["type"] = "third"
+        fields = [field(row[name]) for name in header]
+        if i == at and fault == "short":
+            fields = fields[:rnd.randint(1, 3)]
+        fields += rnd.choice([[], [], [], ["extra"], ["", "more"]])
+        lines.append(",".join(fields))
+        lines += rnd.choice([[], [], [], [""], ["", ""]])
+        if i == at and fault == "space_line":
+            lines.append(rnd.choice([" ", "\t", "  "]))
+    text = end.join(lines) + rnd.choice([end, ""])
+    return text, draw(st.sampled_from([10.0, 50.0])), draw(st.sampled_from(HORIZON_POLICIES))
+
+
+def _outcome(read, path, k, policy):
+    try:
+        return read(path, k=k, beyond_horizon=policy)
+    except Exception as exc:  # the type and the message must agree too
+        return type(exc), str(exc)
+
+
+@pytest.fixture(scope="module")
+def scratch_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("differential") / "data.csv"
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(case=csv_files())
+def test_differential_against_row_by_row(scratch_file, case):
+    text, k, policy = case
+    with open(scratch_file, "w", newline="") as fh:
+        fh.write(text)
+    got = _outcome(ingest_csv, scratch_file, k, policy)
+    want = _outcome(reference_ingest_csv, scratch_file, k, policy)
+    if isinstance(want[0], type):
+        assert got == want
+    else:
+        assert not isinstance(got[0], type), got
+        _assert_same_samples(got, want)
+
+
+@pytest.mark.parametrize("text", [
+    "time,delta,type\n5,1,1\n6,0," + "x" * 150 + "\n7,1,2\n",
+    "time,delta," + "x" * 150 + "\n5,1,1\n",  # before the missing column
+])
+def test_field_limit_errors_identical(tmp_path, text):
+    # a line longer than csv.reader's field limit goes to that reader, which
+    # rejects the long field as the row-by-row reader does
+    path = _write(tmp_path, text)
+    old = csv.field_size_limit(100)
+    try:
+        with pytest.raises(csv.Error) as want:
+            reference_ingest_csv(path, k=10.0)
+        with pytest.raises(csv.Error) as got:
+            ingest_csv(path, k=10.0)
+    finally:
+        csv.field_size_limit(old)
+    assert str(got.value) == str(want.value)

@@ -10,11 +10,11 @@ observed row against the O(m^2) quadratic form.
 """
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from survcmp._engine import (Workspace, batch_context, batch_statistics,
                              bootstrap_indices, permutation_indices)
-from survcmp.inference import mann_whitney_effect
+from survcmp.inference import mann_whitney_effect, studentized_p
 from survcmp.simulate import ScenarioConfig, _generate, calibrate_censoring
 from survcmp.survival import Sample, counting_processes, kaplan_meier
 
@@ -74,6 +74,39 @@ def test_swap_identity(pair):
     p21 = mann_whitney_effect(s2, s1).p_hat
     leftover = kaplan_meier(s1).survival(s1.k) * kaplan_meier(s2).survival(s2.k)
     assert abs(p12 + p21 - (1.0 - leftover)) <= 1e-12
+
+
+MONOTONE_MAPS = {
+    "affine": lambda t, a: a * t + a,
+    "power": lambda t, a: t ** (1.0 + a),
+    "log1p": lambda t, a: np.log1p(a * t),
+    "exp": lambda t, a: np.exp(t / (1.0 + a)),
+}
+
+
+@PROPERTY
+@given(tied_censored_pairs(), st.sampled_from(sorted(MONOTONE_MAPS)),
+       st.floats(0.01, 10.0))
+def test_invariant_under_increasing_time_maps(pair, name, a):
+    # only order and ties enter the estimator, so a strictly increasing map
+    # of the times, applied to k too, changes no bit
+    s1, s2 = pair
+    k = s1.k
+    before = np.concatenate([s1.times, s2.times, [k]])
+    after = MONOTONE_MAPS[name](before, a)
+    # keep maps that keep every order and tie in floating point
+    assume(np.array_equal(np.unique(before, return_inverse=True)[1],
+                          np.unique(after, return_inverse=True)[1]))
+    t1, t2, k2 = np.split(after, [s1.n, s1.n + s2.n])
+    m1, m2 = Sample(t1, s1.events, k2[0]), Sample(t2, s2.events, k2[0])
+    want, got = mann_whitney_effect(s1, s2), mann_whitney_effect(m1, m2)
+    pairs = [(want.p_hat, got.p_hat), (want.sigma2_12, got.sigma2_12),
+             (want.sigma2_21, got.sigma2_21)]
+    assert want.degenerate == got.degenerate
+    if not want.degenerate:  # T has no value otherwise
+        pairs.append((studentized_p(s1, s2), studentized_p(m1, m2)))
+    for x, y in pairs:
+        assert np.float64(x).tobytes() == np.float64(y).tobytes()
 
 
 @PROPERTY
