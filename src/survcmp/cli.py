@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 data or math error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import json
 import math
@@ -199,19 +200,27 @@ def _run_analyze(args) -> str:
     return _analysis_text(s1, s2, rows, seed)
 
 
+def _refuse(args, keys, why: str, remedy: str) -> None:
+    """ValueError naming the flags among ``keys`` given on the command line."""
+    given = [key.replace("_", "-") for key in keys
+             if getattr(args, key) is not None and getattr(args, key) is not False]
+    if given:
+        raise ValueError(f"settings {why}: " + ", ".join(given) + f" ({remedy})")
+
+
 def _run_simulate(args) -> str:
     seed = _resolve_seed(args.seed)
     if args.table1:
+        _refuse(args, ("n1", "n2", "reps", "b", "alpha", "seed", "workers", "config", "tsv",
+                       "full_study"), "the table ignores", "drop them or --table1")
         setups = (args.setup,) if args.setup else (1, 2, 3)
         levels = (args.censoring,) if args.censoring else ("strong", "moderate", "none")
         cells = [(s, lv) for s in setups for lv in levels]
         return sim.proportions_text(cells, pre_censoring=args.pre_censoring)
+    _refuse(args, ("pre_censoring",), "only the table uses", "drop it or add --table1")
     if args.full_study:
-        fixed = [key for key in ("setup", "censoring", "n1", "n2", "config")
-                 if getattr(args, key) is not None]
-        if fixed:
-            raise ValueError("settings the full study fixes: " + ", ".join(fixed)
-                             + " (drop them or --full-study)")
+        _refuse(args, ("setup", "censoring", "n1", "n2", "config"),
+                "the full study fixes", "drop them or --full-study")
         overrides = {key: getattr(args, key) for key in ("reps", "b", "alpha", "workers")
                      if getattr(args, key) is not None}
         configs = [_replace(c, **overrides) for c in sim.full_study_configs(base_seed=seed)]
@@ -238,10 +247,13 @@ def _run_simulate(args) -> str:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "analyze" and args.event_value == args.censored_value:
+        parser.error("--event-value and --censored-value must differ")
     try:
         report = _run_analyze(args) if args.command == "analyze" else _run_simulate(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, csv.Error) as exc:
         print(f"survcmp: {exc}", file=sys.stderr)
         return 1
     if args.out:

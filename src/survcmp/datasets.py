@@ -11,19 +11,12 @@ from __future__ import annotations
 import csv
 from importlib import resources
 from itertools import islice
-from operator import itemgetter
 
 import numpy as np
 
 from .survival import HORIZON_POLICIES, Sample, _beyond_horizon
 
 __all__ = ["tongue_path", "ingest_csv", "load_tongue"]
-
-# CSV rows are split into columns this many at a time and their lists are
-# freed block by block: a large file never holds all of them at once, and
-# they die before the garbage collector promotes them to the generations
-# whose collections scan everything the process holds
-_BLOCK_ROWS = 256
 
 
 def tongue_path():
@@ -42,18 +35,21 @@ def ingest_csv(path, k: float, time_col: str = "time", status_col: str = "delta"
     ``\\r`` line ends.  Blank lines are skipped, every field is stripped of
     surrounding whitespace, fields past the needed columns are ignored and
     times are read as Python's ``float`` spells them.  The status column
-    must contain only ``event_value`` and ``censored_value``.  Rows with
-    time beyond k are rewritten per ``beyond_horizon`` (see
-    :data:`HORIZON_POLICIES`).  Group labels sort as numbers where
+    must contain only ``event_value`` and ``censored_value``, which must
+    differ.  Rows with time beyond k are rewritten per ``beyond_horizon``
+    (see :data:`HORIZON_POLICIES`).  Group labels sort as numbers where
     ``float`` reads them as one (NaN aside), and as text after them.
 
     numpy's C reader (``np.loadtxt``) reads a file with no quote, no NUL
-    character and no line longer than ``csv.field_size_limit()``.  The
-    ``csv.reader`` path reads the file when the C reader cannot, or when a
-    row fails a check; it alone names the row.  Errors name the first
-    offending row by its 1-based file line (header = line 1, blank lines
-    counted); a quoted field spanning lines is named by its last line.
+    character and no line longer than ``csv.field_size_limit()``.  When
+    the C reader cannot, or a row fails a check, ``csv.reader`` reads the
+    file row by row and stops at the first row that fails one, so no later
+    fault in the file (an over-long field, an undecodable byte) is met.
+    Errors name that row by its 1-based file line (header = line 1, blank
+    lines counted); a quoted field spanning lines is named by its last line.
     """
+    if event_value == censored_value:
+        raise ValueError("event_value and censored_value must differ")
     if beyond_horizon not in HORIZON_POLICIES:
         raise ValueError(f"beyond_horizon must be one of {HORIZON_POLICIES}")
     k = float(k)
@@ -131,81 +127,35 @@ def _read_fast(path, names, codes):
 
 
 def _read_rows(path, names, codes):
-    """Times, event flags and stripped group fields by ``csv.reader``;
+    """Times, event flags and raw group fields by ``csv.reader``;
     ValueError naming the file line of the first row that fails a check."""
+    times, is_event, groups = [], [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
-        need = _need(header, names)
-        width = max(need) + 1
-        raw_times, statuses, groups = [], [], []
-        fields = {}  # field count of each row too short for a needed column
-        rows = filter(None, reader)  # blank lines read as []
-        while block := list(islice(rows, _BLOCK_ROWS)):
+        t, s, g = need = _need(header, names)
+        last = max(need)
+        for row in filter(None, reader):  # blank lines read as []
+            if len(row) <= last:
+                raise ValueError(f"row {reader.line_num}: {len(row)} fields, "
+                                 f"too few for column {header[last]!r}")
+            raw_time = row[t].strip()
             try:
-                columns = _columns(block, need)
-            except IndexError:  # pad short rows; they fail below, in row order
-                for i, row in enumerate(block):
-                    if len(row) < width:
-                        fields[len(raw_times) + i] = len(row)
-                        block[i] = row + [""] * (width - len(row))
-                columns = _columns(block, need)
-            raw_times += columns[0]
-            statuses += columns[1]
-            groups += columns[2]
-    n = len(raw_times)
-    short = np.zeros(n, bool)
-    short[list(fields)] = True
-    times, parsed = _parse_times(raw_times)
-    status = np.array(statuses, object)  # stripped fields
-    is_event = _among(status, [value for value, event in codes.items() if event])
-    bad_status = ~_among(status, list(codes))
-    # `times` covers the rows before `parsed`; row `parsed`, if any, has no
-    # number.  Within a row the checks keep the row-by-row reader's order.
-    bad_time = ~np.isfinite(times) | (times <= 0)
-    bad = short[:parsed] | bad_time | bad_status[:parsed]
-    first = int(np.flatnonzero(bad)[0]) if bad.any() else parsed
-    if first < n:
-        row_no = _line_number(path, first)
-        if short[first]:
-            missing = header[width - 1]
-            raise ValueError(
-                f"row {row_no}: {fields[first]} fields, too few for column {missing!r}")
-        if first == parsed:
-            raise ValueError(f"row {row_no}: non-numeric time {raw_times[first]!r}")
-        if bad_time[first]:
-            raise ValueError(f"row {row_no}: time must be positive, got {raw_times[first]!r}")
-        raise ValueError(f"row {row_no}: invalid status code {statuses[first]!r}")
-    return times, is_event, np.array(groups, object)
-
-
-def _line_number(path, row: int) -> int:
-    """The file line on which data row ``row`` (0-based) ends."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        next(islice(filter(None, reader), row, None))
-        return reader.line_num
-
-
-def _columns(rows: list[list[str]], need: list[int]) -> list[list[str]]:
-    """The stripped fields of each needed column, one C-level pass each;
-    IndexError when a row is too short."""
-    return [list(map(str.strip, map(itemgetter(i), rows))) for i in need]
-
-
-def _parse_times(raw: list[str]) -> tuple[np.ndarray, int]:
-    """``float`` of each string up to the first that is not a number, and
-    how many that is (``len(raw)`` if all are)."""
-    try:
-        return np.array(list(map(float, raw)), dtype=float), len(raw)
-    except ValueError:
-        for parsed, value in enumerate(raw):
-            try:
-                float(value)
+                time = float(raw_time)
             except ValueError:
-                return np.array(list(map(float, raw[:parsed])), dtype=float), parsed
-        raise
+                raise ValueError(
+                    f"row {reader.line_num}: non-numeric time {raw_time!r}") from None
+            if not 0 < time < np.inf:  # NaN fails both comparisons
+                raise ValueError(
+                    f"row {reader.line_num}: time must be positive, got {raw_time!r}")
+            event = codes.get(row[s].strip())
+            if event is None:
+                raise ValueError(
+                    f"row {reader.line_num}: invalid status code {row[s].strip()!r}")
+            times.append(time)
+            is_event.append(event)
+            groups.append(row[g])
+    return np.array(times, float), np.array(is_event, bool), np.array(groups, object)
 
 
 def _label_key(label: str):

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, output formats, seed handling."""
 
+import csv
 import json
 from pathlib import Path
 
@@ -148,6 +149,23 @@ class TestAnalyze:
         payload = json.loads(out)
         assert payload["n1"] == 4 and payload["n2"] == 4 and payload["k"] == 10.0
 
+    def test_field_limit_error_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("time,delta,type\n5,1,1\n6,0," + "x" * 150 + "\n")
+        old = csv.field_size_limit(100)
+        try:
+            rc, out, err = _run(capsys, ["analyze", "--input", str(path), "--k", "10"])
+        finally:
+            csv.field_size_limit(old)
+        assert rc == 1 and out == ""
+        assert err == "survcmp: field larger than field limit (100)\n"
+
+    def test_equal_status_codes_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--event-value", "1", "--censored-value", "1"])
+        assert exc.value.code == 2
+        assert "--event-value and --censored-value must differ" in capsys.readouterr().err
+
     def test_missing_input_file(self, capsys, tmp_path):
         rc, _, err = _run(capsys, ["analyze", "--input", str(tmp_path / "no.csv"),
                                    "--k", "10"])
@@ -285,6 +303,24 @@ class TestSimulate:
         names = ", ".join(flag[2:] for flag in flags[::2])
         assert err == (f"survcmp: settings the full study fixes: {names} "
                        "(drop them or --full-study)\n")
+
+    @pytest.mark.parametrize("flags, err", [
+        *((["--table1", *flag], f"the table ignores: {flag[0][2:]} (drop them or --table1)")
+          for flag in (["--n1", "5"], ["--n2", "5"], ["--reps", "3"], ["--b", "9"],
+                       ["--alpha", "0.5"], ["--seed", "0"], ["--workers", "2"],
+                       ["--config", "cell.cfg"], ["--tsv"], ["--full-study"])),
+        (["--table1", "--setup", "2", "--n1", "5", "--alpha", "0", "--tsv"],
+         "the table ignores: n1, alpha, tsv (drop them or --table1)"),
+        (CELL[1:] + ["--pre-censoring"],
+         "only the table uses: pre-censoring (drop it or add --table1)"),
+    ])
+    def test_rejects_settings_the_command_ignores(self, capsys, monkeypatch, flags, err):
+        monkeypatch.setattr(simulate, "coverage_study", lambda config: pytest.fail("ran a cell"))
+        monkeypatch.setattr(simulate, "proportions_text",
+                            lambda *args, **kwargs: pytest.fail("made the table"))
+        rc, out, got = _run(capsys, ["simulate"] + flags)
+        assert rc == 1 and out == ""
+        assert got == f"survcmp: settings {err}\n"
 
     def test_out_writes_file(self, capsys, tmp_path):
         target = tmp_path / "table.tsv"

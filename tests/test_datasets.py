@@ -3,6 +3,7 @@
 import csv
 import random
 from importlib import resources
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -159,6 +160,12 @@ class TestIngestCsv:
             assert (s1.n, s2.n) == (2, 1)
             assert s2.times.tolist() == [1.0]
 
+    def test_equal_status_codes_rejected(self, tmp_path):
+        # before the file is read: a missing file gives the same error
+        for path in (_write(tmp_path, self.BASIC), tmp_path / "absent.csv"):
+            with pytest.raises(ValueError, match="^event_value and censored_value must differ$"):
+                ingest_csv(path, k=10.0, event_value="1", censored_value="1")
+
     def test_invalid_horizon(self, tmp_path):
         path = _write(tmp_path, self.BASIC)
         for bad in (0.0, -5.0, float("inf"), float("nan")):
@@ -170,7 +177,7 @@ class TestIngestCsv:
 
 
 class TestAgainstRowByRow:
-    """The column-wise reader against the row-by-row reference reader."""
+    """The package's readers against the row-by-row reference reader."""
 
     MIXED = ("time,delta,arm,site\n"
              " 5, 1 ,beta ,x\n"
@@ -227,6 +234,15 @@ class TestAgainstRowByRow:
             ingest_csv(path, k=10.0)
         assert str(got.value) == str(want.value)
 
+    def test_bad_row_before_undecodable_byte(self, tmp_path):
+        # the first bad row is reported; the reader stops before the byte
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"time,delta,type\n5,1,1\n6,9,2\n" + b"5,1,1\n6,0,2\n" * 2000
+                         + b"7,1,\xff\n")
+        want = _outcome(reference_ingest_csv, path, 10.0, "censor")
+        assert want == (ValueError, "row 3: invalid status code '9'")
+        assert _outcome(ingest_csv, path, 10.0, "censor") == want
+
     def test_short_row_rejected(self, tmp_path):
         path = _write(tmp_path, "time,delta,type\n5,1,1\n6,1\n7,1,2\n")
         with pytest.raises(ValueError, match="row 3: 2 fields, too few for column 'type'"):
@@ -237,8 +253,7 @@ class TestAgainstRowByRow:
 
     @staticmethod
     def _many_rows(n):
-        # rows of both groups, with ties, whitespace and blank lines, over
-        # several of the reader's blocks
+        # rows of both groups, with ties, whitespace and blank lines
         return "".join(f"{1 + (i * 7) % 50}, {i % 3 % 2} ,{1 + i % 2}\n" + "\n" * (i % 97 == 0)
                        for i in range(n))
 
@@ -384,14 +399,12 @@ def scratch_file(tmp_path_factory):
     return tmp_path_factory.mktemp("differential") / "data.csv"
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
-@given(case=csv_files())
-def test_differential_against_row_by_row(scratch_file, case):
+def _assert_same_outcome(path, case):
     text, k, policy = case
-    with open(scratch_file, "w", newline="") as fh:
+    with open(path, "w", newline="") as fh:
         fh.write(text)
-    got = _outcome(ingest_csv, scratch_file, k, policy)
-    want = _outcome(reference_ingest_csv, scratch_file, k, policy)
+    got = _outcome(ingest_csv, path, k, policy)
+    want = _outcome(reference_ingest_csv, path, k, policy)
     if isinstance(want[0], type):
         assert got == want
     else:
@@ -399,20 +412,34 @@ def test_differential_against_row_by_row(scratch_file, case):
         _assert_same_samples(got, want)
 
 
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(case=csv_files())
+def test_differential_against_row_by_row(scratch_file, case):
+    _assert_same_outcome(scratch_file, case)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(case=csv_files())
+def test_differential_fallback_against_row_by_row(scratch_file, case):
+    # the csv.reader path alone, on the files the fast path reads too
+    with patch.object(datasets, "_read_fast", return_value=None):
+        _assert_same_outcome(scratch_file, case)
+
+
 @pytest.mark.parametrize("text", [
     "time,delta,type\n5,1,1\n6,0," + "x" * 150 + "\n7,1,2\n",
     "time,delta," + "x" * 150 + "\n5,1,1\n",  # before the missing column
+    "time,delta,type\n5,1,1\n6,9,2\n7,0," + "x" * 150 + "\n",  # after a bad status
 ])
 def test_field_limit_errors_identical(tmp_path, text):
     # a line longer than csv.reader's field limit goes to that reader, which
-    # rejects the long field as the row-by-row reader does
+    # stops at the first bad row or long field as the row-by-row reader does
     path = _write(tmp_path, text)
     old = csv.field_size_limit(100)
     try:
-        with pytest.raises(csv.Error) as want:
-            reference_ingest_csv(path, k=10.0)
-        with pytest.raises(csv.Error) as got:
-            ingest_csv(path, k=10.0)
+        want = _outcome(reference_ingest_csv, path, 10.0, "censor")
+        got = _outcome(ingest_csv, path, 10.0, "censor")
     finally:
         csv.field_size_limit(old)
-    assert str(got.value) == str(want.value)
+    assert want[0] in (csv.Error, ValueError)
+    assert got == want
