@@ -15,10 +15,10 @@ a trailing column that no observation reaches.  Each observation sits in
 the last event column at or before its time, which keeps every at-risk
 count right.  Per replicate and group, event and at-risk counts are
 histogrammed onto that grid; curves, hazard-variance increments and the
-effect integral then come out of row-wise cumulative products and
-reversed cumulative sums, for both groups in one pass.  This is exact: on
-the full grid a slot without an event only multiplies S by 1.0 and adds
-exact zeros to every cumulative sum.
+effect integral then come out of cumulative products and reversed
+cumulative sums along the columns, for both groups in one pass.  This is
+exact: on the full grid a slot without an event only multiplies S by 1.0
+and adds exact zeros to every cumulative sum.
 
 The variance.  The estimator's asymptotic variance decomposes into two
 terms, one per group.  Each term integrates a covariance kernel of that
@@ -65,13 +65,42 @@ summed.
 Permutation rows hold every pooled observation once, so group 2's death
 and at-risk counts are the pooled counts minus group 1's, in exact
 integer arithmetic; ``batch_statistics(..., permutation=True)`` takes that
-shortcut and histograms group 1 only.  Block arrays live in a
-:class:`Workspace` that one worker reuses across its blocks; workspaces
-are never shared between threads.
+shortcut and histograms group 1 only.
+
+The layout.  A call's arrays are stored in (column, group, row) order, so
+one column of every row and both groups is one contiguous slab.  The four
+column recurrences (the at-risk reverse sum, the Kaplan-Meier product and
+the two tail sums) run as one vector ``add`` or ``multiply`` per column
+when a slab holds at least :data:`SLAB` values, and as one
+``ufunc.accumulate`` along the column axis otherwise (the identity row
+takes that path).  Both evaluate out[c] = out[c - 1] (op) in[c] in column
+order, the recurrence numpy's row-wise ``cumsum``/``cumprod`` evaluate, so
+every bit is the same.  On a 2-vCPU x86 machine (numpy 2.4) the per-column
+form overtakes ``accumulate`` at 192-384 values per slab, at every width
+from 17 to 1,888 columns, and at 512 values it is 2-4x faster; a row-major
+``cumsum`` pays about 65 ns per row, which made it half of a 256-row call
+at 17 columns.
+
+Chunks.  :func:`chunk_blocks` sizes one engine call: as many whole
+256-row blocks as keep rows x (n + 2) within :data:`CHUNK_CELLS`, and at
+least one.  n + 2 bounds both the grid width and the width n of the
+(rows, n) index and bin arrays, so a call's five (column, group, row) grids stay
+within 2 x 32,768 8-byte cells each (2.6 MB together) whatever the pool;
+the histogram's two grids are reused for scratch values and tail sums
+once the counts are read.  At coverage-cell sizes (15/15, 17-32
+columns) a B = 999 set is one call; a 200/200 pool still takes one block
+per call.  On the machine above, a ten-replication coverage cell ran
+11-16 % faster at 32,768 than at 16,384 (two calls per set).  Call
+arrays live in a :class:`Workspace`; :func:`borrowed_workspace` keeps
+idle workspaces within the budget for the next set, and never lends one
+to two callers at once.
 """
 
 from __future__ import annotations
 
+import math
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -79,9 +108,16 @@ import numpy as np
 
 from .rng import BLOCK
 
-__all__ = ["BatchContext", "RowStatistics", "Workspace", "batch_context",
-           "batch_statistics", "bootstrap_indices", "identity_row",
-           "permutation_indices", "studentize"]
+__all__ = ["CHUNK_CELLS", "SLAB", "BatchContext", "RowStatistics", "Workspace",
+           "batch_context", "batch_statistics", "borrowed_workspace", "bootstrap_indices",
+           "chunk_blocks", "identity_row", "permutation_indices", "studentize"]
+
+# rows x (n + 2) one engine call may span; a budget that keeps a call's
+# arrays in a few MB (see "Chunks" above)
+CHUNK_CELLS = 32768
+# values per column slab from which the column recurrences run one vector
+# operation per column instead of ufunc.accumulate (see "The layout")
+SLAB = 256
 
 
 @dataclass(frozen=True)
@@ -165,41 +201,99 @@ def bootstrap_indices(rng: np.random.Generator, r: int, n: int) -> np.ndarray:
 def permutation_indices(rng: np.random.Generator, r: int, n: int) -> np.ndarray:
     """r independent uniform permutations of 0..n-1 (row-wise shuffles)."""
     base = np.tile(np.arange(n, dtype=np.int64), (r, 1))
-    return rng.permuted(base, axis=1)
+    return rng.permuted(base, axis=1, out=base)
+
+
+def chunk_blocks(ctx: BatchContext) -> int:
+    """Whole 256-row blocks per engine call: rows x (n + 2) <= CHUNK_CELLS, at least one."""
+    return max(1, CHUNK_CELLS // (BLOCK * (ctx.n1 + ctx.n2 + 2)))
 
 
 class Workspace:
-    """Block arrays for one context, reused across the blocks of one worker.
+    """Arrays for engine calls of up to ``rows`` rows on one context.
 
-    Holds up to ``rows`` replicate rows.  Not thread-safe: give every
-    thread its own.
+    The memory outlives the context: :meth:`bind` fits the workspace to
+    another one and keeps every array that is large enough.  Not
+    thread-safe: give every thread its own.
     """
 
     def __init__(self, ctx: BatchContext, rows: int = BLOCK):
-        n, w = ctx.n1 + ctx.n2, ctx.width
+        self._memory: dict[str, np.ndarray] = {}
+        self.ctx = None
+        self.bind(ctx, rows)
+
+    def bind(self, ctx: BatchContext, rows: int) -> None:
+        if ctx is not self.ctx:
+            self.r = 0  # rows the views are laid out for; 0 = none yet
         self.ctx, self.rows = ctx, rows
-        # histogram bin of (group, event?, row, column) = the observation's
-        # code + the offset of its (row, index column)
-        self.code = ctx.column + rows * w * ctx.events
-        self.offsets = (np.arange(rows)[:, None] * w
-                        + np.where(np.arange(n) < ctx.n1, 0, 2 * rows * w))
-        self.bins = np.empty((rows, n), np.int64)
-        self.ones = np.ones(rows * n)
-        # flat (group, row, column) buffers
-        size = 2 * rows * w
-        self.at_risk, self.deaths, self.tmp = np.empty(size), np.empty(size), np.empty(size)
-        self.dh, self.mass, self.tail = np.empty(size), np.empty(size), np.empty(size)
-        # one element longer: read one place later, strict is the strict
-        # tail; read one place earlier, surv (led by 1.0) is the left limit
-        self.strict = np.zeros(size + 1)
-        self.surv = np.ones(size + 1)
-        self.terms = np.empty((3, rows, w))
-        # slots without a pooled event stay exact zeros
-        self.full_terms = np.zeros((3, rows, ctx.q))
+
+    def _take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._memory.get(name)
+        if buf is None or buf.size < size:
+            buf = self._memory[name] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+    def _lay_out(self, r: int) -> None:
+        """(Column, group, row) views for calls of exactly r rows."""
+        ctx, w = self.ctx, self.ctx.width
+        self.r = r
+        # histogram bin of (event?, column, group, row): the observation's
+        # code, plus the row, plus r for group 2
+        self.code = ctx.events * (w * 2 * r) + ctx.column * (2 * r)
+        self.row = np.arange(r)[:, None]
+        # y is dead once dH is known and then holds the jump masses; dh
+        # first holds the deaths
+        self.at_risk, self.dh = self._take("at_risk", (w, 2, r)), self._take("dh", (w, 2, r))
+        # one column longer: surv[1:] is S and surv[:-1], led by 1.0, its
+        # left limit
+        self.surv = self._take("surv", (w + 1, 2, r))
+        self.surv[0] = 1.0
+        # (row, full-grid slot) for one term at a time; slots without a
+        # pooled event stay exact zeros
+        self.full_terms = self._take("full_terms", (r, ctx.q))
+        self.full_terms.fill(0.0)
 
 
-def _reverse_cumsum(values, out):
-    np.cumsum(values[..., ::-1], axis=-1, out=out[..., ::-1])
+_idle: list[Workspace] = []  # workspaces between engine calls
+_idle_lock = threading.Lock()
+
+
+@contextmanager
+def borrowed_workspace(ctx: BatchContext, rows: int):
+    """A workspace for ``ctx`` and up to ``rows`` rows, for this caller alone.
+
+    Idle workspaces within the :data:`CHUNK_CELLS` budget are kept for
+    later calls, across replicate sets and contexts, at most one per
+    caller that ran at once; larger ones are left to the garbage
+    collector.  No result depends on which one is lent: a new context
+    lays out every view afresh.
+    """
+    with _idle_lock:
+        work = _idle.pop() if _idle else None
+    if work is None:
+        work = Workspace(ctx, rows)
+    else:
+        work.bind(ctx, rows)
+    try:
+        yield work
+    finally:
+        if rows * (ctx.n1 + ctx.n2 + 2) <= CHUNK_CELLS:
+            with _idle_lock:
+                _idle.append(work)
+
+
+def _accumulate(op, values, out, reverse: bool = False) -> None:
+    """out[c] = out[c - 1] op values[c] along axis 0, from out[0] = values[0];
+    with ``reverse``, from the last column down."""
+    if reverse:
+        values, out = values[::-1], out[::-1]
+    if values[0].size < SLAB:
+        op.accumulate(values, axis=0, out=out)
+        return
+    out[0] = values[0]
+    for prev, value, this in zip(out[:-1], values[1:], out[1:]):
+        op(prev, value, this)
 
 
 def batch_statistics(ctx: BatchContext, idx: np.ndarray, *, permutation: bool = False,
@@ -234,73 +328,80 @@ def batch_statistics(ctx: BatchContext, idx: np.ndarray, *, permutation: bool = 
         work = Workspace(ctx, r)
     elif work.ctx is not ctx or work.rows < r:
         raise ValueError("workspace does not fit this context and block")
+    if work.r != r:
+        work._lay_out(r)
 
-    def grid(buf, shift=0):
-        # (group, row, column) view of a flat buffer, starting at `shift`
-        return buf[shift:shift + 2 * r * w].reshape(2, r, w)
-
-    # counts on the event grid, [group][event?][row][column]
-    groups, m = (1, n1) if permutation else (2, n)
-    bins = np.add(work.code[idx[:, :m]], work.offsets[:r, :m], out=work.bins[:r, :m])
-    hist = np.bincount(bins.ravel(), weights=work.ones[:bins.size],
-                       minlength=groups * 2 * work.rows * w
-                       ).reshape(groups, 2, work.rows, w)[:, :, :r]
-    y, tmp = grid(work.at_risk), grid(work.tmp)
+    # counts on the event grid, [event?][column][group][row], as exact
+    # integers (group 2's stay 0 for permutation rows); d and y hold them
+    # as floats
+    bins = work.code[idx[:, :n1 if permutation else n]]
+    bins[:, :n1] += work.row
+    if not permutation:
+        bins[:, n1:] += work.row + r
+    hist = np.bincount(bins.ravel(), minlength=2 * w * 2 * r).reshape(2, w, 2, r)
+    y, d, total = work.at_risk, work.dh, hist[0]
     if permutation:
-        d = grid(work.deaths)
-        d[0] = hist[0, 1]
-        np.add(hist[0, 0], d[0], out=tmp[0])
-        _reverse_cumsum(tmp[0], y[0])
-        np.subtract(ctx.pool_at_risk, y[0], out=y[1])
-        np.subtract(ctx.pool_deaths, d[0], out=d[1])
+        d[:, 0] = hist[1, :, 0]
+        np.add(total[:, 0], hist[1, :, 0], out=total[:, 0])
+        _accumulate(np.add, total[:, 0], y[:, 0], reverse=True)
+        np.subtract(ctx.pool_at_risk[:, None], y[:, 0], out=y[:, 1])
+        np.subtract(ctx.pool_deaths[:, None], d[:, 0], out=d[:, 1])
     else:
-        d = hist[:, 1]
-        np.add(hist[:, 0], d, out=tmp)
-        _reverse_cumsum(tmp, y)
+        d[...] = hist[1]
+        np.add(total, hist[1], out=total)
+        _accumulate(np.add, total, y, reverse=True)
+    # the histogram is dead: its two grids of 8-byte cells hold the
+    # scratch values and the tail sums A
+    tmp, a = hist.view(np.float64)
 
-    # Kaplan-Meier curves and hazard-variance increments.  s_left at column
-    # 0 reads the previous row's last value; columns 0 and w - 1 hold no
-    # event, and their terms are never summed.
-    s, s_left, dh = grid(work.surv, 1), grid(work.surv), grid(work.dh)
+    # Kaplan-Meier curves and hazard-variance increments; columns 0 and
+    # w - 1 hold no event, and their terms are never summed
+    s, s_left, dh = work.surv[1:], work.surv[:-1], work.dh
     np.maximum(y, 1.0, out=tmp)
     np.divide(d, tmp, out=tmp)
     np.subtract(1.0, tmp, out=tmp)
-    np.cumprod(tmp, axis=2, out=s)
+    _accumulate(np.multiply, tmp, s)
     # dH = dN / ((Y - dN) Y), or 0 where Y = dN: there min(dN, gap) = 0,
-    # and elsewhere gap >= Y >= dN
+    # and elsewhere gap >= Y >= dN; d is dh, and this is its last use
     np.subtract(y, d, out=tmp)
     np.multiply(tmp, y, out=tmp)
     np.minimum(d, tmp, out=dh)
     np.maximum(tmp, 1.0, out=tmp)
     np.divide(dh, tmp, out=dh)
 
-    # mass[j] = jump masses of the other group's curve
-    mass = grid(work.mass)
-    np.subtract(s_left[::-1], s[::-1], out=mass)
+    # mass[:, j] = jump masses of the other group's curve
+    mass = y
+    np.subtract(s_left[:, ::-1], s[:, ::-1], out=mass)
 
-    terms = work.terms[:, :r]
-    np.add(s[0], s_left[0], out=tmp[0])
-    np.multiply(0.5, tmp[0], out=tmp[0])
-    np.multiply(tmp[0], mass[0], out=terms[0])
-    # sigma2_12 and sigma2_21 terms dH_j (A + A_minus + 2 atom)^2
-    a, a_minus = grid(work.tail), grid(work.strict, 1)
+    # sigma2_12 and sigma2_21 terms dH_j (A + A_minus + 2 atom)^2, in dh;
+    # the strict tail sums run in place in tmp, and A_minus is tmp one
+    # column later (the last column's is never summed)
     np.multiply(s, mass, out=tmp)
-    _reverse_cumsum(tmp, a)
+    _accumulate(np.add, tmp, a, reverse=True)
     np.multiply(s_left, mass, out=tmp)
-    _reverse_cumsum(tmp, grid(work.strict))
-    np.add(a, a_minus, out=a)
-    leftover = s[1, :, -1:] * s[0, :, -1:]
-    np.add(a[1], 2.0 * leftover, out=a[1])
+    _accumulate(np.add, tmp, tmp, reverse=True)
+    np.add(a[:-1], tmp[1:], out=a[:-1])
+    leftover = s[-1, 1] * s[-1, 0]
+    np.add(a[:, 1], 2.0 * leftover, out=a[:, 1])
     np.square(a, out=a)
-    np.multiply(dh, a, out=terms[1:])
+    np.multiply(dh, a, out=dh)
+    # effect terms S1^+- dS2, in tmp[:, 0]
+    p_terms = tmp[:, 0]
+    np.add(s[:, 0], s_left[:, 0], out=p_terms)
+    np.multiply(0.5, p_terms, out=p_terms)
+    np.multiply(p_terms, mass[:, 0], out=p_terms)
 
-    full = work.full_terms[:, :r]
-    full[:, :, ctx.event_slots] = terms[:, :, 1:-1]
-    sums = full.sum(axis=2)
+    # each term back to the full grid, slot-contiguous, for numpy's
+    # pairwise sums
+    full = work.full_terms
+    sums = []
+    for terms in (p_terms, dh[:, 0], dh[:, 1]):
+        full.T[ctx.event_slots] = terms[1:-1]
+        sums.append(full.sum(axis=1))
     sigma2_12, sigma2_21 = 0.25 * sums[1], 0.25 * sums[2]
     sigma2 = (n1 * n2 / n) * (sigma2_12 + sigma2_21)
     # a curve ends below 1.0 exactly when its group has an event
-    has_events = (s[0, :, -1] < 1.0) & (s[1, :, -1] < 1.0)
+    has_events = (s[-1, 0] < 1.0) & (s[-1, 1] < 1.0)
     return RowStatistics(p=np.clip(sums[0], 0.0, 1.0), sigma2_12=sigma2_12,
                          sigma2_21=sigma2_21, sigma2=sigma2,
                          valid=(sigma2 > 0.0) & has_events)

@@ -209,7 +209,6 @@ def _refuse(args, keys, why: str, remedy: str) -> None:
 
 
 def _run_simulate(args) -> str:
-    seed = _resolve_seed(args.seed)
     if args.table1:
         _refuse(args, ("n1", "n2", "reps", "b", "alpha", "seed", "workers", "config", "tsv",
                        "full_study"), "the table ignores", "drop them or --table1")
@@ -218,6 +217,7 @@ def _run_simulate(args) -> str:
         cells = [(s, lv) for s in setups for lv in levels]
         return sim.proportions_text(cells, pre_censoring=args.pre_censoring)
     _refuse(args, ("pre_censoring",), "only the table uses", "drop it or add --table1")
+    seed = _resolve_seed(args.seed)
     if args.full_study:
         _refuse(args, ("setup", "censoring", "n1", "n2", "config"),
                 "the full study fixes", "drop them or --full-study")

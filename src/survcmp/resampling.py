@@ -20,15 +20,14 @@ one pooled sample, for the command line, the coverage study and
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import rng as _rng
-from ._engine import (Workspace, batch_statistics, bootstrap_indices, permutation_indices,
-                      studentize)
+from ._engine import (batch_statistics, borrowed_workspace, bootstrap_indices, chunk_blocks,
+                      permutation_indices, studentize)
 from .survival import PooledSample, Sample, pool
 from .inference import (Estimate, InferenceResult, _asymptotic, _build, _check_options,
                         _observed, _studentized_p)
@@ -96,29 +95,43 @@ def replicate_set(z: PooledSample, plan: ResamplingPlan) -> ReplicateSet:
     """All replicate statistics under the plan, dropped ones counted.
 
     Replicate i draws from the block-(i // 256) stream regardless of
-    ``workers``, so the set is bit-identical for any worker count.
+    ``workers``, so the set is bit-identical for any worker count.  One
+    engine call spans as many whole blocks as the grid allows
+    (:func:`~survcmp._engine.chunk_blocks`), while every replicate keeps
+    its block's stream; ``workers`` threads take contiguous runs of those
+    calls.
     """
     ctx = z.context
     scheme_id = _rng.SCHEME_IDS[plan.scheme]
     permutation = plan.scheme == "permutation"
     draw = permutation_indices if permutation else bootstrap_indices
-    local = threading.local()  # one workspace per thread
-
-    def run_block(block):
-        index, size = block
-        gen = _rng.stream(plan.seed, scheme_id, index)
-        idx = draw(gen, size, z.n)
-        if not hasattr(local, "work"):
-            local.work = Workspace(ctx, min(plan.b, _rng.BLOCK))
-        rows = batch_statistics(ctx, idx, permutation=permutation, work=local.work)
-        return studentize(rows.p, rows.sigma2, rows.valid, z.n1, z.n2, 0.5), rows.valid
-
     todo = _rng.blocks(plan.b)
-    if plan.workers > 1 and len(todo) > 1:
-        with ThreadPoolExecutor(max_workers=plan.workers) as pool_:
-            parts = list(pool_.map(run_block, todo))
+    per_call = chunk_blocks(ctx)
+    chunks = [todo[i:i + per_call] for i in range(0, len(todo), per_call)]
+    call_rows = sum(size for _, size in chunks[0])  # the first call is the largest
+
+    def run_chunks(group):
+        # one workspace per thread and set, and one engine call per chunk
+        parts = []
+        with borrowed_workspace(ctx, call_rows) as work:
+            for chunk in group:
+                idx = np.empty((sum(size for _, size in chunk), z.n), np.int64)
+                for (index, size), start in zip(chunk, range(0, len(idx), _rng.BLOCK)):
+                    idx[start:start + size] = draw(_rng.stream(plan.seed, scheme_id, index),
+                                                   size, z.n)
+                rows = batch_statistics(ctx, idx, permutation=permutation, work=work)
+                parts.append((studentize(rows.p, rows.sigma2, rows.valid, z.n1, z.n2, 0.5),
+                              rows.valid))
+        return parts
+
+    workers = min(plan.workers, len(chunks))
+    if workers > 1:
+        per_thread = -(-len(chunks) // workers)
+        groups = [chunks[i:i + per_thread] for i in range(0, len(chunks), per_thread)]
+        with ThreadPoolExecutor(max_workers=workers) as pool_:
+            parts = [part for done in pool_.map(run_chunks, groups) for part in done]
     else:
-        parts = [run_block(block) for block in todo]
+        parts = run_chunks(chunks)
 
     stats = np.concatenate([s for s, _ in parts])
     valid = np.concatenate([v for _, v in parts])

@@ -346,6 +346,8 @@ def reference_ingest_csv(path, k: float, time_col: str = "time", status_col: str
                          ) -> tuple[Sample, Sample]:
     """``survcmp.datasets.ingest_csv`` as a row-by-row ``csv.reader`` loop;
     errors name the file line on which the row ends."""
+    if event_value == censored_value:
+        raise ValueError("event_value and censored_value must differ")
     if beyond_horizon not in HORIZON_POLICIES:
         raise ValueError(f"beyond_horizon must be one of {HORIZON_POLICIES}")
     k = float(k)

@@ -111,6 +111,19 @@ class TestAnalyze:
         assert rc == 1
         assert "SURVCMP_SEED must be an integer" in err
 
+    def test_table1_reads_no_seed(self, capsys, monkeypatch):
+        # the table draws nothing, so a malformed SURVCMP_SEED is no error
+        # there, while a coverage cell still rejects it
+        argv = ["simulate", "--table1", "--setup", "2", "--censoring", "strong"]
+        _, want, _ = _run(capsys, argv)
+        monkeypatch.setenv("SURVCMP_SEED", "x")
+        rc, out, _ = _run(capsys, argv)
+        assert (rc, out) == (0, want)
+        rc, _, err = _run(capsys, ["simulate", "--setup", "3", "--censoring", "none",
+                                   "--n1", "5", "--n2", "5", "--reps", "1", "--b", "9"])
+        assert rc == 1
+        assert "SURVCMP_SEED must be an integer" in err
+
     def test_out_writes_file(self, capsys, tmp_path):
         target = tmp_path / "report.txt"
         rc, out, _ = _run(capsys, ["analyze", "--method", "asymptotic",

@@ -161,10 +161,13 @@ class TestIngestCsv:
             assert s2.times.tolist() == [1.0]
 
     def test_equal_status_codes_rejected(self, tmp_path):
-        # before the file is read: a missing file gives the same error
+        # before the file is read: a missing file gives the same error, and
+        # the row-by-row oracle agrees
         for path in (_write(tmp_path, self.BASIC), tmp_path / "absent.csv"):
-            with pytest.raises(ValueError, match="^event_value and censored_value must differ$"):
-                ingest_csv(path, k=10.0, event_value="1", censored_value="1")
+            for read in (ingest_csv, reference_ingest_csv):
+                with pytest.raises(ValueError,
+                                   match="^event_value and censored_value must differ$"):
+                    read(path, k=10.0, event_value="1", censored_value="1")
 
     def test_invalid_horizon(self, tmp_path):
         path = _write(tmp_path, self.BASIC)

@@ -2,15 +2,21 @@
 observed statistic as the identity row, the context and the reference
 engine."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from survcmp._engine import (
+    SLAB,
     Workspace,
     batch_context,
     batch_statistics,
     bootstrap_indices,
+    chunk_blocks,
+    identity_row,
     permutation_indices,
     studentize,
 )
@@ -38,6 +44,31 @@ def _pooled(rng, n1, n2):
     s1 = Sample(times[:n1], events[:n1], K)
     s2 = Sample(times[n1:], events[n1:], K)
     return pool(s1, s2)
+
+
+def _wide(n1, n2, seed):
+    # uncensored, no ties: the event grid is n1 + n2 + 2 columns wide
+    times = (np.random.default_rng(seed).permutation(n1 + n2) + 1) * (K / (n1 + n2 + 1))
+    events = np.ones(n1 + n2, bool)
+    return pool(Sample(times[:n1], events[:n1], K), Sample(times[n1:], events[n1:], K))
+
+
+def _reference_set(z, scheme, b, seed):
+    # each block's stream through the full-grid reference engine
+    ctx = z.context
+    draw = bootstrap_indices if scheme == "bootstrap" else permutation_indices
+    parts = [reference_batch_statistics(
+                 ctx, draw(stream(seed, SCHEME_IDS[scheme], index), size, z.n1 + z.n2))
+             for index, size in blocks(b)]
+    p, _, _, sigma2, valid = (np.concatenate(c) for c in zip(*parts))
+    return studentize(p, sigma2, valid, z.n1, z.n2, 0.5)[valid], int((~valid).sum())
+
+
+def _assert_same_rows(got, want):
+    # every component, also the signs of zeros
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
 
 
 def _row_statistic(z, row):
@@ -180,20 +211,64 @@ class TestStructure:
     @pytest.mark.parametrize("scheme", ["bootstrap", "permutation"])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_replicate_set_equals_reference_engine(self, scheme, workers):
-        # each block's stream through the full-grid reference, bit for bit;
-        # 600 replicates make two full blocks and a partial one
+        # 600 replicates make two full blocks and a partial one, all in one
+        # engine call on this narrow pool
         z = _pooled(np.random.default_rng(9006), 12, 9)
-        plan = ResamplingPlan(scheme=scheme, b=600, seed=17, workers=workers)
-        ctx = batch_context(z.times, z.events, z.n1, z.n2)
-        draw = bootstrap_indices if scheme == "bootstrap" else permutation_indices
-        parts = [reference_batch_statistics(
-                     ctx, draw(stream(17, SCHEME_IDS[scheme], index), size, z.n1 + z.n2))
-                 for index, size in blocks(600)]
-        p, _, _, sigma2, valid = (np.concatenate(c) for c in zip(*parts))
-        stats = studentize(p, sigma2, valid, z.n1, z.n2, 0.5)
-        reps = replicate_set(z, plan)
-        assert_array_equal(reps.statistics, stats[valid])
-        assert reps.dropped == int((~valid).sum())
+        assert chunk_blocks(z.context) >= 3
+        reps = replicate_set(z, ResamplingPlan(scheme=scheme, b=600, seed=17, workers=workers))
+        want, dropped = _reference_set(z, scheme, 600, 17)
+        assert_array_equal(reps.statistics, want)
+        assert reps.dropped == dropped
+
+    @pytest.mark.parametrize("scheme", ["bootstrap", "permutation"])
+    def test_wide_pool_threads_over_chunks(self, scheme):
+        # 200/200 uncensored is 402 columns wide: one block per engine call,
+        # so B = 600 spans three calls and two workers share them out
+        z = _wide(200, 200, 9009)
+        assert chunk_blocks(z.context) == 1
+        sets = [replicate_set(z, ResamplingPlan(scheme, 600, 23, workers))
+                for workers in (1, 2)]
+        want, dropped = _reference_set(z, scheme, 600, 23)
+        for reps in sets:
+            assert reps.statistics.tobytes() == want.tobytes()
+            assert reps.dropped == dropped
+
+    def test_concurrent_sets_never_share_a_workspace(self):
+        # sets on two pools from more threads than cores, the wide ones on
+        # three threads of their own, with the interpreter switching threads
+        # often; a workspace lent twice at once would mix two calls' arrays
+        jobs = [(_wide(200, 200, 9013), ResamplingPlan("permutation", 600, 5, workers=3)),
+                (_pooled(np.random.default_rng(9014), 15, 15),
+                 ResamplingPlan("bootstrap", 999, 6))]
+        want = [replicate_set(z, plan).statistics.tobytes() for z, plan in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool_:
+                futures = [pool_.submit(replicate_set, z, plan) for z, plan in jobs * 3]
+                got = [f.result(timeout=120).statistics.tobytes() for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want * 3
+
+    @pytest.mark.parametrize("permutation", [False, True])
+    def test_both_recurrence_forms_equal_reference(self, permutation):
+        # a many-row narrow call runs the column recurrences one vector
+        # operation per column, a few-row wide call runs ufunc.accumulate
+        draw = permutation_indices if permutation else bootstrap_indices
+        narrow, wide = _pooled(np.random.default_rng(9010), 15, 15), _wide(200, 200, 9011)
+        for z, rows in ((narrow, 999), (wide, 7)):
+            ctx = z.context
+            assert (rows >= SLAB) == (z is narrow)
+            idx = draw(stream(31, 1, rows), rows, z.n1 + z.n2)
+            _assert_same_rows(batch_statistics(ctx, idx, permutation=permutation),
+                              reference_batch_statistics(ctx, idx))
+
+    def test_identity_row_of_a_wide_pool_equals_reference(self):
+        z = _wide(600, 550, 9012)
+        assert z.context.width > 1000
+        idx = np.arange(z.n1 + z.n2, dtype=np.int64)[None, :]
+        _assert_same_rows(identity_row(z.context), reference_batch_statistics(z.context, idx))
 
     def test_workspace_must_fit(self):
         z = _pooled(np.random.default_rng(9007), 5, 4)
