@@ -63,12 +63,16 @@ class ResamplingPlan:
     def __post_init__(self):
         if self.scheme not in _SCHEMES:
             raise ValueError(f"scheme must be one of {_SCHEMES}")
-        if self.b < 1:
-            raise ValueError("need at least one replicate")
+        _check_counts(self.b, self.workers)
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
-        if self.workers < 1:
-            raise ValueError("workers must be positive")
+
+
+def _check_counts(b: int, workers: int) -> None:
+    if b < 1:
+        raise ValueError("need at least one replicate")
+    if workers < 1:
+        raise ValueError("workers must be positive")
 
 
 @dataclass(frozen=True)
@@ -191,10 +195,12 @@ def analyze(z: PooledSample, methods, targets, alpha: float, alternative: str, b
     One observed estimate and one engine context serve every method; a
     resampling method draws ``replicate_set(z, ResamplingPlan(method, b,
     seed, workers))``, unless the estimate is degenerate: that raises
-    "degenerate variance" before any replicate is drawn.
+    "degenerate variance" before any replicate is drawn.  ``b`` and
+    ``workers`` must be positive whichever methods are asked for.
     """
     for target in targets:
         _check_options(target, alternative)
+    _check_counts(b, workers)  # for the asymptotic method too, which uses neither
     est = _observed(z)
     out = []
     for method in methods:

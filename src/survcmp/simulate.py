@@ -50,6 +50,10 @@ __all__ = [
 ]
 
 
+# math.erfc over arrays, for the lognormal survival function
+_erfc = np.vectorize(math.erfc, otypes=[float])
+
+
 @dataclass(frozen=True)
 class _Law:
     kind: str
@@ -131,8 +135,9 @@ def survival_function(setup: int, group: int):
     if law.kind == "weibull":
         scale, shape = law.params
         return lambda t: np.exp(-(np.asarray(t, float) / scale) ** shape)
-    from scipy.special import ndtr
-    return lambda t: ndtr(-np.log(np.maximum(np.asarray(t, float), 1e-300)))
+    # the standard lognormal: S(t) = P(Z > log t) = erfc(log t / sqrt 2) / 2
+    return lambda t: 0.5 * _erfc(np.log(np.maximum(np.asarray(t, float), 1e-300))
+                                 / math.sqrt(2))
 
 
 def density(setup: int, group: int):

@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -65,8 +68,9 @@ class TestAnalyze:
         assert names == ["asymptotic:p", "asymptotic:w"]
 
     def test_target_both_output_frozen(self, capsys):
-        # recorded with the observed statistic as the engine's identity row;
-        # a change that keeps the arithmetic must not move a byte
+        # recorded with the observed statistic as the engine's identity row and
+        # the standard library's normal quantile and tail; a change that keeps
+        # the arithmetic must not move a byte
         golden = Path(__file__).parent / "golden" / "analyze_all_both_seed1.json"
         rc, out, _ = _run(capsys, ["analyze", "--method", "all", "--target", "both",
                                    "--json", "--seed", "1"])
@@ -178,6 +182,18 @@ class TestAnalyze:
             main(["analyze", "--event-value", "1", "--censored-value", "1"])
         assert exc.value.code == 2
         assert "--event-value and --censored-value must differ" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["asymptotic", "bootstrap", "permutation", "all"])
+    @pytest.mark.parametrize("flags, err", [
+        (["--b", "0"], "need at least one replicate"),
+        (["--workers", "0"], "workers must be positive"),
+        (["--b", "-1", "--workers", "0"], "need at least one replicate"),
+    ])
+    def test_bad_replicate_or_worker_count_exits_1(self, capsys, method, flags, err):
+        # checked for every method, the asymptotic one included
+        rc, out, got = _run(capsys, ["analyze", "--method", method] + flags)
+        assert rc == 1 and out == ""
+        assert got == f"survcmp: {err}\n"
 
     def test_missing_input_file(self, capsys, tmp_path):
         rc, _, err = _run(capsys, ["analyze", "--input", str(tmp_path / "no.csv"),
@@ -348,3 +364,37 @@ class TestSimulate:
                   "--n1", "10", "--n2", "10"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+# Blocks scipy before survcmp is imported (an import of it then raises
+# ImportError), imports every module, runs the command given on the command
+# line and checks that nothing replaced the block.
+_WITHOUT_SCIPY = """
+import importlib, pkgutil, sys
+sys.modules["scipy"] = None
+import survcmp, survcmp.cli
+for module in pkgutil.iter_modules(survcmp.__path__):
+    importlib.import_module("survcmp." + module.name)
+rc = survcmp.cli.main(sys.argv[1:])
+assert sys.modules["scipy"] is None
+sys.exit(rc)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--method", "all", "--target", "both", "--b", "199", "--json"],
+    # setup 2's second group is lognormal
+    ["simulate", "--setup", "2", "--censoring", "moderate", "--n1", "10", "--n2", "10",
+     "--reps", "20", "--b", "49", "--tsv"],
+])
+def test_runs_without_scipy(capsys, argv):
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    # _clean_env has removed SURVCMP_SEED, so both sides run with the same seed
+    run = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, *argv],
+                         capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert run.returncode == 0, run.stderr
+    rc, out, _ = _run(capsys, argv)
+    assert rc == 0
+    assert run.stdout == out

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import special
 
 from survcmp.datasets import load_tongue
 from survcmp.inference import (
+    _normal_p_value,
     asymptotic_ci,
     asymptotic_test,
     mann_whitney_effect,
@@ -13,6 +15,7 @@ from survcmp.inference import (
     studentized_p,
     studentized_w,
 )
+from survcmp.simulate import horizon, survival_function
 from survcmp.survival import Sample
 
 K = 10.0
@@ -44,6 +47,33 @@ class TestNormalQuantile:
         for bad in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(ValueError):
                 normal_quantile(bad)
+
+
+class TestAgainstScipy:
+    """The standard-library normal quantile and tails against scipy.special."""
+
+    def test_quantile_matches_ndtri(self):
+        alphas = np.concatenate([np.logspace(-300, np.log10(0.5), 3001),
+                                 np.linspace(0.4, 0.6, 2001),
+                                 1.0 - np.logspace(-15, np.log10(0.5), 1001)])
+        got = np.array([normal_quantile(a) for a in alphas])
+        assert_allclose(got, -special.ndtri(alphas), rtol=2e-15, atol=0.0)
+
+    @pytest.mark.parametrize("lo, hi, rtol", [(-8.0, 40.0, 2e-14), (-37.5, -8.0, 1e-12)])
+    def test_tails_match_ndtr(self, lo, hi, rtol):
+        x = np.linspace(lo, hi, 20001)
+        lower = special.ndtr(x)  # P(Z <= x)
+        assert_allclose([_normal_p_value(v, "less") for v in x], lower, rtol=rtol, atol=0.0)
+        assert_allclose([_normal_p_value(-v, "greater") for v in x], lower,
+                        rtol=rtol, atol=0.0)
+        x = x[x <= 0.0]
+        assert_allclose([_normal_p_value(v, "two-sided") for v in x], 2.0 * special.ndtr(x),
+                        rtol=rtol, atol=0.0)
+
+    def test_lognormal_survival_matches_ndtr(self):
+        t = np.concatenate([np.logspace(-300, 0, 1000), np.linspace(0.0, horizon(2), 10001)[1:]])
+        assert_allclose(survival_function(2, 2)(t), special.ndtr(-np.log(t)),
+                        rtol=1e-15, atol=0.0)
 
 
 class TestStatistics:

@@ -1,0 +1,123 @@
+"""Fresh-process wall time of survcmp's start-up and analyses, parent against change.
+
+    python3 tools/time_cli.py PARENT_DIR CHANGE_DIR --parent REV --change TEXT --out BENCH.json
+
+PARENT_DIR and CHANGE_DIR are two checkouts of the repository.  Each of
+the ``PAIRS`` pairs times every command once on each side, parent first
+in odd pairs and change first in even pairs; one timing is the median
+wall time of ``PROCESSES`` fresh interpreters, each with ``PYTHONPATH``
+set to that checkout's ``src``.  The JSON written has ``BENCH_10.json``'s shape: per
+command, each side's median, quartiles and runs, the pairs the change
+wins and the ratio of the medians.  Any command that exits non-zero
+counts as failed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+from time import perf_counter
+
+import numpy as np
+
+PAIRS = 10
+PROCESSES = 5  # fresh interpreters per timing
+
+# what the console script `survcmp` runs
+_CLI = "import sys; from survcmp.cli import main; sys.exit(main())"
+COMMANDS = {
+    "import": ["-c", "import survcmp"],
+    "analyze-asymptotic": ["-c", _CLI, "analyze", "--method", "asymptotic", "--json"],
+    "analyze-all-b9999": ["-c", _CLI, "analyze", "--method", "all", "--target", "both",
+                          "--b", "9999", "--json"],
+}
+
+
+def _time(root: Path, args: list[str], processes: int) -> tuple[float, int]:
+    """Median wall seconds of ``processes`` fresh runs, and how many failed."""
+    env = {key: value for key, value in os.environ.items() if key != "SURVCMP_SEED"}
+    env["PYTHONPATH"] = str(root / "src")
+    times, failed = [], 0
+    for _ in range(processes):
+        start = perf_counter()
+        run = subprocess.run([sys.executable, *args], cwd=root, env=env,
+                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        times.append(perf_counter() - start)
+        failed += run.returncode != 0
+    return statistics.median(times), failed
+
+
+def _summary(runs: list[float]) -> dict:
+    q1, q3 = np.percentile(runs, [25, 75])
+    return {"median": round(statistics.median(runs), 6),
+            "quartiles": [round(float(q1), 6), round(float(q3), 6)],
+            "runs": [round(r, 6) for r in runs]}
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent_dir", type=Path)
+    parser.add_argument("change_dir", type=Path)
+    parser.add_argument("--parent", required=True, help="the parent's commit")
+    parser.add_argument("--change", required=True, help="what the change does")
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args()
+    sides = {"parent": args.parent_dir.resolve(), "change": args.change_dir.resolve()}
+
+    for root in sides.values():  # compile the byte code before timing
+        for cmd in COMMANDS.values():
+            _time(root, cmd, 1)
+    runs = {name: {side: [] for side in sides} for name in COMMANDS}
+    failed = {name: {side: 0 for side in sides} for name in COMMANDS}
+    for pair in range(PAIRS):
+        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        for name, cmd in COMMANDS.items():
+            for side in order:
+                wall, bad = _time(sides[side], cmd, PROCESSES)
+                runs[name][side].append(wall)
+                failed[name][side] += bad
+        print(f"pair {pair + 1}/{PAIRS} done", file=sys.stderr)
+
+    workloads = {}
+    for name, cmd in COMMANDS.items():
+        parent, change = runs[name]["parent"], runs[name]["change"]
+        workloads[name] = {
+            "command": " ".join(["python3", *cmd]),
+            "pairs": PAIRS,
+            "processes_per_run": PROCESSES,
+            "metrics": {"wall_s": {
+                "unit": "s",
+                "better": "lower",
+                "parent": _summary(parent),
+                "change": _summary(change),
+                "change_wins": sum(c < p for p, c in zip(parent, change)),
+                "median_ratio": round(statistics.median(change) / statistics.median(parent), 6),
+            }},
+            "attempted": {side: PAIRS * PROCESSES for side in sides},
+            "failed": failed[name],
+        }
+    record = {
+        "description": (
+            "Parent/change pairs of fresh-process wall time, from `python3 tools/time_cli.py "
+            "PARENT_DIR CHANGE_DIR`, run from two fresh checkouts on one machine in one "
+            "session, interleaved (parent first in odd pairs, change first in even pairs). "
+            f"Each run is the median of {PROCESSES} fresh interpreters. Values are "
+            "medians and [25th, 75th] percentiles over the pairs; wins count pairs in which "
+            "the change reads better."),
+        "parent": args.parent,
+        "change": args.change,
+        "workloads": workloads,
+        "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
+                    "numpy": np.__version__, "os": f"{platform.system()} {platform.release()}"},
+    }
+    args.out.write_text(json.dumps(record, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()
