@@ -266,8 +266,11 @@ def borrowed_workspace(ctx: BatchContext, rows: int):
     Idle workspaces within the :data:`CHUNK_CELLS` budget are kept for
     later calls, across replicate sets and contexts, at most one per
     caller that ran at once; larger ones are left to the garbage
-    collector.  No result depends on which one is lent: a new context
-    lays out every view afresh.
+    collector.  The callers that share the idle list are the threads of
+    one process; a worker process of :func:`~survcmp.rng.fan_out` starts
+    from a copy of its parent's list (forked) or an empty one (spawned).
+    No result depends on which one is lent: a new context lays out every
+    view afresh.
     """
     with _idle_lock:
         work = _idle.pop() if _idle else None

@@ -32,16 +32,20 @@ _DEFAULT_SEED = 0
 
 
 def _resolve_seed(flag_value, fallback=_DEFAULT_SEED):
-    # precedence: explicit flag, then SURVCMP_SEED, then the fixed default
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get("SURVCMP_SEED")
-    if env is not None:
+    # precedence: explicit flag, then SURVCMP_SEED, then the fixed default;
+    # checked here for every method, including those that draw nothing
+    seed = flag_value
+    if seed is None:
+        env = os.environ.get("SURVCMP_SEED")
+        if env is None:
+            return fallback
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise ValueError("SURVCMP_SEED must be an integer") from None
-    return fallback
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must fit in 64 unsigned bits")
+    return seed
 
 
 @functools.cache
@@ -73,7 +77,9 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--target", choices=("p", "w", "both"), default="p")
     an.add_argument("--b", type=int, default=1999, help="resampling replicates")
     an.add_argument("--seed", type=int)
-    an.add_argument("--workers", type=int, default=1)
+    an.add_argument("--workers", type=int, default=1,
+                    help="processes that take contiguous runs of a replicate set's "
+                         "engine calls (results do not depend on it)")
     an.add_argument("--out", help="write the report here instead of stdout")
     an.add_argument("--json", action="store_true", help="machine-readable output")
     an.add_argument("--dump-replicates", metavar="PATH",
@@ -89,7 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
     si.add_argument("--b", type=int, help="resampling replicates (default 1999)")
     si.add_argument("--alpha", type=float)
     si.add_argument("--seed", type=int)
-    si.add_argument("--workers", type=int)
+    si.add_argument("--workers", type=int,
+                    help="processes that take contiguous ranges of a cell's "
+                         "replications (results do not depend on it)")
     si.add_argument("--out", help="write tables here instead of stdout")
     si.add_argument("--tsv", action="store_true", help="tab-separated output")
     si.add_argument("--table1", action="store_true",
@@ -195,6 +203,10 @@ def _run_analyze(args) -> str:
     if args.dump_replicates and args.method not in ("bootstrap", "permutation"):
         raise ValueError("--dump-replicates needs --method bootstrap or permutation")
     rows = _analysis_results(s1, s2, args, seed)
+    for res in {res.method: res for _, res in rows if res.capped}.values():
+        print(f"survcmp: warning: {res.method} quantile rank {res.rank} capped at "
+              f"b_eff {res.b - res.dropped} (B {res.b}, alpha {res.alpha:g}); "
+              "the interval has no nominal guarantee", file=sys.stderr)
     if args.json:
         return _analysis_json(s1, s2, rows, seed)
     return _analysis_text(s1, s2, rows, seed)

@@ -86,7 +86,9 @@ class InferenceResult:
     w); ``ci_raw`` keeps the unclamped endpoints.  ``statistic`` is the
     studentized statistic at the null (p0 = 1/2 or w0 = 1), ``p_value``
     its tail probability under ``alternative``.  ``b`` and ``dropped``
-    are 0 for the asymptotic method.
+    are 0 for the asymptotic method, and so is ``rank``, the order
+    statistic ceil((1 - alpha) (b_eff + 1)) of a resampling method's
+    critical value.
     """
 
     method: str
@@ -101,10 +103,17 @@ class InferenceResult:
     alpha: float
     b: int = 0
     dropped: int = 0
+    rank: int = 0
 
     @property
     def sigma(self) -> float:
         return self.estimate.sigma
+
+    @property
+    def capped(self) -> bool:
+        """True when ``rank`` exceeds b_eff and the largest replicate stands
+        in for the quantile, so the level is not guaranteed."""
+        return self.rank > self.b - self.dropped
 
     @property
     def reject(self) -> bool:
@@ -204,7 +213,7 @@ def _interval(center: float, halfwidth: float, target: str,
 
 def _build(method: str, target: str, alternative: str, est: Estimate, alpha: float,
            critical: float, statistic: float, p_value: float,
-           b: int = 0, dropped: int = 0) -> InferenceResult:
+           b: int = 0, dropped: int = 0, rank: int = 0) -> InferenceResult:
     se = est.sigma / _rate(est.n1, est.n2)
     if target == "p":
         center = est.p_hat
@@ -218,7 +227,7 @@ def _build(method: str, target: str, alternative: str, est: Estimate, alpha: flo
     return InferenceResult(
         method=method, target=target, alternative=alternative, estimate=est,
         statistic=statistic, ci=clamped, ci_raw=raw, p_value=p_value,
-        critical=critical, alpha=alpha, b=b, dropped=dropped,
+        critical=critical, alpha=alpha, b=b, dropped=dropped, rank=rank,
     )
 
 

@@ -21,7 +21,6 @@ one pooled sample, for the command line, the coverage study and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -52,7 +51,8 @@ class ResamplingPlan:
     """How to replicate: scheme, replicate count, seed, worker count.
 
     Results are a function of (scheme, b, seed) and the data alone;
-    ``workers`` only changes how blocks of replicates are scheduled.
+    ``workers`` caps the processes that take contiguous runs of the
+    engine calls, and changes no result.
     """
 
     scheme: str
@@ -102,51 +102,45 @@ def replicate_set(z: PooledSample, plan: ResamplingPlan) -> ReplicateSet:
     ``workers``, so the set is bit-identical for any worker count.  One
     engine call spans as many whole blocks as the grid allows
     (:func:`~survcmp._engine.chunk_blocks`), while every replicate keeps
-    its block's stream; ``workers`` threads take contiguous runs of those
-    calls.
+    its block's stream; up to ``workers`` processes take contiguous runs
+    of those calls (:func:`~survcmp.rng.fan_out`).
     """
+    todo = _rng.blocks(plan.b)
+    per_call = chunk_blocks(z.context)
+    chunks = [todo[i:i + per_call] for i in range(0, len(todo), per_call)]
+    parts = [part for run in _rng.fan_out(_run_chunks, chunks, plan.workers, z, plan)
+             for part in run]
+    stats = np.concatenate([s for s, _ in parts])
+    valid = np.concatenate([v for _, v in parts])
+    return ReplicateSet(statistics=stats[valid], dropped=int((~valid).sum()))
+
+
+def _run_chunks(z: PooledSample, plan: ResamplingPlan, chunks) -> list:
+    """(Studentized replicates, validity) per chunk, one engine call each."""
     ctx = z.context
     scheme_id = _rng.SCHEME_IDS[plan.scheme]
     permutation = plan.scheme == "permutation"
     draw = permutation_indices if permutation else bootstrap_indices
-    todo = _rng.blocks(plan.b)
-    per_call = chunk_blocks(ctx)
-    chunks = [todo[i:i + per_call] for i in range(0, len(todo), per_call)]
-    call_rows = sum(size for _, size in chunks[0])  # the first call is the largest
-
-    def run_chunks(group):
-        # one workspace per thread and set, and one engine call per chunk
-        parts = []
-        with borrowed_workspace(ctx, call_rows) as work:
-            for chunk in group:
-                idx = np.empty((sum(size for _, size in chunk), z.n), np.int64)
-                for (index, size), start in zip(chunk, range(0, len(idx), _rng.BLOCK)):
-                    idx[start:start + size] = draw(_rng.stream(plan.seed, scheme_id, index),
-                                                   size, z.n)
-                rows = batch_statistics(ctx, idx, permutation=permutation, work=work)
-                parts.append((studentize(rows.p, rows.sigma2, rows.valid, z.n1, z.n2, 0.5),
-                              rows.valid))
-        return parts
-
-    workers = min(plan.workers, len(chunks))
-    if workers > 1:
-        per_thread = -(-len(chunks) // workers)
-        groups = [chunks[i:i + per_thread] for i in range(0, len(chunks), per_thread)]
-        with ThreadPoolExecutor(max_workers=workers) as pool_:
-            parts = [part for done in pool_.map(run_chunks, groups) for part in done]
-    else:
-        parts = run_chunks(chunks)
-
-    stats = np.concatenate([s for s, _ in parts])
-    valid = np.concatenate([v for _, v in parts])
-    return ReplicateSet(statistics=stats[valid], dropped=int((~valid).sum()))
+    call_rows = sum(size for _, size in chunks[0])  # a run's first call is its largest
+    parts = []
+    with borrowed_workspace(ctx, call_rows) as work:
+        for chunk in chunks:
+            idx = np.empty((sum(size for _, size in chunk), z.n), np.int64)
+            for (index, size), start in zip(chunk, range(0, len(idx), _rng.BLOCK)):
+                idx[start:start + size] = draw(_rng.stream(plan.seed, scheme_id, index),
+                                               size, z.n)
+            rows = batch_statistics(ctx, idx, permutation=permutation, work=work)
+            parts.append((studentize(rows.p, rows.sigma2, rows.valid, z.n1, z.n2, 0.5),
+                          rows.valid))
+    return parts
 
 
 def replicate_quantile(r: ReplicateSet, alpha: float) -> float:
     """Conservative upper-alpha quantile of the retained replicates.
 
     Returns the ceil((1 - alpha) (b_eff + 1))-th order statistic, capped
-    at the largest replicate.
+    at the largest replicate (:attr:`InferenceResult.capped` records the
+    cap).
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
@@ -154,8 +148,12 @@ def replicate_quantile(r: ReplicateSet, alpha: float) -> float:
     if b_eff == 0:
         raise ValueError("no valid replicates")
     ordered = np.sort(r.statistics)
-    rank = min(int(np.ceil((1.0 - alpha) * (b_eff + 1))), b_eff)
-    return float(ordered[rank - 1])
+    return float(ordered[min(_rank(alpha, b_eff), b_eff) - 1])
+
+
+def _rank(alpha: float, b_eff: int) -> int:
+    # the conservative quantile's order statistic, before the cap at b_eff
+    return int(np.ceil((1.0 - alpha) * (b_eff + 1)))
 
 
 def _exceedance(count: int, b_eff: int) -> float:
@@ -184,7 +182,8 @@ def _resampling_results(est: Estimate, reps: ReplicateSet, plan: ResamplingPlan,
     crit = replicate_quantile(ReplicateSet(statistics=tail, dropped=reps.dropped), alpha)
     p_val = _exceedance(int((tail >= t).sum()), reps.b_eff)
     return [_build(plan.scheme, target, alternative, est, alpha, crit, t_obs,
-                   min(p_val, 1.0), b=plan.b, dropped=reps.dropped) for target in targets]
+                   min(p_val, 1.0), b=plan.b, dropped=reps.dropped,
+                   rank=_rank(alpha, reps.b_eff)) for target in targets]
 
 
 def analyze(z: PooledSample, methods, targets, alpha: float, alternative: str, b: int,

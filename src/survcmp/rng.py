@@ -4,14 +4,19 @@ Every stochastic routine derives its generators through :func:`stream`, a
 pure function of a user seed and a structured path.  Replicates are
 processed in fixed blocks of :data:`BLOCK` and each block owns one
 generator, so results depend only on (seed, path), never on scheduling or
-worker count.
+worker count.  :func:`fan_out`, the one parallel mechanism, maps a
+function over contiguous runs of independent units in worker processes.
 """
 
 from __future__ import annotations
 
+import functools
+import sys
+import threading
+
 import numpy as np
 
-__all__ = ["BLOCK", "SCHEME_IDS", "stream", "blocks", "derive_seed"]
+__all__ = ["BLOCK", "SCHEME_IDS", "stream", "blocks", "fan_out", "derive_seed"]
 
 # replicates per generator block; fixed so that worker splits cannot move
 # a replicate to a different stream
@@ -51,6 +56,21 @@ def blocks(b: int) -> list[tuple[int, int]]:
     if rest:
         out.append((full, rest))
     return out
+
+
+def fan_out(fn, units, workers: int, *args) -> list:
+    """``fn(*args, run)`` for at most ``workers`` contiguous runs of ``units``, in
+    order: inline for one run, else one process per run, forked on Linux
+    unless another thread runs (it could hold a lock the fork copies)."""
+    size = -(-len(units) // workers)
+    runs = [units[i:i + size] for i in range(0, len(units), size)]
+    if len(runs) == 1:
+        return [fn(*args, runs[0])]
+    import multiprocessing  # here, so that a one-run call never loads it
+    from concurrent.futures import ProcessPoolExecutor
+    method = "fork" if sys.platform == "linux" and threading.active_count() == 1 else "spawn"
+    with ProcessPoolExecutor(len(runs), mp_context=multiprocessing.get_context(method)) as pool:
+        return list(pool.map(functools.partial(fn, *args), runs))
 
 
 def derive_seed(rng: np.random.Generator) -> int:

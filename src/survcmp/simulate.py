@@ -79,7 +79,6 @@ _LEVELS = ("strong", "moderate", "none")
 # internal stream tags (data generation uses rng.DATA_TAG)
 _CAL_TAG = 301
 _PROP_TAG = 302
-_GRID_TAG = 303
 
 
 def _law(setup: int, group: int) -> _Law:
@@ -362,29 +361,16 @@ def coverage_study(config: ScenarioConfig) -> CoverageRow:
     Each replication draws both groups, applies the window, and builds
     the three two-sided intervals at the configured level; replications
     where any method degenerates (no usable variance or no valid
-    replicates) are excluded from every denominator and counted.
+    replicates) are excluded from every denominator and counted, so a
+    cell where all are excluded has ``reps`` 0 and NaN coverages.  Up to
+    ``config.workers`` processes tally contiguous ranges of replications.
     """
     cal = calibrate_censoring(config.setup, config.censoring)
     truth = true_effect(config.setup)
-    hits = np.zeros(3, dtype=int)
-    used = 0
-    excluded = 0
-    for rep in range(config.reps):
-        s1, s2, inner_seed = _generate(config, cal, rep)
-        try:
-            methods = analyze(pool(s1, s2), METHODS, ("p",), config.alpha, "two-sided",
-                              config.b, inner_seed, config.workers)
-        except ValueError:
-            excluded += 1
-            continue
-        used += 1
-        for slot, (_, [res]) in enumerate(methods):
-            lo, hi = res.ci
-            if lo <= truth <= hi:
-                hits[slot] += 1
-    if used == 0:
-        raise ValueError("every replication degenerated")
-    pct = 100.0 * hits / used
+    tallies = _rng.fan_out(_coverage_range, range(config.reps), config.workers,
+                           config, cal, truth)
+    hits, used, excluded = (sum(column) for column in zip(*tallies))
+    pct = 100.0 * hits / used if used else np.full(3, np.nan)
     return CoverageRow(
         setup=config.setup, censoring=config.censoring, n1=config.n1, n2=config.n2,
         cov_asymptotic=float(pct[0]), cov_bootstrap=float(pct[1]),
@@ -393,14 +379,37 @@ def coverage_study(config: ScenarioConfig) -> CoverageRow:
     )
 
 
+def _coverage_range(config: ScenarioConfig, cal: CensoringCalibration, truth: float, reps):
+    """(Hits per method, used, excluded) over the replications in ``reps``."""
+    hits = np.zeros(3, dtype=int)
+    used = 0
+    excluded = 0
+    for rep in reps:
+        s1, s2, inner_seed = _generate(config, cal, rep)
+        try:
+            methods = analyze(pool(s1, s2), METHODS, ("p",), config.alpha, "two-sided",
+                              config.b, inner_seed, 1)
+        except ValueError:
+            excluded += 1
+            continue
+        used += 1
+        for slot, (_, [res]) in enumerate(methods):
+            lo, hi = res.ci
+            if lo <= truth <= hi:
+                hits[slot] += 1
+    return hits, used, excluded
+
+
 _COVER_COLS = ("setup", "censoring", "n1", "n2", "asymptotic", "bootstrap",
                "permutation", "reps", "excluded")
 
 
 def _row_cells(row: CoverageRow) -> list[str]:
+    # a cell with no usable replication has no coverage: "-"
     return [str(row.setup), row.censoring, str(row.n1), str(row.n2),
-            f"{row.cov_asymptotic:.2f}", f"{row.cov_bootstrap:.2f}",
-            f"{row.cov_permutation:.2f}", str(row.reps), str(row.excluded)]
+            *("-" if math.isnan(cov) else f"{cov:.2f}"
+              for cov in (row.cov_asymptotic, row.cov_bootstrap, row.cov_permutation)),
+            str(row.reps), str(row.excluded)]
 
 
 def coverage_text(rows) -> str:

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -114,6 +115,32 @@ class TestAnalyze:
         rc, _, err = _run(capsys, ["analyze", "--method", "asymptotic"])
         assert rc == 1
         assert "SURVCMP_SEED must be an integer" in err
+
+    @pytest.mark.parametrize("method", ["asymptotic", "bootstrap", "permutation", "all"])
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_out_of_range_exits_1(self, capsys, method, seed):
+        # checked once for every method, the asymptotic one included
+        rc, out, err = _run(capsys, ["analyze", "--method", method, "--seed", seed])
+        assert (rc, out, err) == (1, "", "survcmp: seed must fit in 64 unsigned bits\n")
+
+    def test_env_seed_range_checked(self, capsys, monkeypatch):
+        argv = ["analyze", "--method", "asymptotic", "--json"]
+        monkeypatch.setenv("SURVCMP_SEED", "-5")
+        rc, out, err = _run(capsys, argv)
+        assert (rc, out, err) == (1, "", "survcmp: seed must fit in 64 unsigned bits\n")
+        monkeypatch.setenv("SURVCMP_SEED", str(2**64 - 1))
+        rc, out, _ = _run(capsys, argv)
+        assert rc == 0 and json.loads(out)["seed"] == 2**64 - 1
+
+    def test_capped_quantile_warns(self, capsys):
+        # B = 9 asks for order statistic ceil(0.95 * 10) = 10 of 9
+        argv = ["analyze", "--method", "permutation"]
+        rc, _, err = _run(capsys, argv + ["--b", "9"])
+        assert rc == 0
+        assert err == ("survcmp: warning: permutation quantile rank 10 capped at b_eff 9 "
+                       "(B 9, alpha 0.05); the interval has no nominal guarantee\n")
+        rc, _, err = _run(capsys, argv + ["--b", "99"])
+        assert (rc, err) == (0, "")
 
     def test_table1_reads_no_seed(self, capsys, monkeypatch):
         # the table draws nothing, so a malformed SURVCMP_SEED is no error
@@ -248,6 +275,24 @@ class TestSimulate:
         assert len(lines[0].split("\t")) == len(lines[1].split("\t"))
         _, out2, _ = _run(capsys, self.CELL + ["--tsv"])
         assert out1 == out2
+
+    def test_tsv_bytes_identical_across_workers(self, capsys):
+        argv = ["simulate", "--setup", "3", "--censoring", "strong", "--n1", "15",
+                "--n2", "15", "--reps", "40", "--b", "99", "--tsv"]
+        _, out1, _ = _run(capsys, argv + ["--workers", "1"])
+        _, out2, _ = _run(capsys, argv + ["--workers", "2"])
+        assert out1 == out2
+        assert multiprocessing.active_children() == []
+
+    def test_cell_with_no_usable_replication_prints_a_row(self, capsys):
+        # the one replication of this seed separates the groups completely
+        argv = ["simulate", "--setup", "3", "--censoring", "strong", "--n1", "15",
+                "--n2", "15", "--reps", "1", "--b", "99", "--seed", str((101 << 24) + 950)]
+        row = ["3", "strong", "15", "15", "-", "-", "-", "0", "1"]
+        rc, out, _ = _run(capsys, argv)
+        assert rc == 0 and out.splitlines()[1].split() == row
+        rc, out, _ = _run(capsys, argv + ["--tsv"])
+        assert rc == 0 and out.splitlines()[1] == "\t".join(row)
 
     def test_missing_settings_rejected(self, capsys):
         rc, _, err = _run(capsys, ["simulate", "--setup", "3"])

@@ -2,6 +2,7 @@
 observed statistic as the identity row, the context and the reference
 engine."""
 
+import multiprocessing
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -221,13 +222,15 @@ class TestStructure:
         assert reps.dropped == dropped
 
     @pytest.mark.parametrize("scheme", ["bootstrap", "permutation"])
-    def test_wide_pool_threads_over_chunks(self, scheme):
+    def test_wide_pool_processes_over_chunks(self, scheme):
         # 200/200 uncensored is 402 columns wide: one block per engine call,
-        # so B = 600 spans three calls and two workers share them out
+        # so B = 600 spans three calls; one worker runs them inline, two and
+        # three take runs of (2, 1) and (1, 1, 1) calls in processes
         z = _wide(200, 200, 9009)
         assert chunk_blocks(z.context) == 1
         sets = [replicate_set(z, ResamplingPlan(scheme, 600, 23, workers))
-                for workers in (1, 2)]
+                for workers in (1, 2, 3)]
+        assert multiprocessing.active_children() == []
         want, dropped = _reference_set(z, scheme, 600, 23)
         for reps in sets:
             assert reps.statistics.tobytes() == want.tobytes()

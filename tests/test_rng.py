@@ -1,10 +1,13 @@
-"""Deterministic stream derivation and block partitioning."""
+"""Deterministic stream derivation, block partitioning and the fan-out."""
+
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from survcmp.rng import BLOCK, DATA_TAG, SCHEME_IDS, blocks, derive_seed, stream
+from survcmp.rng import BLOCK, DATA_TAG, SCHEME_IDS, blocks, derive_seed, fan_out, stream
 
 
 class TestStream:
@@ -57,6 +60,25 @@ class TestBlocks:
             assert sum(size for _, size in parts) == b
             assert [i for i, _ in parts] == list(range(len(parts)))
             assert all(0 < size <= BLOCK for _, size in parts)
+
+
+def _in_process(tag, run):
+    # module-level, so a worker process can unpickle it
+    return os.getpid(), tag, list(run)
+
+
+class TestFanOut:
+    def test_one_run_inline_several_in_processes(self):
+        [(pid, tag, run)] = fan_out(_in_process, range(5), 1, "x")
+        assert (pid, tag, run) == (os.getpid(), "x", [0, 1, 2, 3, 4])
+        got = fan_out(_in_process, range(5), 2, "x")
+        assert [(tag, run) for _, tag, run in got] == [("x", [0, 1, 2]), ("x", [3, 4])]
+        # a worker that is free first may take both runs
+        assert os.getpid() not in {pid for pid, _, _ in got}
+        assert multiprocessing.active_children() == []
+
+    def test_at_most_one_run_per_unit(self):
+        assert fan_out(list, range(3), 8) == [[0], [1], [2]]
 
 
 class TestDeriveSeed:

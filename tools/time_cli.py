@@ -1,4 +1,4 @@
-"""Fresh-process wall time of survcmp's start-up and analyses, parent against change.
+"""Fresh-process wall time of survcmp commands, parent against change.
 
     python3 tools/time_cli.py PARENT_DIR CHANGE_DIR --parent REV --change TEXT --out BENCH.json
 
@@ -9,7 +9,9 @@ wall time of ``PROCESSES`` fresh interpreters, each with ``PYTHONPATH``
 set to that checkout's ``src``.  The JSON written has ``BENCH_10.json``'s shape: per
 command, each side's median, quartiles and runs, the pairs the change
 wins and the ratio of the medians.  Any command that exits non-zero
-counts as failed.
+counts as failed.  The coverage cell (setup 3, strong censoring, 15/15,
+600 replications, B = 999) runs once with ``--workers 1`` and once with ``--workers 2``;
+``workers_ratio`` is each side's median of the second over the first.
 """
 
 from __future__ import annotations
@@ -31,11 +33,16 @@ PROCESSES = 5  # fresh interpreters per timing
 
 # what the console script `survcmp` runs
 _CLI = "import sys; from survcmp.cli import main; sys.exit(main())"
+_CELL = ["-c", _CLI, "simulate", "--setup", "3", "--censoring", "strong", "--n1", "15",
+         "--n2", "15", "--reps", "600", "--b", "999", "--tsv", "--workers"]
 COMMANDS = {
     "import": ["-c", "import survcmp"],
     "analyze-asymptotic": ["-c", _CLI, "analyze", "--method", "asymptotic", "--json"],
     "analyze-all-b9999": ["-c", _CLI, "analyze", "--method", "all", "--target", "both",
                           "--b", "9999", "--json"],
+    # the benchmark runs workers = 1 only, so the worker processes show here
+    "simulate-cell-workers1": _CELL + ["1"],
+    "simulate-cell-workers2": _CELL + ["2"],
 }
 
 
@@ -113,6 +120,9 @@ def main() -> None:
         "parent": args.parent,
         "change": args.change,
         "workloads": workloads,
+        "workers_ratio": {side: round(statistics.median(runs["simulate-cell-workers2"][side])
+                                      / statistics.median(runs["simulate-cell-workers1"][side]), 6)
+                          for side in sides},
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                     "numpy": np.__version__, "os": f"{platform.system()} {platform.release()}"},
     }
