@@ -90,17 +90,21 @@ the histogram's two grids are reused for scratch values and tail sums
 once the counts are read.  At coverage-cell sizes (15/15, 17-32
 columns) a B = 999 set is one call; a 200/200 pool still takes one block
 per call.  On the machine above, a ten-replication coverage cell ran
-11-16 % faster at 32,768 than at 16,384 (two calls per set).  Call
-arrays live in a :class:`Workspace`; :func:`borrowed_workspace` keeps
-idle workspaces within the budget for the next set, and never lends one
-to two callers at once.
+11-16 % faster at 32,768 than at 16,384 (two calls per set).  Each thread
+keeps one workspace of call arrays (a ``threading.local``), which every
+call fits to its context and row count, reusing every array that is large
+enough.  Arrays laid out beyond the budget (the one-block calls on a pool
+of n > 126) stay while the thread calls on their context and are dropped
+at its first call on another.  A worker process of
+:func:`~survcmp.rng.fan_out` starts from a copy of the forking thread's
+workspace (forked) or from none (spawned); no result depends on it, since
+a new context lays out every view afresh.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -108,9 +112,9 @@ import numpy as np
 
 from .rng import BLOCK
 
-__all__ = ["CHUNK_CELLS", "SLAB", "BatchContext", "RowStatistics", "Workspace",
-           "batch_context", "batch_statistics", "borrowed_workspace", "bootstrap_indices",
-           "chunk_blocks", "identity_row", "permutation_indices", "studentize"]
+__all__ = ["CHUNK_CELLS", "SLAB", "BatchContext", "RowStatistics", "batch_context",
+           "batch_statistics", "bootstrap_indices", "chunk_blocks", "identity_row",
+           "permutation_indices", "studentize"]
 
 # rows x (n + 2) one engine call may span; a budget that keeps a call's
 # arrays in a few MB (see "Chunks" above)
@@ -209,23 +213,18 @@ def chunk_blocks(ctx: BatchContext) -> int:
     return max(1, CHUNK_CELLS // (BLOCK * (ctx.n1 + ctx.n2 + 2)))
 
 
-class Workspace:
-    """Arrays for engine calls of up to ``rows`` rows on one context.
+class _Workspace(threading.local):
+    """One thread's arrays for engine calls, fitted to each call's context
+    and row count; a ``threading.local``, so every thread sees its own.
 
-    The memory outlives the context: :meth:`bind` fits the workspace to
-    another one and keeps every array that is large enough.  Not
-    thread-safe: give every thread its own.
+    The memory outlives the context: :meth:`fit` keeps every array that is
+    large enough, unless it was laid out beyond :data:`CHUNK_CELLS`.
     """
 
-    def __init__(self, ctx: BatchContext, rows: int = BLOCK):
+    def __init__(self):  # once in every thread, at its first call
         self._memory: dict[str, np.ndarray] = {}
-        self.ctx = None
-        self.bind(ctx, rows)
-
-    def bind(self, ctx: BatchContext, rows: int) -> None:
-        if ctx is not self.ctx:
-            self.r = 0  # rows the views are laid out for; 0 = none yet
-        self.ctx, self.rows = ctx, rows
+        self.ctx, self.r = None, 0  # the context and row count of the views
+        self.cells = 0  # largest rows x (n + 2) the memory was laid out for
 
     def _take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
         size = math.prod(shape)
@@ -234,10 +233,14 @@ class Workspace:
             buf = self._memory[name] = np.empty(size)
         return buf[:size].reshape(shape)
 
-    def _lay_out(self, r: int) -> None:
-        """(Column, group, row) views for calls of exactly r rows."""
-        ctx, w = self.ctx, self.ctx.width
-        self.r = r
+    def fit(self, ctx: BatchContext, r: int) -> None:
+        """(Column, group, row) views for calls of exactly r rows on ctx."""
+        if ctx is self.ctx and r == self.r:
+            return
+        if ctx is not self.ctx and self.cells > CHUNK_CELLS:
+            self._memory, self.cells = {}, 0
+        self.ctx, self.r, w = ctx, r, ctx.width
+        self.cells = max(self.cells, r * (ctx.n1 + ctx.n2 + 2))
         # histogram bin of (event?, column, group, row): the observation's
         # code, plus the row, plus r for group 2
         self.code = ctx.events * (w * 2 * r) + ctx.column * (2 * r)
@@ -255,35 +258,7 @@ class Workspace:
         self.full_terms.fill(0.0)
 
 
-_idle: list[Workspace] = []  # workspaces between engine calls
-_idle_lock = threading.Lock()
-
-
-@contextmanager
-def borrowed_workspace(ctx: BatchContext, rows: int):
-    """A workspace for ``ctx`` and up to ``rows`` rows, for this caller alone.
-
-    Idle workspaces within the :data:`CHUNK_CELLS` budget are kept for
-    later calls, across replicate sets and contexts, at most one per
-    caller that ran at once; larger ones are left to the garbage
-    collector.  The callers that share the idle list are the threads of
-    one process; a worker process of :func:`~survcmp.rng.fan_out` starts
-    from a copy of its parent's list (forked) or an empty one (spawned).
-    No result depends on which one is lent: a new context lays out every
-    view afresh.
-    """
-    with _idle_lock:
-        work = _idle.pop() if _idle else None
-    if work is None:
-        work = Workspace(ctx, rows)
-    else:
-        work.bind(ctx, rows)
-    try:
-        yield work
-    finally:
-        if rows * (ctx.n1 + ctx.n2 + 2) <= CHUNK_CELLS:
-            with _idle_lock:
-                _idle.append(work)
+_work = _Workspace()
 
 
 def _accumulate(op, values, out, reverse: bool = False) -> None:
@@ -299,8 +274,8 @@ def _accumulate(op, values, out, reverse: bool = False) -> None:
         op(prev, value, this)
 
 
-def batch_statistics(ctx: BatchContext, idx: np.ndarray, *, permutation: bool = False,
-                     work: Workspace | None = None) -> RowStatistics:
+def batch_statistics(ctx: BatchContext, idx: np.ndarray, *,
+                     permutation: bool = False) -> RowStatistics:
     """The effect, variance terms and validity of each row of the index matrix.
 
     Parameters
@@ -313,9 +288,6 @@ def batch_statistics(ctx: BatchContext, idx: np.ndarray, *, permutation: bool = 
     permutation : bool
         Promise that every row is a permutation of 0..n1+n2-1, so group
         2's counts are the pooled counts minus group 1's.
-    work : Workspace, optional
-        Arrays to reuse, made for ``ctx`` with at least r rows; a fresh
-        one is made when omitted.
 
     Returns
     -------
@@ -327,12 +299,8 @@ def batch_statistics(ctx: BatchContext, idx: np.ndarray, *, permutation: bool = 
     if idx.ndim != 2 or idx.shape[1] != n:
         raise ValueError("index matrix must have n1 + n2 columns")
     r, w = idx.shape[0], ctx.width
-    if work is None:
-        work = Workspace(ctx, r)
-    elif work.ctx is not ctx or work.rows < r:
-        raise ValueError("workspace does not fit this context and block")
-    if work.r != r:
-        work._lay_out(r)
+    work = _work
+    work.fit(ctx, r)
 
     # counts on the event grid, [event?][column][group][row], as exact
     # integers (group 2's stay 0 for permutation rows); d and y hold them

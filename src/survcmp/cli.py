@@ -265,14 +265,14 @@ def main(argv=None) -> int:
         parser.error("--event-value and --censored-value must differ")
     try:
         report = _run_analyze(args) if args.command == "analyze" else _run_simulate(args)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(report)
+            return 0
     except (ValueError, OSError, csv.Error) as exc:
         print(f"survcmp: {exc}", file=sys.stderr)
         return 1
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(report)
-    else:
-        sys.stdout.write(report)
+    sys.stdout.write(report)
     return 0
 
 

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from ._engine import (batch_statistics, borrowed_workspace, bootstrap_indices, chunk_blocks,
-                      permutation_indices, studentize)
+from ._engine import (batch_statistics, bootstrap_indices, chunk_blocks, permutation_indices,
+                      studentize)
 from .survival import PooledSample, Sample, pool
 from .inference import (Estimate, InferenceResult, _asymptotic, _build, _check_options,
                         _observed, _studentized_p)
@@ -121,17 +121,14 @@ def _run_chunks(z: PooledSample, plan: ResamplingPlan, chunks) -> list:
     scheme_id = _rng.SCHEME_IDS[plan.scheme]
     permutation = plan.scheme == "permutation"
     draw = permutation_indices if permutation else bootstrap_indices
-    call_rows = sum(size for _, size in chunks[0])  # a run's first call is its largest
     parts = []
-    with borrowed_workspace(ctx, call_rows) as work:
-        for chunk in chunks:
-            idx = np.empty((sum(size for _, size in chunk), z.n), np.int64)
-            for (index, size), start in zip(chunk, range(0, len(idx), _rng.BLOCK)):
-                idx[start:start + size] = draw(_rng.stream(plan.seed, scheme_id, index),
-                                               size, z.n)
-            rows = batch_statistics(ctx, idx, permutation=permutation, work=work)
-            parts.append((studentize(rows.p, rows.sigma2, rows.valid, z.n1, z.n2, 0.5),
-                          rows.valid))
+    for chunk in chunks:
+        idx = np.empty((sum(size for _, size in chunk), z.n), np.int64)
+        for (index, size), start in zip(chunk, range(0, len(idx), _rng.BLOCK)):
+            idx[start:start + size] = draw(_rng.stream(plan.seed, scheme_id, index), size, z.n)
+        rows = batch_statistics(ctx, idx, permutation=permutation)
+        parts.append((studentize(rows.p, rows.sigma2, rows.valid, z.n1, z.n2, 0.5),
+                      rows.valid))
     return parts
 
 

@@ -163,6 +163,13 @@ class TestAnalyze:
         assert out == ""
         assert "effect 0.6148" in target.read_text()
 
+    def test_out_in_missing_directory_exits_1(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "report.txt"
+        rc, out, err = _run(capsys, ["analyze", "--method", "asymptotic",
+                                     "--out", str(target)])
+        assert rc == 1 and out == ""
+        assert err == f"survcmp: [Errno 2] No such file or directory: '{target}'\n"
+
     def test_dump_replicates(self, capsys, tmp_path):
         target = tmp_path / "reps.txt"
         rc, _, _ = _run(capsys, ["analyze", "--method", "permutation", "--b", "99",
@@ -275,6 +282,12 @@ class TestSimulate:
         assert len(lines[0].split("\t")) == len(lines[1].split("\t"))
         _, out2, _ = _run(capsys, self.CELL + ["--tsv"])
         assert out1 == out2
+
+    def test_out_in_missing_directory_exits_1(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "cell.tsv"
+        rc, out, err = _run(capsys, self.CELL + ["--tsv", "--out", str(target)])
+        assert rc == 1 and out == ""
+        assert err == f"survcmp: [Errno 2] No such file or directory: '{target}'\n"
 
     def test_tsv_bytes_identical_across_workers(self, capsys):
         argv = ["simulate", "--setup", "3", "--censoring", "strong", "--n1", "15",

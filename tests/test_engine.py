@@ -12,7 +12,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from survcmp._engine import (
     SLAB,
-    Workspace,
     batch_context,
     batch_statistics,
     bootstrap_indices,
@@ -21,6 +20,7 @@ from survcmp._engine import (
     permutation_indices,
     studentize,
 )
+from survcmp import _engine
 from survcmp.datasets import load_tongue
 from survcmp.inference import studentized_p
 from survcmp.resampling import ResamplingPlan, replicate_set
@@ -254,6 +254,30 @@ class TestStructure:
             sys.setswitchinterval(interval)
         assert got == want * 3
 
+    def test_workspace_beyond_budget_dropped_at_next_context(self):
+        # a 200/200 set lays out one 256-row block per call, beyond the
+        # budget; the thread's first call on a 15/15 pool drops those arrays
+        work = _engine._work
+        replicate_set(_wide(200, 200, 9015), ResamplingPlan("bootstrap", 600, 7))
+        wide = min(buf.size for buf in work._memory.values())
+        narrow = _pooled(np.random.default_rng(9016), 15, 15)
+        replicate_set(narrow, ResamplingPlan("permutation", 999, 8))
+        assert max(buf.size for buf in work._memory.values()) < wide
+        # a set in another thread fits that thread's workspace, not this one
+        before, memory = dict(vars(work)), dict(work._memory)
+
+        def elsewhere():
+            replicate_set(narrow, ResamplingPlan("bootstrap", 999, 9))
+            return _engine._work._memory
+
+        with ThreadPoolExecutor(max_workers=1) as pool_:
+            theirs = pool_.submit(elsewhere).result(timeout=60)
+        assert theirs.keys() == memory.keys()
+        assert not any(theirs[name] is buf for name, buf in memory.items())
+        assert vars(work).keys() == before.keys()
+        assert all(vars(work)[key] is value for key, value in before.items())
+        assert all(work._memory[name] is buf for name, buf in memory.items())
+
     @pytest.mark.parametrize("permutation", [False, True])
     def test_both_recurrence_forms_equal_reference(self, permutation):
         # a many-row narrow call runs the column recurrences one vector
@@ -272,16 +296,6 @@ class TestStructure:
         assert z.context.width > 1000
         idx = np.arange(z.n1 + z.n2, dtype=np.int64)[None, :]
         _assert_same_rows(identity_row(z.context), reference_batch_statistics(z.context, idx))
-
-    def test_workspace_must_fit(self):
-        z = _pooled(np.random.default_rng(9007), 5, 4)
-        ctx = batch_context(z.times, z.events, z.n1, z.n2)
-        idx = bootstrap_indices(stream(0, 1, 0), 8, 9)
-        with pytest.raises(ValueError, match="workspace"):
-            batch_statistics(ctx, idx, work=Workspace(ctx, 7))
-        other = batch_context(z.times, z.events, z.n1, z.n2)
-        with pytest.raises(ValueError, match="workspace"):
-            batch_statistics(ctx, idx, work=Workspace(other))
 
     def test_wrong_column_count_rejected(self):
         ctx = batch_context(np.array([1.0, 2.0]), np.array([True, True]), 1, 1)

@@ -12,8 +12,8 @@ observed row against the O(m^2) quadratic form.
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from survcmp._engine import (Workspace, batch_context, batch_statistics,
-                             bootstrap_indices, permutation_indices)
+from survcmp._engine import (batch_context, batch_statistics, bootstrap_indices,
+                             permutation_indices)
 from survcmp.inference import mann_whitney_effect, studentized_p
 from survcmp.simulate import ScenarioConfig, _generate, calibrate_censoring
 from survcmp.survival import Sample, counting_processes, kaplan_meier
@@ -172,16 +172,12 @@ def test_engine_bitwise_equals_full_grid_reference(case):
     ctx = batch_context(times, events, n1, n2)
     assert_same_context(ctx, reference_batch_context(times, events, n1, n2))
     rng = np.random.default_rng(seed)
-    # one workspace for every call, so stale arrays from a full block
-    # precede each smaller one
-    work = Workspace(ctx)
+    # the thread's one workspace serves every call, so stale arrays from a
+    # full block precede each smaller one
     boot = bootstrap_indices(rng, 256, n1 + n2), bootstrap_indices(rng, rows, n1 + n2)
     perm = permutation_indices(rng, 256, n1 + n2), permutation_indices(rng, rows, n1 + n2)
     for idx in boot:
-        want = reference_batch_statistics(ctx, idx)
-        _assert_same(batch_statistics(ctx, idx, work=work), want)
-        _assert_same(batch_statistics(ctx, idx), want)
+        _assert_same(batch_statistics(ctx, idx), reference_batch_statistics(ctx, idx))
     for idx in perm:
-        want = reference_batch_statistics(ctx, idx)
-        _assert_same(batch_statistics(ctx, idx, permutation=True, work=work), want)
-        _assert_same(batch_statistics(ctx, idx), want)
+        _assert_same(batch_statistics(ctx, idx, permutation=True),
+                     reference_batch_statistics(ctx, idx))
