@@ -56,11 +56,16 @@ and A_minus at every s.
 
 The bitwise contract.  Every row's p, variance terms and validity flag
 equal, bit for bit, the ones the same formulas give on the full grid (the
-reference engine in ``tests/oracles.py``).  The row sums are the one
-place where the grid width shows: numpy's pairwise summation groups
-terms by position, so the per-slot terms of p, sigma2_12 and sigma2_21
-go back to their full-grid slots, between exact zeros, before they are
-summed.
+reference engine in ``tests/oracles.py``).  Every row sum is a recurrence
+in column order, one addition per column, and a full-grid slot without an
+event adds an exact 0.0 to it, so the event grid sums what the full grid
+sums, in the same order.  The effect shares its sum with the tails: with
+u = (S + S_left) times the other group's mass, and group 2's atom doubled,
+2 S1(k) S2(k), in its trailing column (whose mass is 0), the reverse tail
+sums U of u give 2 p at column 0 of group 1, and A + A_minus + 2 atom =
+S mass + U one column later.  sigma2_12 and sigma2_21 are one forward
+sum of dH (A + A_minus + 2 atom)^2 over both groups, read at the last
+column.
 
 Permutation rows hold every pooled observation once, so group 2's death
 and at-risk counts are the pooled counts minus group 1's, in exact
@@ -69,36 +74,37 @@ shortcut and histograms group 1 only.
 
 The layout.  A call's arrays are stored in (column, group, row) order, so
 one column of every row and both groups is one contiguous slab.  The four
-column recurrences (the at-risk reverse sum, the Kaplan-Meier product and
-the two tail sums) run as one vector ``add`` or ``multiply`` per column
-when a slab holds at least :data:`SLAB` values, and as one
-``ufunc.accumulate`` along the column axis otherwise (the identity row
-takes that path).  Both evaluate out[c] = out[c - 1] (op) in[c] in column
-order, the recurrence numpy's row-wise ``cumsum``/``cumprod`` evaluate, so
-every bit is the same.  On a 2-vCPU x86 machine (numpy 2.4) the per-column
-form overtakes ``accumulate`` at 192-384 values per slab, at every width
-from 17 to 1,888 columns, and at 512 values it is 2-4x faster; a row-major
-``cumsum`` pays about 65 ns per row, which made it half of a 256-row call
-at 17 columns.
+column recurrences (the at-risk reverse sum, the Kaplan-Meier product, the
+tail sums U and the variance sums) run as one vector ``add`` or
+``multiply`` per column when a slab holds at least :data:`SLAB` values,
+and as one ``ufunc.accumulate`` along the column axis otherwise (the
+identity row takes that path).  Both evaluate out[c] = out[c - 1] (op)
+in[c] in column order, the recurrence numpy's row-wise
+``cumsum``/``cumprod`` evaluate, so every bit is the same.  On a 2-vCPU
+x86 machine (numpy 2.4) the per-column form overtakes ``accumulate`` at
+192-384 values per slab, at every width from 17 to 1,888 columns, and at
+512 values it is 2-4x faster; a row-major ``cumsum`` pays about 65 ns per
+row, which made it half of a 256-row call at 17 columns.
 
 Chunks.  :func:`chunk_blocks` sizes one engine call: as many whole
 256-row blocks as keep rows x (n + 2) within :data:`CHUNK_CELLS`, and at
 least one.  n + 2 bounds both the grid width and the width n of the
-(rows, n) index and bin arrays, so a call's five (column, group, row) grids stay
-within 2 x 32,768 8-byte cells each (2.6 MB together) whatever the pool;
-the histogram's two grids are reused for scratch values and tail sums
-once the counts are read.  At coverage-cell sizes (15/15, 17-32
-columns) a B = 999 set is one call; a 200/200 pool still takes one block
-per call.  On the machine above, a ten-replication coverage cell ran
-11-16 % faster at 32,768 than at 16,384 (two calls per set).  Each thread
-keeps one workspace of call arrays (a ``threading.local``), which every
-call fits to its context and row count, reusing every array that is large
-enough.  Arrays laid out beyond the budget (the one-block calls on a pool
-of n > 126) stay while the thread calls on their context and are dropped
-at its first call on another.  A worker process of
-:func:`~survcmp.rng.fan_out` starts from a copy of the forking thread's
-workspace (forked) or from none (spawned); no result depends on it, since
-a new context lays out every view afresh.
+(rows, n) index and bin arrays, and no array spans the full grid, so a
+call's five (column, group, row) grids stay within 2 x 32,768 8-byte cells
+each (2.6 MB together) whatever the pool; the histogram's two grids are
+reused for scratch values and tail sums once the counts are read, and
+the death counts' grid for the variance sums.  At coverage-cell sizes
+(15/15, 17-32 columns) a B = 999 set is one call; a 200/200 pool still
+takes one block per call.  On the machine above, a ten-replication
+coverage cell ran 11-16 % faster at 32,768 than at 16,384 (two calls per
+set).  Each thread keeps one workspace of call arrays (a
+``threading.local``), which every call fits to its context and row count,
+reusing every array that is large enough.  Arrays laid out beyond the
+budget (the one-block calls on a pool of n > 126) stay while the thread
+calls on their context and are dropped at its first call on another.  A
+worker process of :func:`~survcmp.rng.fan_out` starts from a copy of the
+forking thread's workspace (forked) or from none (spawned); no result
+depends on it, since a new context lays out every view afresh.
 """
 
 from __future__ import annotations
@@ -252,10 +258,6 @@ class _Workspace(threading.local):
         # left limit
         self.surv = self._take("surv", (w + 1, 2, r))
         self.surv[0] = 1.0
-        # (row, full-grid slot) for one term at a time; slots without a
-        # pooled event stay exact zeros
-        self.full_terms = self._take("full_terms", (r, ctx.q))
-        self.full_terms.fill(0.0)
 
 
 _work = _Workspace()
@@ -326,7 +328,7 @@ def batch_statistics(ctx: BatchContext, idx: np.ndarray, *,
     tmp, a = hist.view(np.float64)
 
     # Kaplan-Meier curves and hazard-variance increments; columns 0 and
-    # w - 1 hold no event, and their terms are never summed
+    # w - 1 hold no event, so their dH and jump masses are exact zeros
     s, s_left, dh = work.surv[1:], work.surv[:-1], work.dh
     np.maximum(y, 1.0, out=tmp)
     np.divide(d, tmp, out=tmp)
@@ -344,36 +346,26 @@ def batch_statistics(ctx: BatchContext, idx: np.ndarray, *,
     mass = y
     np.subtract(s_left[:, ::-1], s[:, ::-1], out=mass)
 
-    # sigma2_12 and sigma2_21 terms dH_j (A + A_minus + 2 atom)^2, in dh;
-    # the strict tail sums run in place in tmp, and A_minus is tmp one
-    # column later (the last column's is never summed)
-    np.multiply(s, mass, out=tmp)
+    # u = (S + S_left) mass, with group 2's atom doubled, 2 S1(k) S2(k), in
+    # its trailing column (whose mass is 0); a holds its tail sums U, and
+    # U at column 0 is twice the effect
+    np.add(s, s_left, out=tmp)
+    np.multiply(tmp, mass, out=tmp)
+    np.multiply(2.0, s[-1, 0] * s[-1, 1], out=tmp[-1, 1])
     _accumulate(np.add, tmp, a, reverse=True)
-    np.multiply(s_left, mass, out=tmp)
-    _accumulate(np.add, tmp, tmp, reverse=True)
-    np.add(a[:-1], tmp[1:], out=a[:-1])
-    leftover = s[-1, 1] * s[-1, 0]
-    np.add(a[:, 1], 2.0 * leftover, out=a[:, 1])
-    np.square(a, out=a)
-    np.multiply(dh, a, out=dh)
-    # effect terms S1^+- dS2, in tmp[:, 0]
-    p_terms = tmp[:, 0]
-    np.add(s[:, 0], s_left[:, 0], out=p_terms)
-    np.multiply(0.5, p_terms, out=p_terms)
-    np.multiply(p_terms, mass[:, 0], out=p_terms)
-
-    # each term back to the full grid, slot-contiguous, for numpy's
-    # pairwise sums
-    full = work.full_terms
-    sums = []
-    for terms in (p_terms, dh[:, 0], dh[:, 1]):
-        full.T[ctx.event_slots] = terms[1:-1]
-        sums.append(full.sum(axis=1))
-    sigma2_12, sigma2_21 = 0.25 * sums[1], 0.25 * sums[2]
+    p = 0.5 * a[0, 0]
+    # A + A_minus + 2 atom = S mass + U one column later (the last
+    # column's dH is 0); the variance sums run forward in dh
+    np.multiply(s, mass, out=tmp)
+    np.add(tmp[:-1], a[1:], out=tmp[:-1])
+    np.square(tmp, out=tmp)
+    np.multiply(dh, tmp, out=dh)
+    _accumulate(np.add, dh, dh)
+    sigma2_12, sigma2_21 = 0.25 * dh[-1, 0], 0.25 * dh[-1, 1]
     sigma2 = (n1 * n2 / n) * (sigma2_12 + sigma2_21)
     # a curve ends below 1.0 exactly when its group has an event
     has_events = (s[-1, 0] < 1.0) & (s[-1, 1] < 1.0)
-    return RowStatistics(p=np.clip(sums[0], 0.0, 1.0), sigma2_12=sigma2_12,
+    return RowStatistics(p=np.clip(p, 0.0, 1.0), sigma2_12=sigma2_12,
                          sigma2_21=sigma2_21, sigma2=sigma2,
                          valid=(sigma2 > 0.0) & has_events)
 

@@ -264,6 +264,8 @@ def main(argv=None) -> int:
     if args.command == "analyze" and args.event_value == args.censored_value:
         parser.error("--event-value and --censored-value must differ")
     try:
+        if args.out:  # a bad path fails before the computation; append mode
+            open(args.out, "a").close()  # keeps an existing file's content
         report = _run_analyze(args) if args.command == "analyze" else _run_simulate(args)
         if args.out:
             with open(args.out, "w") as fh:

@@ -45,6 +45,10 @@ __all__ = [
 _SCHEMES = ("bootstrap", "permutation")
 METHODS = ("asymptotic",) + _SCHEMES
 
+# B x (n + 2) from which worker processes pay for their start-up (fresh
+# `analyze` processes, 2-vCPU x86); a smaller replicate set runs inline
+POOL_CELLS = 3_000_000
+
 
 @dataclass(frozen=True)
 class ResamplingPlan:
@@ -102,13 +106,14 @@ def replicate_set(z: PooledSample, plan: ResamplingPlan) -> ReplicateSet:
     ``workers``, so the set is bit-identical for any worker count.  One
     engine call spans as many whole blocks as the grid allows
     (:func:`~survcmp._engine.chunk_blocks`), while every replicate keeps
-    its block's stream; up to ``workers`` processes take contiguous runs
-    of those calls (:func:`~survcmp.rng.fan_out`).
+    its block's stream; from :data:`POOL_CELLS` on, up to ``workers``
+    processes take contiguous runs of those calls (:func:`~survcmp.rng.fan_out`).
     """
     todo = _rng.blocks(plan.b)
     per_call = chunk_blocks(z.context)
     chunks = [todo[i:i + per_call] for i in range(0, len(todo), per_call)]
-    parts = [part for run in _rng.fan_out(_run_chunks, chunks, plan.workers, z, plan)
+    workers = plan.workers if plan.b * (z.n + 2) >= POOL_CELLS else 1
+    parts = [part for run in _rng.fan_out(_run_chunks, chunks, workers, z, plan)
              for part in run]
     stats = np.concatenate([s for s, _ in parts])
     valid = np.concatenate([v for _, v in parts])

@@ -229,19 +229,19 @@ def _group_curves(pos, ev, q):
     return s, s_left, dh
 
 
-def _tail_sums(values):
-    # tail[i] = sum over slots >= i; strict[i] = sum over slots > i
-    tail = np.cumsum(values[:, ::-1], axis=1)[:, ::-1]
-    strict = np.concatenate([tail[:, 1:], np.zeros((values.shape[0], 1))], axis=1)
-    return tail, strict
+def _row_sums(values):
+    # values[:, 0] + values[:, 1] + ..., summed in that order
+    return np.cumsum(values, axis=1)[:, -1]
 
 
-def _sigma2_jk(sj, sj_left, dhj, mass_k, atom=0.0):
-    # atom: per row, S_j(k) times the mass S_k keeps past the window end
-    a_tail, _ = _tail_sums(sj * mass_k)
-    prod_left = sj_left * mass_k
-    _, a_strict = _tail_sums(prod_left)
-    return 0.25 * np.sum(dhj * (a_tail + a_strict + 2.0 * atom) ** 2, axis=1)
+def _terms(sj, sj_left, mass_k, trail):
+    # U = tail sums of (S_j + S_j left) mass_k, led by one trailing slot
+    # (twice group 2's atom, or 0); the variance term's summands
+    # dH_j (A + A_minus + 2 atom)^2 need A + A_minus + 2 atom = S_j mass_k
+    # + U one slot later
+    u = np.concatenate([(sj + sj_left) * mass_k, trail[:, None]], axis=1)
+    tail = np.cumsum(u[:, ::-1], axis=1)[:, ::-1]  # summed from the last slot down
+    return tail[:, 0], sj * mass_k + tail[:, 1:]
 
 
 def reference_batch_context(times, events, n1: int, n2: int) -> BatchContext:
@@ -294,9 +294,14 @@ def permutation_replicate(z: PooledSample, rng: np.random.Generator) -> float:
 def reference_batch_statistics(ctx, idx: np.ndarray):
     """The statistic engine on the full grid of pooled distinct times.
 
-    This is the package's block evaluation as it was before it moved to
-    the event grid; ``survcmp._engine.batch_statistics`` must reproduce
-    every component bit for bit.
+    Row-major (row, slot) arrays from bincounts of their own, with every
+    row sum a ``np.cumsum`` in slot order: p is half the tail sum of
+    (S1 + S1 left) dS2, and each variance term a forward sum of dH_j
+    (S_j mass_k + U_j one slot later)^2, U_j the tail sums of (S_j +
+    S_j left) mass_k led by twice group 2's atom (see
+    ``survcmp._engine``).  Slots without an event add exact zeros to every
+    sum, so ``survcmp._engine.batch_statistics`` on the event grid must
+    reproduce every component bit for bit.
 
     Parameters
     ----------
@@ -324,11 +329,14 @@ def reference_batch_statistics(ctx, idx: np.ndarray):
 
     mass2 = s2_left - s2
     mass1 = s1_left - s1
-    p = np.clip(np.sum(0.5 * (s1 + s1_left) * mass2, axis=1), 0.0, 1.0)
-
-    leftover = s2[:, -1:] * s1[:, -1:]
-    sigma2_12 = _sigma2_jk(s1, s1_left, dh1, mass2)
-    sigma2_21 = _sigma2_jk(s2, s2_left, dh2, mass1, leftover)
+    # the atom S1(k) S2(k): the mass group 1's curve keeps past the window
+    # end, times S2(k)
+    atom = s1[:, -1] * s2[:, -1]
+    u1_total, a1 = _terms(s1, s1_left, mass2, np.zeros(idx.shape[0]))
+    _, a2 = _terms(s2, s2_left, mass1, atom + atom)
+    p = np.clip(0.5 * u1_total, 0.0, 1.0)
+    sigma2_12 = 0.25 * _row_sums(dh1 * a1 ** 2)
+    sigma2_21 = 0.25 * _row_sums(dh2 * a2 ** 2)
     sigma2 = (n1 * n2 / n) * (sigma2_12 + sigma2_21)
     has_events = ev[:, :n1].any(axis=1) & ev[:, n1:].any(axis=1)
     return p, sigma2_12, sigma2_21, sigma2, (sigma2 > 0.0) & has_events

@@ -9,6 +9,7 @@ import numpy as np
 from survcmp.cli import main as cli_main
 from survcmp.datasets import load_tongue
 from survcmp.inference import asymptotic_ci, mann_whitney_effect
+from survcmp import resampling
 from survcmp.resampling import ResamplingPlan, resampling_ci, resampling_test
 from survcmp.rng import stream
 from survcmp.simulate import (
@@ -194,7 +195,8 @@ def test_criterion_11_censored_variance_consistency():
                     f"(want 0.85..1.15)")
 
 
-def test_criterion_10_worker_determinism(capsys):
+def test_criterion_10_worker_determinism(capsys, monkeypatch):
+    monkeypatch.setattr(resampling, "POOL_CELLS", 0)  # workers fork even for small sets
     argv = ["analyze", "--json", "--b", "600", "--seed", "3"]
     assert cli_main(argv + ["--workers", "1"]) == 0
     out1 = capsys.readouterr().out

@@ -49,7 +49,8 @@ class TestAnalyze:
         assert payload["methods"][0]["b"] == 0
         assert payload["methods"][1]["b"] == 99
 
-    def test_json_byte_identical_across_workers(self, capsys):
+    def test_json_byte_identical_across_workers(self, capsys, monkeypatch):
+        monkeypatch.setattr(resampling, "POOL_CELLS", 0)  # workers fork even for small sets
         argv = ["analyze", "--json", "--b", "600", "--seed", "3"]
         _, out1, _ = _run(capsys, argv + ["--workers", "1"])
         _, out4, _ = _run(capsys, argv + ["--workers", "4"])
@@ -170,6 +171,14 @@ class TestAnalyze:
         assert rc == 1 and out == ""
         assert err == f"survcmp: [Errno 2] No such file or directory: '{target}'\n"
 
+    def test_failed_analysis_leaves_existing_out_unchanged(self, capsys, tmp_path):
+        target = tmp_path / "report.txt"
+        target.write_text("earlier report\n")
+        rc, out, err = _run(capsys, ["analyze", "--input", str(tmp_path / "no.csv"),
+                                     "--k", "10", "--out", str(target)])
+        assert rc == 1 and out == "" and err.startswith("survcmp:")
+        assert target.read_text() == "earlier report\n"
+
     def test_dump_replicates(self, capsys, tmp_path):
         target = tmp_path / "reps.txt"
         rc, _, _ = _run(capsys, ["analyze", "--method", "permutation", "--b", "99",
@@ -285,6 +294,16 @@ class TestSimulate:
 
     def test_out_in_missing_directory_exits_1(self, capsys, tmp_path):
         target = tmp_path / "missing" / "cell.tsv"
+        rc, out, err = _run(capsys, self.CELL + ["--tsv", "--out", str(target)])
+        assert rc == 1 and out == ""
+        assert err == f"survcmp: [Errno 2] No such file or directory: '{target}'\n"
+
+    def test_bad_out_fails_before_the_cell_runs(self, capsys, tmp_path, monkeypatch):
+        def never(config):
+            raise AssertionError("the cell ran before the output path was checked")
+
+        monkeypatch.setattr(simulate, "coverage_study", never)
+        target = tmp_path / "missing" / "d" / "cell.tsv"
         rc, out, err = _run(capsys, self.CELL + ["--tsv", "--out", str(target)])
         assert rc == 1 and out == ""
         assert err == f"survcmp: [Errno 2] No such file or directory: '{target}'\n"

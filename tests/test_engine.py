@@ -22,12 +22,14 @@ from survcmp._engine import (
 )
 from survcmp import _engine
 from survcmp.datasets import load_tongue
-from survcmp.inference import studentized_p
+from survcmp.inference import mann_whitney_effect, studentized_p
+from survcmp import resampling
 from survcmp.resampling import ResamplingPlan, replicate_set
 from survcmp.rng import SCHEME_IDS, blocks, stream
-from survcmp.survival import Sample, pool, split, truncate
+from survcmp.survival import Sample, kaplan_meier, pool, split, truncate
 
-from oracles import assert_same_context, reference_batch_context, reference_batch_statistics
+from oracles import (assert_same_context, cov_kernel, reference_batch_context,
+                     reference_batch_statistics, sigma2_jk, uncensored_pairwise_oracle)
 
 K = 10.0
 
@@ -211,9 +213,11 @@ class TestStructure:
 
     @pytest.mark.parametrize("scheme", ["bootstrap", "permutation"])
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_replicate_set_equals_reference_engine(self, scheme, workers):
+    def test_replicate_set_equals_reference_engine(self, scheme, workers, monkeypatch):
         # 600 replicates make two full blocks and a partial one, all in one
-        # engine call on this narrow pool
+        # engine call on this narrow pool; two workers fork even for this
+        # small a set
+        monkeypatch.setattr(resampling, "POOL_CELLS", 0)
         z = _pooled(np.random.default_rng(9006), 12, 9)
         assert chunk_blocks(z.context) >= 3
         reps = replicate_set(z, ResamplingPlan(scheme=scheme, b=600, seed=17, workers=workers))
@@ -222,10 +226,12 @@ class TestStructure:
         assert reps.dropped == dropped
 
     @pytest.mark.parametrize("scheme", ["bootstrap", "permutation"])
-    def test_wide_pool_processes_over_chunks(self, scheme):
+    def test_wide_pool_processes_over_chunks(self, scheme, monkeypatch):
         # 200/200 uncensored is 402 columns wide: one block per engine call,
         # so B = 600 spans three calls; one worker runs them inline, two and
-        # three take runs of (2, 1) and (1, 1, 1) calls in processes
+        # three take runs of (2, 1) and (1, 1, 1) calls in processes, even
+        # for this small a set
+        monkeypatch.setattr(resampling, "POOL_CELLS", 0)
         z = _wide(200, 200, 9009)
         assert chunk_blocks(z.context) == 1
         sets = [replicate_set(z, ResamplingPlan(scheme, 600, 23, workers))
@@ -236,10 +242,11 @@ class TestStructure:
             assert reps.statistics.tobytes() == want.tobytes()
             assert reps.dropped == dropped
 
-    def test_concurrent_sets_never_share_a_workspace(self):
+    def test_concurrent_sets_never_share_a_workspace(self, monkeypatch):
         # sets on two pools from more threads than cores, the wide ones on
         # three threads of their own, with the interpreter switching threads
         # often; a workspace lent twice at once would mix two calls' arrays
+        monkeypatch.setattr(resampling, "POOL_CELLS", 0)  # wide sets spawn workers
         jobs = [(_wide(200, 200, 9013), ResamplingPlan("permutation", 600, 5, workers=3)),
                 (_pooled(np.random.default_rng(9014), 15, 15),
                  ResamplingPlan("bootstrap", 999, 6))]
@@ -301,6 +308,35 @@ class TestStructure:
         ctx = batch_context(np.array([1.0, 2.0]), np.array([True, True]), 1, 1)
         with pytest.raises(ValueError, match="n1 [+] n2 columns"):
             batch_statistics(ctx, np.zeros((3, 5), dtype=np.int64))
+
+
+class TestWideGridPrecision:
+    # every row sum runs in column order, one addition per column; on grids
+    # thousands of columns wide its rounding stays far inside these bounds
+
+    def test_effect_on_3000_per_group_tied_uncensored(self):
+        # times on a 0.005 lattice: about 2,000 distinct values, each tied
+        # three times on average, within and across the groups
+        rng = np.random.default_rng(9020)
+        times = rng.integers(1, 2000, 6000) * 0.005
+        events = np.ones(3000, bool)
+        s1, s2 = Sample(times[:3000], events, K), Sample(times[3000:], events, K)
+        assert pool(s1, s2).context.width >= 1900
+        p_hat = mann_whitney_effect(s1, s2).p_hat
+        assert abs(p_hat - uncensored_pairwise_oracle(s1, s2)) <= 1e-13
+
+    def test_variance_on_censored_500_per_group(self):
+        # group 1's largest time censored, so the boundary atom S1(k) > 0
+        rng = np.random.default_rng(9021)
+        times, events = np.round(rng.uniform(0.5, 9.5, 1000), 3), rng.random(1000) < 0.6
+        events[np.argmax(times[:500])] = False
+        s1, s2 = Sample(times[:500], events[:500], K), Sample(times[500:], events[500:], K)
+        est = mann_whitney_effect(s1, s2)
+        f1, f2 = kaplan_meier(s1), kaplan_meier(s2)
+        assert f1.survival(K) > 0
+        for fast, slow in ((est.sigma2_12, sigma2_jk(cov_kernel(f1), f2)),
+                           (est.sigma2_21, sigma2_jk(cov_kernel(f2), f1, boundary=True))):
+            assert abs(fast - slow) <= 1e-12 * slow
 
 
 class TestIndexGenerators:

@@ -1,13 +1,14 @@
 """Pooled bootstrap and permutation inference: quantile rule, determinism,
 distributional checks, frozen data values."""
 
+import concurrent.futures
 import io
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from survcmp import survival
+from survcmp import resampling, survival
 from survcmp.datasets import load_tongue
 from survcmp.inference import asymptotic_ci, mann_whitney_effect
 from survcmp.resampling import (
@@ -105,7 +106,8 @@ class TestReplicateQuantile:
 
 
 class TestReplicateSets:
-    def test_worker_count_never_changes_results(self):
+    def test_worker_count_never_changes_results(self, monkeypatch):
+        monkeypatch.setattr(resampling, "POOL_CELLS", 0)  # workers fork even for small sets
         rng = np.random.default_rng(4)
         s1 = _random_censored(rng, 15)
         s2 = _random_censored(rng, 12)
@@ -116,6 +118,25 @@ class TestReplicateSets:
                 other = replicate_set(z, ResamplingPlan(scheme, 600, 42, workers=workers))
                 assert_array_equal(base.statistics, other.statistics)
                 assert base.dropped == other.dropped
+
+    def test_small_set_starts_no_process(self, monkeypatch):
+        # the bundled data at the default B: 1999 x (80 + 2) cells, far
+        # below the size from which worker processes pay
+        z = pool(*load_tongue())
+        plan = ResamplingPlan("permutation", 1999, 8, workers=1)
+        assert plan.b * (z.n + 2) < resampling.POOL_CELLS
+        want = replicate_set(z, plan)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker process was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        got = replicate_set(z, ResamplingPlan("permutation", 1999, 8, workers=2))
+        assert got.statistics.tobytes() == want.statistics.tobytes()
+        assert got.dropped == want.dropped
+        monkeypatch.setattr(resampling, "POOL_CELLS", 0)  # the same set pools
+        with pytest.raises(AssertionError, match="worker process"):
+            replicate_set(z, ResamplingPlan("permutation", 1999, 8, workers=2))
 
     def test_replicates_deterministic_in_seed(self):
         rng = np.random.default_rng(5)

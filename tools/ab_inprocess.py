@@ -1,0 +1,131 @@
+"""Parent against change in one interpreter: alternating timings of one operation.
+
+    python3 tools/ab_inprocess.py PARENT_DIR CHANGE_DIR --op cell [--rounds 80] [--seed 1]
+    python3 tools/ab_inprocess.py PARENT_DIR CHANGE_DIR --op analyze [--csv FILE --k K] [--b 1999]
+
+PARENT_DIR and CHANGE_DIR are two checkouts of the repository.  Each
+checkout's ``src/survcmp`` is loaded under a package name of its own, so
+both run in this one process, on the same warm interpreter, and a round
+times the operation once on each side, parent first in odd rounds and
+change first in even rounds.  Fresh-process timings spread too widely on a
+small shared machine to resolve a change of a few percent; alternating in
+one process cancels most of that drift.
+
+Operations:
+
+- ``cell``: a ten-replication ``coverage_study`` (setup 3, strong
+  censoring, 15/15, B = 999), the benchmark's coverage-cell operation;
+  round i uses the study seed (seed << 24) + i on both sides.
+- ``analyze``: ``survcmp analyze --method all --b B --json`` on the CSV
+  (the change's copy of the bundled data, with K = 200, without
+  ``--csv``), through ``cli.main``.
+
+Both sides must return equal results in every round (the coverage row's
+fields, or the JSON report), or the script stops with an assertion error.
+It prints each side's median and quartiles in milliseconds, the ratio of
+the medians and the rounds that the change wins.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import gc
+import importlib.util
+import io
+import statistics
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
+from time import perf_counter
+
+CELL = dict(setup=3, censoring="strong", n1=15, n2=15, alpha=0.05, b=999, reps=10)
+
+
+def load(root: Path, name: str):
+    """The checkout's ``survcmp`` package, imported as ``name``."""
+    src = root / "src" / "survcmp"
+    spec = importlib.util.spec_from_file_location(name, src / "__init__.py",
+                                                  submodule_search_locations=[str(src)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    for module in ("cli", "simulate"):
+        importlib.import_module(f"{name}.{module}")
+    return package
+
+
+def cell_op(package, seed: int):
+    def run(i: int) -> str:
+        config = package.simulate.ScenarioConfig(seed=(seed << 24) + i, **CELL)
+        return repr(dataclasses.asdict(package.simulate.coverage_study(config)))
+    return run
+
+
+def analyze_op(package, csv: str, k: float, b: int, seed: int):
+    argv = ["analyze", "--input", csv, "--k", str(k), "--method", "all", "--b", str(b),
+            "--json", "--seed", str(seed)]
+
+    def run(i: int) -> str:
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            code = package.cli.main(argv)
+        assert code == 0, f"analyze exited with {code}"
+        return buf.getvalue()
+    return run
+
+
+def _quartiles(values: list[float]) -> tuple[float, float]:
+    q = statistics.quantiles(values, n=4)
+    return q[0], q[2]
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent_dir", type=Path)
+    parser.add_argument("change_dir", type=Path)
+    parser.add_argument("--op", choices=("cell", "analyze"), required=True)
+    parser.add_argument("--rounds", type=int, default=80)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--csv", help="analyze: input CSV (default: the bundled data)")
+    parser.add_argument("--k", type=float, help="analyze: window end, needed with --csv")
+    parser.add_argument("--b", type=int, default=1999, help="analyze: replicates")
+    args = parser.parse_args()
+    if args.csv is not None and args.k is None:
+        parser.error("--k is required with --csv")
+
+    # the bundled data by path: a package loaded under another name cannot
+    # find its own data as the resource "survcmp.data"
+    csv = args.csv or str(args.change_dir / "src" / "survcmp" / "data" / "tongue.csv")
+    k = 200.0 if args.csv is None else args.k
+    sides = {}
+    for side, root in (("parent", args.parent_dir), ("change", args.change_dir)):
+        package = load(root.resolve(), f"survcmp_{side}")
+        sides[side] = (cell_op(package, args.seed) if args.op == "cell"
+                       else analyze_op(package, csv, k, args.b, args.seed))
+    for run in sides.values():  # warm-up: caches, calibration, first workspace
+        run(0)
+
+    times = {side: [] for side in sides}
+    for i in range(args.rounds):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        results = {}
+        for side in order:
+            gc.collect()  # no side pays for collecting the other's garbage
+            start = perf_counter()
+            results[side] = sides[side](i)
+            times[side].append(perf_counter() - start)
+        assert results["parent"] == results["change"], f"round {i}: results differ"
+
+    parent, change = times["parent"], times["change"]
+    for side, values in times.items():
+        lo, hi = _quartiles(values)
+        print(f"{side:7s} median {1e3 * statistics.median(values):8.3f} ms  "
+              f"quartiles [{1e3 * lo:.3f}, {1e3 * hi:.3f}]")
+    wins = sum(c < p for p, c in zip(parent, change))
+    print(f"ratio {statistics.median(change) / statistics.median(parent):.3f}  "
+          f"change wins {wins}/{args.rounds}  results equal in every round")
+
+
+if __name__ == "__main__":
+    main()
