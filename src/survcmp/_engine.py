@@ -86,25 +86,28 @@ x86 machine (numpy 2.4) the per-column form overtakes ``accumulate`` at
 512 values it is 2-4x faster; a row-major ``cumsum`` pays about 65 ns per
 row, which made it half of a 256-row call at 17 columns.
 
-Chunks.  :func:`chunk_blocks` sizes one engine call: as many whole
-256-row blocks as keep rows x (n + 2) within :data:`CHUNK_CELLS`, and at
-least one.  n + 2 bounds both the grid width and the width n of the
-(rows, n) index and bin arrays, and no array spans the full grid, so a
-call's five (column, group, row) grids stay within 2 x 32,768 8-byte cells
-each (2.6 MB together) whatever the pool; the histogram's two grids are
-reused for scratch values and tail sums once the counts are read, and
-the death counts' grid for the variance sums.  At coverage-cell sizes
-(15/15, 17-32 columns) a B = 999 set is one call; a 200/200 pool still
-takes one block per call.  On the machine above, a ten-replication
-coverage cell ran 11-16 % faster at 32,768 than at 16,384 (two calls per
-set).  Each thread keeps one workspace of call arrays (a
-``threading.local``), which every call fits to its context and row count,
-reusing every array that is large enough.  Arrays laid out beyond the
-budget (the one-block calls on a pool of n > 126) stay while the thread
-calls on their context and are dropped at its first call on another.  A
-worker process of :func:`~survcmp.rng.fan_out` starts from a copy of the
-forking thread's workspace (forked) or from none (spawned); no result
-depends on it, since a new context lays out every view afresh.
+Chunks.  :func:`chunk_blocks` sizes one engine call: as many whole 256-row
+blocks as keep rows x (n + 2) within :data:`CHUNK_CELLS`, and at least
+one.  n + 2 bounds the grid width and the width n of the (rows, n) index
+and bin arrays, so a call's five (column, group, row) grids stay within
+2 x 32,768 8-byte cells each (2.6 MB together) whatever the pool; the
+histogram's grids, of death counts and totals, are reused for scratch
+values and tail sums.  At 15/15 (17-32 columns) a B = 999 set is one call,
+and a 200/200 pool takes one block per call; on the machine above a
+ten-replication coverage cell ran 11-16 % faster at 32,768 than at 16,384.
+Each thread keeps one workspace (a ``threading.local``), which every call
+fits to its context and row count, reusing every array large enough;
+arrays laid out beyond the budget (one-block calls on a pool of n > 126)
+are dropped at the thread's first call on another context.  The bin codes
+are one gather of the observations' codes plus an offset plane, rows x n
+int64 (the row, plus r in group 2's columns); the plane's first n1 columns
+are kept apart for permutation calls, and rows x n unit weights make
+``bincount`` count in float64: 240 + 120 + 240 KB at 999 x 30,
+819 + 410 + 819 KB at 256 x 400.  The identity row (r = 1) and the
+replicate calls alternate, so these arrays stay for up to :data:`PLANES`
+row counts while the group sizes do.  A forked worker of
+:func:`~survcmp.rng.fan_out` starts from a copy of the workspace and a
+spawned one from none; no result depends on it.
 """
 
 from __future__ import annotations
@@ -128,6 +131,7 @@ CHUNK_CELLS = 32768
 # values per column slab from which the column recurrences run one vector
 # operation per column instead of ufunc.accumulate (see "The layout")
 SLAB = 256
+PLANES = 4  # row counts whose offset planes a workspace keeps (see "Chunks")
 
 
 @dataclass(frozen=True)
@@ -208,10 +212,11 @@ def bootstrap_indices(rng: np.random.Generator, r: int, n: int) -> np.ndarray:
     return rng.integers(0, n, size=(r, n), dtype=np.int64)
 
 
-def permutation_indices(rng: np.random.Generator, r: int, n: int) -> np.ndarray:
-    """r independent uniform permutations of 0..n-1 (row-wise shuffles)."""
-    base = np.tile(np.arange(n, dtype=np.int64), (r, 1))
-    return rng.permuted(base, axis=1, out=base)
+def permutation_indices(rng: np.random.Generator, r: int, n: int, out=None) -> np.ndarray:
+    """r uniform permutations of 0..n-1 (row-wise shuffles), into ``out`` if given."""
+    out = np.empty((r, n), np.int64) if out is None else out
+    out[...] = np.arange(n)
+    return rng.permuted(out, axis=1, out=out)
 
 
 def chunk_blocks(ctx: BatchContext) -> int:
@@ -229,6 +234,7 @@ class _Workspace(threading.local):
 
     def __init__(self):  # once in every thread, at its first call
         self._memory: dict[str, np.ndarray] = {}
+        self._planes, self.sizes = {}, None  # planes and weights by row count, for `sizes`
         self.ctx, self.r = None, 0  # the context and row count of the views
         self.cells = 0  # largest rows x (n + 2) the memory was laid out for
 
@@ -248,11 +254,16 @@ class _Workspace(threading.local):
         self.ctx, self.r, w = ctx, r, ctx.width
         self.cells = max(self.cells, r * (ctx.n1 + ctx.n2 + 2))
         # histogram bin of (event?, column, group, row): the observation's
-        # code, plus the row, plus r for group 2
+        # code, plus the offset plane: the row, plus r in group 2's columns
         self.code = ctx.events * (w * 2 * r) + ctx.column * (2 * r)
-        self.row = np.arange(r)[:, None]
+        if (ctx.n1, ctx.n2) != self.sizes or r not in self._planes and len(self._planes) == PLANES:
+            self._planes, self.sizes = {}, (ctx.n1, ctx.n2)
+        if r not in self._planes:  # the full plane, group 1's columns alone, unit weights
+            plane = np.arange(r)[:, None] + np.where(np.arange(ctx.n1 + ctx.n2) < ctx.n1, 0, r)
+            self._planes[r] = plane, plane[:, :ctx.n1].copy(), np.ones(plane.size)
+        self.plane, self.group1_plane, self.ones = self._planes[r]
         # y is dead once dH is known and then holds the jump masses; dh
-        # first holds the deaths
+        # holds dH, then the variance sums
         self.at_risk, self.dh = self._take("at_risk", (w, 2, r)), self._take("dh", (w, 2, r))
         # one column longer: surv[1:] is S and surv[:-1], led by 1.0, its
         # left limit
@@ -304,28 +315,25 @@ def batch_statistics(ctx: BatchContext, idx: np.ndarray, *,
     work = _work
     work.fit(ctx, r)
 
-    # counts on the event grid, [event?][column][group][row], as exact
-    # integers (group 2's stay 0 for permutation rows); d and y hold them
-    # as floats
-    bins = work.code[idx[:, :n1 if permutation else n]]
-    bins[:, :n1] += work.row
-    if not permutation:
-        bins[:, n1:] += work.row + r
-    hist = np.bincount(bins.ravel(), minlength=2 * w * 2 * r).reshape(2, w, 2, r)
-    y, d, total = work.at_risk, work.dh, hist[0]
+    # counts on the event grid, [event?][column][group][row], as floats
+    # (unit weights; group 2's stay 0 for permutation rows), all integers
+    # and so exact; d is the deaths, and y the totals, then the at-risk counts
+    plane = work.group1_plane if permutation else work.plane
+    bins = np.take(work.code, idx[:, :plane.shape[1]])
+    np.add(bins, plane, out=bins)
+    hist = np.bincount(bins.ravel(), work.ones[:bins.size], 2 * w * 2 * r).reshape(2, w, 2, r)
+    y, d = work.at_risk, hist[1]
     if permutation:
-        d[:, 0] = hist[1, :, 0]
-        np.add(total[:, 0], hist[1, :, 0], out=total[:, 0])
-        _accumulate(np.add, total[:, 0], y[:, 0], reverse=True)
+        np.add(hist[0, :, 0], d[:, 0], out=y[:, 0])
+        _accumulate(np.add, y[:, 0], y[:, 0], reverse=True)
         np.subtract(ctx.pool_at_risk[:, None], y[:, 0], out=y[:, 1])
         np.subtract(ctx.pool_deaths[:, None], d[:, 0], out=d[:, 1])
     else:
-        d[...] = hist[1]
-        np.add(total, hist[1], out=total)
-        _accumulate(np.add, total, y, reverse=True)
-    # the histogram is dead: its two grids of 8-byte cells hold the
-    # scratch values and the tail sums A
-    tmp, a = hist.view(np.float64)
+        np.add(hist[0], d, out=y)
+        _accumulate(np.add, y, y, reverse=True)
+    # the totals are dead, and so are the deaths once dH is known: the
+    # histogram's two grids hold the scratch values and the tail sums A
+    tmp, a = hist
 
     # Kaplan-Meier curves and hazard-variance increments; columns 0 and
     # w - 1 hold no event, so their dH and jump masses are exact zeros
@@ -335,7 +343,7 @@ def batch_statistics(ctx: BatchContext, idx: np.ndarray, *,
     np.subtract(1.0, tmp, out=tmp)
     _accumulate(np.multiply, tmp, s)
     # dH = dN / ((Y - dN) Y), or 0 where Y = dN: there min(dN, gap) = 0,
-    # and elsewhere gap >= Y >= dN; d is dh, and this is its last use
+    # and elsewhere gap >= Y >= dN; this is d's last use
     np.subtract(y, d, out=tmp)
     np.multiply(tmp, y, out=tmp)
     np.minimum(d, tmp, out=dh)
@@ -344,7 +352,7 @@ def batch_statistics(ctx: BatchContext, idx: np.ndarray, *,
 
     # mass[:, j] = jump masses of the other group's curve
     mass = y
-    np.subtract(s_left[:, ::-1], s[:, ::-1], out=mass)
+    np.subtract(s_left, s, out=mass[:, ::-1])
 
     # u = (S + S_left) mass, with group 2's atom doubled, 2 S1(k) S2(k), in
     # its trailing column (whose mass is 0); a holds its tail sums U, and

@@ -20,6 +20,7 @@ import math
 import os
 import sys
 from dataclasses import replace as _replace
+from time import monotonic
 
 from .datasets import ingest_csv, tongue_path
 from .resampling import METHODS, analyze
@@ -236,10 +237,12 @@ def _run_simulate(args) -> str:
         overrides = {key: getattr(args, key) for key in ("reps", "b", "alpha", "workers")
                      if getattr(args, key) is not None}
         configs = [_replace(c, **overrides) for c in sim.full_study_configs(base_seed=seed)]
-        rows = []
+        rows, start = [], monotonic()
         for i, cfg in enumerate(configs, start=1):
             rows.append(sim.coverage_study(cfg))
-            print(f"cell {i}/{len(configs)} done", file=sys.stderr)
+            elapsed = monotonic() - start  # the ETA assumes the mean cell time so far
+            print(f"cell {i}/{len(configs)} done, {elapsed:.1f} s elapsed, ETA "
+                  f"{elapsed / i * (len(configs) - i):.1f} s", file=sys.stderr)
         return sim.coverage_tsv(rows) if args.tsv else sim.coverage_text(rows)
     kwargs = sim.parse_config_file(args.config) if args.config else {}
     for key in ("setup", "censoring", "n1", "n2", "reps", "b", "alpha", "workers"):

@@ -20,8 +20,8 @@ __all__ = ["tongue_path", "ingest_csv", "load_tongue"]
 
 
 def tongue_path():
-    """Filesystem path of the bundled dataset."""
-    return resources.files("survcmp.data").joinpath("tongue.csv")
+    """Filesystem path of the bundled dataset, in this copy of the package."""
+    return resources.files(__package__) / "data" / "tongue.csv"
 
 
 def ingest_csv(path, k: float, time_col: str = "time", status_col: str = "delta",

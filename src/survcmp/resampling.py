@@ -125,12 +125,15 @@ def _run_chunks(z: PooledSample, plan: ResamplingPlan, chunks) -> list:
     ctx = z.context
     scheme_id = _rng.SCHEME_IDS[plan.scheme]
     permutation = plan.scheme == "permutation"
-    draw = permutation_indices if permutation else bootstrap_indices
     parts = []
     for chunk in chunks:
         idx = np.empty((sum(size for _, size in chunk), z.n), np.int64)
         for (index, size), start in zip(chunk, range(0, len(idx), _rng.BLOCK)):
-            idx[start:start + size] = draw(_rng.stream(plan.seed, scheme_id, index), size, z.n)
+            rng, block = _rng.stream(plan.seed, scheme_id, index), idx[start:start + size]
+            if permutation:  # shuffled in place, in the block's slice
+                permutation_indices(rng, size, z.n, out=block)
+            else:
+                block[...] = bootstrap_indices(rng, size, z.n)
         rows = batch_statistics(ctx, idx, permutation=permutation)
         parts.append((studentize(rows.p, rows.sigma2, rows.valid, z.n1, z.n2, 0.5),
                       rows.valid))

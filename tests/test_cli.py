@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, output formats, seed handling."""
 
 import csv
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -393,10 +394,38 @@ class TestSimulate:
         assert seen == [(2, 0.1)] * 90
         lines = out.strip().splitlines()
         assert len(lines) == 91
-        progress = [l for l in err.strip().splitlines() if l.endswith("done")]
+        progress = [l for l in err.strip().splitlines() if l.startswith("cell ")]
         assert len(progress) == 90
-        assert progress[0] == "cell 1/90 done"
-        assert progress[-1] == "cell 90/90 done"
+        assert progress[0].startswith("cell 1/90 done, ")
+        assert progress[-1].startswith("cell 90/90 done, ")
+        assert progress[-1].endswith(" s elapsed, ETA 0.0 s")
+
+    @pytest.mark.parametrize("tsv", [False, True])
+    def test_full_study_progress_gives_elapsed_and_eta(self, capsys, monkeypatch, tsv):
+        # every cell takes 2.5 s of a fake clock; the ETA is the mean cell
+        # time so far times the cells left, and the report is unchanged
+        clock = [100.0]
+        calibration = simulate.CensoringCalibration(0.5, 0.25, 30.0, 31.0)
+
+        def study(config):
+            clock[0] += 2.5
+            return simulate.CoverageRow(config.setup, config.censoring, config.n1, config.n2,
+                                        90.0, 91.5, 92.25, config.reps, 0, config.b,
+                                        config.alpha, config.seed, calibration)
+
+        monkeypatch.setattr(simulate, "coverage_study", study)
+        monkeypatch.setattr(cli, "monotonic", lambda: clock[0])
+        rc, out, err = _run(capsys, ["simulate", "--full-study", "--reps", "2", "--b", "19",
+                                     "--seed", "4"] + (["--tsv"] if tsv else []))
+        assert rc == 0
+        lines = err.splitlines()
+        assert len(lines) == 90
+        assert lines[0] == "cell 1/90 done, 2.5 s elapsed, ETA 222.5 s"
+        assert lines[29] == "cell 30/90 done, 75.0 s elapsed, ETA 150.0 s"
+        assert lines[-1] == "cell 90/90 done, 225.0 s elapsed, ETA 0.0 s"
+        configs = simulate.full_study_configs(base_seed=4)
+        rows = [study(dataclasses.replace(c, reps=2, b=19)) for c in configs]
+        assert out == (simulate.coverage_tsv if tsv else simulate.coverage_text)(rows)
 
     @pytest.mark.parametrize("flags", [["--setup", "1"], ["--censoring", "none"],
                                        ["--n1", "5"], ["--n2", "5"],

@@ -1,8 +1,13 @@
 """CSV ingestion rules and the bundled dataset."""
 
 import csv
+import importlib
+import importlib.util
 import random
+import shutil
+import sys
 from importlib import resources
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -10,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from survcmp import datasets
+from survcmp.cli import main
 from survcmp.datasets import ingest_csv, load_tongue, tongue_path
 from survcmp.survival import HORIZON_POLICIES
 
@@ -65,6 +71,31 @@ class TestBundledData:
         np.testing.assert_array_equal(c1.times, e1.times)
         inside = c1.times < 200.0
         np.testing.assert_array_equal(c1.events[inside], e1.events[inside])
+
+    def test_copy_under_another_name_reads_its_own_data(self, tmp_path, capsys):
+        # a second copy of the package, imported under a name of its own (as
+        # tools/ab_inprocess.py loads two checkouts side by side)
+        src = tmp_path / "copy"
+        shutil.copytree(Path(datasets.__file__).parent, src,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        spec = importlib.util.spec_from_file_location(
+            "survcmp_copy", src / "__init__.py", submodule_search_locations=[str(src)])
+        package = importlib.util.module_from_spec(spec)
+        sys.modules["survcmp_copy"] = package
+        try:
+            spec.loader.exec_module(package)
+            cli = importlib.import_module("survcmp_copy.cli")
+            path = importlib.import_module("survcmp_copy.datasets").tongue_path()
+            assert Path(str(path)) == src / "data" / "tongue.csv"
+            # analyze without --input: the copy's bundled data, the same report
+            argv = ["analyze", "--method", "asymptotic", "--json"]
+            assert cli.main(argv) == 0
+            report = capsys.readouterr().out
+        finally:
+            for name in [name for name in sys.modules if name.split(".")[0] == "survcmp_copy"]:
+                del sys.modules[name]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == report
 
     def test_shorter_window_rewrites_more_rows(self):
         s1, s2 = load_tongue(k=100.0)

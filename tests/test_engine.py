@@ -2,6 +2,7 @@
 observed statistic as the identity row, the context and the reference
 engine."""
 
+import hashlib
 import multiprocessing
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -25,7 +26,7 @@ from survcmp.datasets import load_tongue
 from survcmp.inference import mann_whitney_effect, studentized_p
 from survcmp import resampling
 from survcmp.resampling import ResamplingPlan, replicate_set
-from survcmp.rng import SCHEME_IDS, blocks, stream
+from survcmp.rng import BLOCK, SCHEME_IDS, blocks, stream
 from survcmp.survival import Sample, kaplan_meier, pool, split, truncate
 
 from oracles import (assert_same_context, cov_kernel, reference_batch_context,
@@ -285,6 +286,39 @@ class TestStructure:
         assert all(vars(work)[key] is value for key, value in before.items())
         assert all(work._memory[name] is buf for name, buf in memory.items())
 
+    def test_offset_planes_kept_for_current_group_sizes_only(self):
+        # a thread keeps the offset planes of at most PLANES row counts, and
+        # only for the group sizes of its last call
+        work = _engine._work
+        narrow = _pooled(np.random.default_rng(9017), 15, 15)
+        replicate_set(narrow, ResamplingPlan("bootstrap", 999, 10))
+        identity_row(narrow.context)
+        assert work.sizes == (15, 15) and sorted(work._planes) == [1, 999]
+        other = _pooled(np.random.default_rng(9018), 12, 20)
+        replicate_set(other, ResamplingPlan("permutation", 300, 11))
+        assert work.sizes == (12, 20) and sorted(work._planes) == [300]
+        for r in range(1, 2 * _engine.PLANES):
+            batch_statistics(other.context, bootstrap_indices(stream(12, 1, r), r, 32))
+            assert len(work._planes) <= _engine.PLANES
+        for r, (plane, group1, ones) in work._planes.items():
+            assert plane.shape == (r, 32) and group1.shape == (r, 12)
+            assert group1.flags.c_contiguous
+            assert ones.dtype == np.float64 and ones.shape == (r * 32,) and (ones == 1.0).all()
+            rows = np.arange(r)[:, None]
+            assert_array_equal(plane, np.hstack([rows.repeat(12, 1), rows.repeat(20, 1) + r]))
+            assert_array_equal(group1, plane[:, :12])
+
+    @pytest.mark.parametrize("permutation", [False, True])
+    def test_identity_row_between_calls_changes_no_row(self, permutation):
+        # the identity row lays out planes of one row between two 999-row calls
+        ctx = _pooled(np.random.default_rng(9019), 15, 15).context
+        draw = permutation_indices if permutation else bootstrap_indices
+        idx = draw(stream(13, 1, 0), 999, 30)
+        first = batch_statistics(ctx, idx, permutation=permutation)
+        identity_row(ctx)
+        _assert_same_rows(batch_statistics(ctx, idx, permutation=permutation), first)
+        _assert_same_rows(first, reference_batch_statistics(ctx, idx))
+
     @pytest.mark.parametrize("permutation", [False, True])
     def test_both_recurrence_forms_equal_reference(self, permutation):
         # a many-row narrow call runs the column recurrences one vector
@@ -351,6 +385,40 @@ class TestIndexGenerators:
         expected = np.arange(13)
         for row in idx:
             assert_array_equal(np.sort(row), expected)
+
+    # regression anchors: one 256 x 30 block of each generator on a fixed
+    # stream, its first row and the SHA-256 of its little-endian bytes
+    ANCHORS = {
+        "bootstrap": (
+            bootstrap_indices, 1,
+            [5, 17, 17, 15, 23, 21, 2, 14, 1, 3, 29, 29, 28, 12, 14,
+             25, 28, 6, 25, 27, 23, 16, 22, 8, 6, 0, 5, 26, 20, 9],
+            "40e20fc194b16e007cf4a49728f38b7963f2e168e2da7106629e97c1ceb065c2"),
+        "permutation": (
+            permutation_indices, 2,
+            [14, 15, 0, 13, 23, 26, 25, 9, 8, 7, 4, 28, 11, 29, 3,
+             6, 2, 1, 27, 22, 17, 5, 24, 10, 19, 21, 20, 16, 12, 18],
+            "16c55e69efd15d995c12c957df0d10c81fc2fd2018b7b0d206518f8a971de4fb"),
+    }
+
+    @pytest.mark.parametrize("scheme", ["bootstrap", "permutation"])
+    def test_draws_pinned(self, scheme):
+        draw, scheme_id, first, digest = self.ANCHORS[scheme]
+        idx = draw(stream(16, scheme_id, 0), BLOCK, 30)
+        assert idx.dtype == np.int64 and idx.shape == (BLOCK, 30)
+        assert idx[0].tolist() == first
+        assert hashlib.sha256(idx.astype("<i8").tobytes()).hexdigest() == digest
+
+    def test_permutation_into_strided_view_equals_allocating_form(self):
+        want = permutation_indices(stream(16, 2, 3), 40, 13)
+        big = np.full((90, 20), -1, np.int64)
+        view = big[1::2][:40, 3:16]
+        assert not view.flags.c_contiguous
+        assert permutation_indices(stream(16, 2, 3), 40, 13, out=view) is view
+        assert_array_equal(view, want)
+        # nothing outside the view is written
+        big[1::2][:40, 3:16] = -1
+        assert (big == -1).all()
 
     def test_generators_deterministic(self):
         a = bootstrap_indices(stream(4, 1, 2), 10, 9)

@@ -2,6 +2,7 @@
 
     python3 tools/ab_inprocess.py PARENT_DIR CHANGE_DIR --op cell [--rounds 80] [--seed 1]
     python3 tools/ab_inprocess.py PARENT_DIR CHANGE_DIR --op analyze [--csv FILE --k K] [--b 1999]
+        [--method all] [--target p|w|both]
 
 PARENT_DIR and CHANGE_DIR are two checkouts of the repository.  Each
 checkout's ``src/survcmp`` is loaded under a package name of its own, so
@@ -16,9 +17,12 @@ Operations:
 - ``cell``: a ten-replication ``coverage_study`` (setup 3, strong
   censoring, 15/15, B = 999), the benchmark's coverage-cell operation;
   round i uses the study seed (seed << 24) + i on both sides.
-- ``analyze``: ``survcmp analyze --method all --b B --json`` on the CSV
+- ``analyze``: ``survcmp analyze --method M --b B --json`` on the CSV
   (the change's copy of the bundled data, with K = 200, without
-  ``--csv``), through ``cli.main``.
+  ``--csv``), through ``cli.main``.  ``--method`` (default ``all``) and
+  ``--target`` (default: the CLI's own, left off the argv) pass through,
+  so ``--method asymptotic --target both`` on the benchmark's 4,000-row
+  CSV times the operation of the ``large-n-asymptotic`` workload.
 
 Both sides must return equal results in every round (the coverage row's
 fields, or the JSON report), or the script stops with an assertion error.
@@ -62,9 +66,9 @@ def cell_op(package, seed: int):
     return run
 
 
-def analyze_op(package, csv: str, k: float, b: int, seed: int):
-    argv = ["analyze", "--input", csv, "--k", str(k), "--method", "all", "--b", str(b),
-            "--json", "--seed", str(seed)]
+def analyze_op(package, csv: str, k: float, b: int, seed: int, method: str, target):
+    argv = ["analyze", "--input", csv, "--k", str(k), "--method", method, "--b", str(b),
+            "--json", "--seed", str(seed)] + (["--target", target] if target else [])
 
     def run(i: int) -> str:
         buf = io.StringIO()
@@ -90,19 +94,24 @@ def main() -> None:
     parser.add_argument("--csv", help="analyze: input CSV (default: the bundled data)")
     parser.add_argument("--k", type=float, help="analyze: window end, needed with --csv")
     parser.add_argument("--b", type=int, default=1999, help="analyze: replicates")
+    parser.add_argument("--method", default="all", help="analyze: --method of the analysis")
+    parser.add_argument("--target", choices=("p", "w", "both"),
+                        help="analyze: --target of the analysis (default: the CLI's)")
     args = parser.parse_args()
     if args.csv is not None and args.k is None:
         parser.error("--k is required with --csv")
 
-    # the bundled data by path: a package loaded under another name cannot
-    # find its own data as the resource "survcmp.data"
+    # the bundled data by path: a checkout from before `tongue_path` resolved
+    # its package's own name asks for the resource "survcmp.data", which a
+    # package loaded under another name cannot find
     csv = args.csv or str(args.change_dir / "src" / "survcmp" / "data" / "tongue.csv")
     k = 200.0 if args.csv is None else args.k
     sides = {}
     for side, root in (("parent", args.parent_dir), ("change", args.change_dir)):
         package = load(root.resolve(), f"survcmp_{side}")
         sides[side] = (cell_op(package, args.seed) if args.op == "cell"
-                       else analyze_op(package, csv, k, args.b, args.seed))
+                       else analyze_op(package, csv, k, args.b, args.seed, args.method,
+                                       args.target))
     for run in sides.values():  # warm-up: caches, calibration, first workspace
         run(0)
 
