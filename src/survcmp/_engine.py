@@ -18,7 +18,21 @@ histogrammed onto that grid; curves, hazard-variance increments and the
 effect integral then come out of cumulative products and reversed
 cumulative sums along the columns, for both groups in one pass.  This is
 exact: on the full grid a slot without an event only multiplies S by 1.0
-and adds exact zeros to every cumulative sum.
+and adds exact zeros to every cumulative sum.  The leading column is
+histogrammed but never processed: it holds no event, so its S is exactly
+1.0, the left limit of column 1, and its dH and jump masses are zeros;
+every step after the histogram runs on columns 1..w - 1.
+
+The Kaplan-Meier factor 1 - d / max(y, 1) and the hazard-variance
+increment dH = min(d, gap) / max(gap, 1), gap = (y - d) y, depend only on
+a column's at-risk count y <= max(n1, n2) and death count d <= y.  So two
+tables hold them for every code y radix + d, radix = max(n1, n2) + 1, made
+by the same formulas (:func:`_km_terms`) from divmod(arange(radix^2),
+radix), and a call reads its grid's values from them by code.  The tables
+are used where they are no larger than the call's grid (radix^2 <= w x 2
+x rows), as for every replicate call; otherwise, as for the identity row,
+the formulas run on the grid itself.  Either way each value comes from the
+same elementwise operations on the same two integers, so the bits agree.
 
 The variance.  The estimator's asymptotic variance decomposes into two
 terms, one per group.  Each term integrates a covariance kernel of that
@@ -62,10 +76,15 @@ event adds an exact 0.0 to it, so the event grid sums what the full grid
 sums, in the same order.  The effect shares its sum with the tails: with
 u = (S + S_left) times the other group's mass, and group 2's atom doubled,
 2 S1(k) S2(k), in its trailing column (whose mass is 0), the reverse tail
-sums U of u give 2 p at column 0 of group 1, and A + A_minus + 2 atom =
+sums U of u give 2 p at column 1 of group 1, and A + A_minus + 2 atom =
 S mass + U one column later.  sigma2_12 and sigma2_21 are one forward
-sum of dH (A + A_minus + 2 atom)^2 over both groups, read at the last
-column.
+sum of dH (A + A_minus + 2 atom)^2 over both groups, of which only the
+last column is read.  Where a slab holds at least :data:`SLAB` values that
+sum is one ``np.add.reduce`` along the column axis: numpy reduces an axis
+that is not the innermost by adding one slab at a time into the running
+result, in column order, so it makes the recurrence's additions; it sums
+pairwise only along the contiguous inner axis, which is why narrow slabs,
+whose axes numpy may reorder, keep ``ufunc.accumulate``.
 
 Permutation rows hold every pooled observation once, so group 2's death
 and at-risk counts are the pooled counts minus group 1's, in exact
@@ -73,18 +92,27 @@ integer arithmetic; ``batch_statistics(..., permutation=True)`` takes that
 shortcut and histograms group 1 only.
 
 The layout.  A call's arrays are stored in (column, group, row) order, so
-one column of every row and both groups is one contiguous slab.  The four
-column recurrences (the at-risk reverse sum, the Kaplan-Meier product, the
-tail sums U and the variance sums) run as one vector ``add`` or
-``multiply`` per column when a slab holds at least :data:`SLAB` values,
-and as one ``ufunc.accumulate`` along the column axis otherwise (the
-identity row takes that path).  Both evaluate out[c] = out[c - 1] (op)
-in[c] in column order, the recurrence numpy's row-wise
+one column of every row and both groups is one contiguous slab.  The
+column recurrences (the at-risk reverse sum, the Kaplan-Meier product and
+the tail sums U) run as one vector ``add`` or ``multiply`` per column
+when a slab holds at least :data:`SLAB` values, and as one
+``ufunc.accumulate`` along the column axis otherwise (the identity row
+takes that path); the variance sums, of which only the last column is
+read, run as one ``np.add.reduce`` and one ``ufunc.accumulate`` in those
+two cases (see "The bitwise contract").  Each form evaluates out[c] =
+out[c - 1] (op) in[c] in column order, the recurrence numpy's row-wise
 ``cumsum``/``cumprod`` evaluate, so every bit is the same.  On a 2-vCPU
 x86 machine (numpy 2.4) the per-column form overtakes ``accumulate`` at
 192-384 values per slab, at every width from 17 to 1,888 columns, and at
 512 values it is 2-4x faster; a row-major ``cumsum`` pays about 65 ns per
-row, which made it half of a 256-row call at 17 columns.
+row, which made it half of a 256-row call at 17 columns.  A permutation
+call forms its counts on the grids' group halves, which are strided: one
+run of r values per column.  numpy copies such an operand through its
+ufunc buffer (8,192 values by default) when the buffer spans several runs,
+so from :data:`SLAB` values per slab these steps run with the buffer cut
+to one run (``np.setbufsize`` within ``np.errstate``, which restores it)
+and read the runs in place: on the machine above a half-grid subtraction
+at 999 rows took 24-30 us with the default buffer and 7 us with one run's.
 
 Chunks.  :func:`chunk_blocks` sizes one engine call: as many whole 256-row
 blocks as keep rows x (n + 2) within :data:`CHUNK_CELLS`, and at least
@@ -105,9 +133,11 @@ are kept apart for permutation calls, and rows x n unit weights make
 ``bincount`` count in float64: 240 + 120 + 240 KB at 999 x 30,
 819 + 410 + 819 KB at 256 x 400.  The identity row (r = 1) and the
 replicate calls alternate, so these arrays stay for up to :data:`PLANES`
-row counts while the group sizes do.  A forked worker of
-:func:`~survcmp.rng.fan_out` starts from a copy of the workspace and a
-spawned one from none; no result depends on it.
+row counts, and the two code tables (2 x radix^2 float64: 4,096 bytes at
+15/15, 646,416 at 200/200) with them, while the group sizes do; a call's
+codes live in its deaths' grid, dead once they are formed.  A forked
+worker of :func:`~survcmp.rng.fan_out` starts from a copy of the
+workspace and a spawned one from none; no result depends on it.
 """
 
 from __future__ import annotations
@@ -234,7 +264,8 @@ class _Workspace(threading.local):
 
     def __init__(self):  # once in every thread, at its first call
         self._memory: dict[str, np.ndarray] = {}
-        self._planes, self.sizes = {}, None  # planes and weights by row count, for `sizes`
+        # planes and weights by row count, and the code tables, for `sizes`
+        self._planes, self._tables, self.sizes = {}, None, None
         self.ctx, self.r = None, 0  # the context and row count of the views
         self.cells = 0  # largest rows x (n + 2) the memory was laid out for
 
@@ -256,22 +287,65 @@ class _Workspace(threading.local):
         # histogram bin of (event?, column, group, row): the observation's
         # code, plus the offset plane: the row, plus r in group 2's columns
         self.code = ctx.events * (w * 2 * r) + ctx.column * (2 * r)
-        if (ctx.n1, ctx.n2) != self.sizes or r not in self._planes and len(self._planes) == PLANES:
-            self._planes, self.sizes = {}, (ctx.n1, ctx.n2)
+        if (ctx.n1, ctx.n2) != self.sizes:
+            self._planes, self._tables, self.sizes = {}, None, (ctx.n1, ctx.n2)
+        elif r not in self._planes and len(self._planes) == PLANES:
+            self._planes = {}
         if r not in self._planes:  # the full plane, group 1's columns alone, unit weights
             plane = np.arange(r)[:, None] + np.where(np.arange(ctx.n1 + ctx.n2) < ctx.n1, 0, r)
             self._planes[r] = plane, plane[:, :ctx.n1].copy(), np.ones(plane.size)
         self.plane, self.group1_plane, self.ones = self._planes[r]
-        # y is dead once dH is known and then holds the jump masses; dh
-        # holds dH, then the variance sums
-        self.at_risk, self.dh = self._take("at_risk", (w, 2, r)), self._take("dh", (w, 2, r))
-        # one column longer: surv[1:] is S and surv[:-1], led by 1.0, its
-        # left limit
-        self.surv = self._take("surv", (w + 1, 2, r))
+        # the Kaplan-Meier factor and dH by code y radix + d, where the
+        # tables are no larger than the call's grid; None: the formulas run
+        self.radix = max(ctx.n1, ctx.n2) + 1
+        self.tables = None
+        if self.radix ** 2 <= w * 2 * r:
+            if self._tables is None:
+                self._tables = _km_tables(self.radix)
+            self.tables = self._tables
+        # columns 1..w - 1 only: y is dead once dH is known and then holds
+        # the jump masses; dh holds dH, then the variance terms
+        self.at_risk = self._take("at_risk", (w - 1, 2, r))
+        self.dh = self._take("dh", (w - 1, 2, r))
+        # S on every column: column 0's is exactly 1.0, the left limit of column 1
+        self.surv = self._take("surv", (w, 2, r))
         self.surv[0] = 1.0
 
 
 _work = _Workspace()
+
+
+def _km_terms(y, d, factor, dh) -> None:
+    """The Kaplan-Meier factor 1 - d / max(y, 1) and the hazard-variance
+    increment dH = d / ((y - d) y), or 0 where y = d, elementwise from the
+    at-risk and death counts; factor serves as scratch for dH first."""
+    # gap = (y - d) y: where y = d, min(d, gap) = 0, and elsewhere gap >= y >= d
+    np.subtract(y, d, out=factor)
+    np.multiply(factor, y, out=factor)
+    np.minimum(d, factor, out=dh)
+    np.maximum(factor, 1.0, out=factor)
+    np.divide(dh, factor, out=dh)
+    np.maximum(y, 1.0, out=factor)
+    np.divide(d, factor, out=factor)
+    np.subtract(1.0, factor, out=factor)
+
+
+def _km_tables(radix: int) -> np.ndarray:
+    """Rows 0 and 1: the Kaplan-Meier factor and dH of every code
+    y radix + d, with y and d below radix (codes with d > y are never read)."""
+    y, d = np.divmod(np.arange(float(radix * radix)), radix)
+    tables = np.empty((2, y.size))
+    _km_terms(y, d, *tables)
+    return tables
+
+
+def _permutation_counts(ctx: BatchContext, totals, y, d) -> None:
+    """Group 1's at-risk counts from its totals and deaths, and group 2's
+    counts as the pooled ones minus group 1's, on columns 1..w - 1."""
+    np.add(totals[:, 0], d[:, 0], out=y[:, 0])
+    _accumulate(np.add, y[:, 0], y[:, 0], reverse=True)
+    np.subtract(ctx.pool_at_risk[1:, None], y[:, 0], out=y[:, 1])
+    np.subtract(ctx.pool_deaths[1:, None], d[:, 0], out=d[:, 1])
 
 
 def _accumulate(op, values, out, reverse: bool = False) -> None:
@@ -317,38 +391,41 @@ def batch_statistics(ctx: BatchContext, idx: np.ndarray, *,
 
     # counts on the event grid, [event?][column][group][row], as floats
     # (unit weights; group 2's stay 0 for permutation rows), all integers
-    # and so exact; d is the deaths, and y the totals, then the at-risk counts
+    # and so exact; column 0, before the first event, is never read after
+    # this: its S is 1.0 and its dH and jump masses are zeros.  d is the
+    # deaths, and y the totals, then the at-risk counts
     plane = work.group1_plane if permutation else work.plane
     bins = np.take(work.code, idx[:, :plane.shape[1]])
     np.add(bins, plane, out=bins)
     hist = np.bincount(bins.ravel(), work.ones[:bins.size], 2 * w * 2 * r).reshape(2, w, 2, r)
-    y, d = work.at_risk, hist[1]
-    if permutation:
-        np.add(hist[0, :, 0], d[:, 0], out=y[:, 0])
-        _accumulate(np.add, y[:, 0], y[:, 0], reverse=True)
-        np.subtract(ctx.pool_at_risk[:, None], y[:, 0], out=y[:, 1])
-        np.subtract(ctx.pool_deaths[:, None], d[:, 0], out=d[:, 1])
+    y, d = work.at_risk, hist[1, 1:]
+    if permutation and 2 * r < SLAB:
+        _permutation_counts(ctx, hist[0, 1:], y, d)
+    elif permutation:  # ufunc buffers of one run of r values (see "The layout")
+        with np.errstate():
+            np.setbufsize(r // 16 * 16)
+            _permutation_counts(ctx, hist[0, 1:], y, d)
     else:
-        np.add(hist[0], d, out=y)
+        np.add(hist[0, 1:], d, out=y)
         _accumulate(np.add, y, y, reverse=True)
     # the totals are dead, and so are the deaths once dH is known: the
     # histogram's two grids hold the scratch values and the tail sums A
-    tmp, a = hist
+    tmp, a = hist[:, 1:]
 
-    # Kaplan-Meier curves and hazard-variance increments; columns 0 and
-    # w - 1 hold no event, so their dH and jump masses are exact zeros
+    # Kaplan-Meier curves and hazard-variance increments; the last column
+    # holds no event, so its dH and jump masses are exact zeros
     s, s_left, dh = work.surv[1:], work.surv[:-1], work.dh
-    np.maximum(y, 1.0, out=tmp)
-    np.divide(d, tmp, out=tmp)
-    np.subtract(1.0, tmp, out=tmp)
+    if work.tables is None:
+        _km_terms(y, d, tmp, dh)
+    else:  # the codes y radix + d take the deaths' place; every code is
+        # in range, and "clip" spares np.take the buffered "raise" path
+        codes = d.view(np.int64)
+        np.multiply(y, work.radix, out=tmp)
+        np.add(tmp, d, out=tmp)
+        np.copyto(codes, tmp, casting="unsafe")
+        np.take(work.tables[0], codes, out=tmp, mode="clip")
+        np.take(work.tables[1], codes, out=dh, mode="clip")
     _accumulate(np.multiply, tmp, s)
-    # dH = dN / ((Y - dN) Y), or 0 where Y = dN: there min(dN, gap) = 0,
-    # and elsewhere gap >= Y >= dN; this is d's last use
-    np.subtract(y, d, out=tmp)
-    np.multiply(tmp, y, out=tmp)
-    np.minimum(d, tmp, out=dh)
-    np.maximum(tmp, 1.0, out=tmp)
-    np.divide(dh, tmp, out=dh)
 
     # mass[:, j] = jump masses of the other group's curve
     mass = y
@@ -356,24 +433,30 @@ def batch_statistics(ctx: BatchContext, idx: np.ndarray, *,
 
     # u = (S + S_left) mass, with group 2's atom doubled, 2 S1(k) S2(k), in
     # its trailing column (whose mass is 0); a holds its tail sums U, and
-    # U at column 0 is twice the effect
+    # U at column 1 is twice the effect
     np.add(s, s_left, out=tmp)
     np.multiply(tmp, mass, out=tmp)
     np.multiply(2.0, s[-1, 0] * s[-1, 1], out=tmp[-1, 1])
     _accumulate(np.add, tmp, a, reverse=True)
     p = 0.5 * a[0, 0]
     # A + A_minus + 2 atom = S mass + U one column later (the last
-    # column's dH is 0); the variance sums run forward in dh
+    # column's dH is 0); the variance terms are the column-order sums of
+    # dH (A + A_minus + 2 atom)^2, of which only the last is read
     np.multiply(s, mass, out=tmp)
     np.add(tmp[:-1], a[1:], out=tmp[:-1])
     np.square(tmp, out=tmp)
     np.multiply(dh, tmp, out=dh)
-    _accumulate(np.add, dh, dh)
-    sigma2_12, sigma2_21 = 0.25 * dh[-1, 0], 0.25 * dh[-1, 1]
+    if 2 * r < SLAB:
+        sums = np.add.accumulate(dh, axis=0, out=dh)[-1]
+    else:  # a reduce along a non-inner axis adds one slab at a time, in order
+        sums = np.add.reduce(dh, axis=0)
+    sigma2_12, sigma2_21 = 0.25 * sums[0], 0.25 * sums[1]
     sigma2 = (n1 * n2 / n) * (sigma2_12 + sigma2_21)
     # a curve ends below 1.0 exactly when its group has an event
     has_events = (s[-1, 0] < 1.0) & (s[-1, 1] < 1.0)
-    return RowStatistics(p=np.clip(p, 0.0, 1.0), sigma2_12=sigma2_12,
+    # np.clip's values, p being a sum of non-negative terms (never -0.0 or
+    # NaN), without its wrapper's microsecond per call
+    return RowStatistics(p=np.minimum(np.maximum(p, 0.0), 1.0), sigma2_12=sigma2_12,
                          sigma2_21=sigma2_21, sigma2=sigma2,
                          valid=(sigma2 > 0.0) & has_events)
 

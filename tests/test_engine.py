@@ -344,6 +344,76 @@ class TestStructure:
             batch_statistics(ctx, np.zeros((3, 5), dtype=np.int64))
 
 
+class TestCodeTables:
+    # the Kaplan-Meier factor and dH by code y radix + d, where the tables
+    # are no larger than the call's grid, and the formulas elsewhere
+
+    def test_tables_equal_the_formulas_for_every_count_pair(self):
+        radix = 61
+        y, d = (v.astype(float) for v in np.tril_indices(radix))  # 0 <= d <= y <= 60
+        tables = _engine._km_tables(radix)
+        assert tables.shape == (2, radix * radix)
+        codes = (y * radix + d).astype(np.int64)
+        gap = (y - d) * y
+        factor = 1.0 - d / np.maximum(y, 1.0)
+        dh = np.minimum(d, gap) / np.maximum(gap, 1.0)
+        assert tables[0][codes].tobytes() == factor.tobytes()
+        assert tables[1][codes].tobytes() == dh.tobytes()
+        # no one at risk, and everyone at risk dying
+        assert tables[0][0] == 1.0 and tables[1][0] == 0.0
+        everyone = np.arange(1, radix) * (radix + 1)
+        assert (tables[0][everyone] == 0.0).all() and (tables[1][everyone] == 0.0).all()
+
+    def test_calls_on_both_sides_of_the_size_rule_equal_reference(self):
+        work = _engine._work
+        narrow, wide = _pooled(np.random.default_rng(9022), 15, 15), _wide(600, 550, 9023)
+        idx = bootstrap_indices(stream(32, 1, 0), 999, 30)
+        cases = [(narrow.context, idx, True),
+                 (narrow.context, np.arange(30, dtype=np.int64)[None, :], False),
+                 (wide.context, np.arange(1150, dtype=np.int64)[None, :], False)]
+        for ctx, rows, table in cases:
+            got = batch_statistics(ctx, rows, permutation=rows.shape[0] == 1)
+            assert (work.tables is not None) == table
+            if table:
+                assert work.radix ** 2 <= ctx.width * 2 * rows.shape[0]
+            _assert_same_rows(got, reference_batch_statistics(ctx, rows))
+
+    def test_tables_kept_for_current_group_sizes_only(self):
+        work = _engine._work
+        replicate_set(_pooled(np.random.default_rng(9024), 15, 15),
+                      ResamplingPlan("bootstrap", 999, 14))
+        assert work._tables.shape == (2, 16 * 16) and work.tables is work._tables
+        replicate_set(_pooled(np.random.default_rng(9025), 12, 20),
+                      ResamplingPlan("permutation", 300, 15))
+        assert work.sizes == (12, 20) and work.tables is work._tables
+        assert work._tables.tobytes() == _engine._km_tables(21).tobytes()
+
+
+class TestLeadingColumn:
+    # column 0 holds the times before the first event: histogrammed, never
+    # processed, since its S is 1.0 and its dH and jump masses are zeros
+
+    @staticmethod
+    def _pool(censored_first):
+        rng = np.random.default_rng(9026)
+        times = np.round(rng.uniform(1.0, 9.5, 30), 2)
+        events = rng.random(30) < 0.7
+        # the two smallest times, one per group: censored, or events
+        times[[0, 15]], events[[0, 15]] = (0.25, 0.5), not censored_first
+        return pool(Sample(times[:15], events[:15], K), Sample(times[15:], events[15:], K))
+
+    @pytest.mark.parametrize("censored_first", [True, False])
+    @pytest.mark.parametrize("permutation", [False, True])
+    @pytest.mark.parametrize("rows", [999, 7])
+    def test_rows_equal_reference(self, censored_first, permutation, rows):
+        ctx = self._pool(censored_first).context
+        assert (ctx.column == 0).any() == censored_first
+        draw = permutation_indices if permutation else bootstrap_indices
+        idx = draw(stream(33, 1, rows), rows, 30)
+        _assert_same_rows(batch_statistics(ctx, idx, permutation=permutation),
+                          reference_batch_statistics(ctx, idx))
+
+
 class TestWideGridPrecision:
     # every row sum runs in column order, one addition per column; on grids
     # thousands of columns wide its rounding stays far inside these bounds

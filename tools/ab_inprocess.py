@@ -1,6 +1,7 @@
 """Parent against change in one interpreter: alternating timings of one operation.
 
     python3 tools/ab_inprocess.py PARENT_DIR CHANGE_DIR --op cell [--rounds 80] [--seed 1]
+        [--n1 15 --n2 15]
     python3 tools/ab_inprocess.py PARENT_DIR CHANGE_DIR --op analyze [--csv FILE --k K] [--b 1999]
         [--method all] [--target p|w|both]
 
@@ -15,8 +16,10 @@ one process cancels most of that drift.
 Operations:
 
 - ``cell``: a ten-replication ``coverage_study`` (setup 3, strong
-  censoring, 15/15, B = 999), the benchmark's coverage-cell operation;
-  round i uses the study seed (seed << 24) + i on both sides.
+  censoring, B = 999) of ``--n1``/``--n2`` per group, by default 15/15,
+  the benchmark's coverage-cell operation; round i uses the study seed
+  (seed << 24) + i on both sides.  ``--n1 30 --n2 60`` times one of the
+  full study's widest cells.
 - ``analyze``: ``survcmp analyze --method M --b B --json`` on the CSV
   (the change's copy of the bundled data, with K = 200, without
   ``--csv``), through ``cli.main``.  ``--method`` (default ``all``) and
@@ -43,7 +46,7 @@ from contextlib import redirect_stdout
 from pathlib import Path
 from time import perf_counter
 
-CELL = dict(setup=3, censoring="strong", n1=15, n2=15, alpha=0.05, b=999, reps=10)
+CELL = dict(setup=3, censoring="strong", alpha=0.05, b=999, reps=10)
 
 
 def load(root: Path, name: str):
@@ -59,9 +62,9 @@ def load(root: Path, name: str):
     return package
 
 
-def cell_op(package, seed: int):
+def cell_op(package, seed: int, n1: int, n2: int):
     def run(i: int) -> str:
-        config = package.simulate.ScenarioConfig(seed=(seed << 24) + i, **CELL)
+        config = package.simulate.ScenarioConfig(seed=(seed << 24) + i, n1=n1, n2=n2, **CELL)
         return repr(dataclasses.asdict(package.simulate.coverage_study(config)))
     return run
 
@@ -91,6 +94,8 @@ def main() -> None:
     parser.add_argument("--op", choices=("cell", "analyze"), required=True)
     parser.add_argument("--rounds", type=int, default=80)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--n1", type=int, default=15, help="cell: group 1's size")
+    parser.add_argument("--n2", type=int, default=15, help="cell: group 2's size")
     parser.add_argument("--csv", help="analyze: input CSV (default: the bundled data)")
     parser.add_argument("--k", type=float, help="analyze: window end, needed with --csv")
     parser.add_argument("--b", type=int, default=1999, help="analyze: replicates")
@@ -109,7 +114,7 @@ def main() -> None:
     sides = {}
     for side, root in (("parent", args.parent_dir), ("change", args.change_dir)):
         package = load(root.resolve(), f"survcmp_{side}")
-        sides[side] = (cell_op(package, args.seed) if args.op == "cell"
+        sides[side] = (cell_op(package, args.seed, args.n1, args.n2) if args.op == "cell"
                        else analyze_op(package, csv, k, args.b, args.seed, args.method,
                                        args.target))
     for run in sides.values():  # warm-up: caches, calibration, first workspace
