@@ -9,7 +9,7 @@ ones the demos and the README use; everything else lives in the
 submodules.
 """
 
-from .survival import Sample, counting_processes, kaplan_meier, nelson_aalen, pool
+from .survival import Sample, pool
 from .inference import asymptotic_ci, asymptotic_test, mann_whitney_effect, studentized_p
 from .resampling import (
     ReplicateSet,
@@ -25,9 +25,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Sample",
-    "counting_processes",
-    "kaplan_meier",
-    "nelson_aalen",
     "pool",
     "mann_whitney_effect",
     "studentized_p",

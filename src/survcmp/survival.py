@@ -1,4 +1,4 @@
-"""Censored samples, their pooled form, risk sets and product-limit curves.
+"""Censored samples, their pooled form and the product-limit curve.
 
 All survival times are analysed on a window [0, k] chosen by the caller.
 A recorded time beyond the window becomes a time at k, and one policy of
@@ -17,20 +17,14 @@ from functools import cached_property
 import numpy as np
 
 from ._engine import BatchContext, batch_context
-from .stepfun import StepFunction
 
 __all__ = [
     "HORIZON_POLICIES",
     "Sample",
     "PooledSample",
-    "CountingProcesses",
-    "KaplanMeierFit",
     "truncate",
     "pool",
-    "split",
-    "counting_processes",
-    "kaplan_meier",
-    "nelson_aalen",
+    "km_curve",
 ]
 
 # what to do with recorded times beyond the analysis window [0, k]:
@@ -127,51 +121,6 @@ def pool(s1: Sample, s2: Sample) -> PooledSample:
     )
 
 
-def split(z: PooledSample) -> tuple[Sample, Sample]:
-    """Undo :func:`pool` without shuffling."""
-    return (Sample(z.times[:z.n1].copy(), z.events[:z.n1].copy(), z.k),
-            Sample(z.times[z.n1:].copy(), z.events[z.n1:].copy(), z.k))
-
-
-@dataclass(frozen=True)
-class CountingProcesses:
-    """Aggregated event counts and risk-set sizes at the distinct event times.
-
-    ``event_times`` holds the strictly increasing times with at least one
-    event, ``dn`` the number of events at each, and ``y`` the number of
-    subjects with recorded time >= that time.  Censored-only times do not
-    appear in ``event_times`` but do shrink ``y`` at later times.
-    """
-
-    event_times: np.ndarray
-    dn: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        for a in (self.event_times, self.dn, self.y):
-            a.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class KaplanMeierFit:
-    """Product-limit fit of one sample.
-
-    ``survival`` is the Kaplan-Meier step function S-hat, ``normalized``
-    evaluates the mid-point version (S-hat(t) + S-hat(t-)) / 2 used for
-    tie-aware comparisons, ``counting`` carries the underlying counts, and
-    ``n`` is the sample size.
-    """
-
-    survival: StepFunction
-    counting: CountingProcesses
-    n: int
-
-    def normalized(self, t):
-        """Mid-point survival (S(t) + S(t-)) / 2 at t (scalar or array)."""
-        s = self.survival
-        return 0.5 * (s(t) + s.left_limit(t))
-
-
 def truncate(raw, k) -> Sample:
     """Truncate raw observations to the window [0, k] and build a Sample.
 
@@ -195,63 +144,32 @@ def truncate(raw, k) -> Sample:
     return Sample(*_beyond_horizon(times, events, kf, "event"), kf)
 
 
-def counting_processes(sample: Sample) -> CountingProcesses:
-    """Aggregate a sample into event counts and risk-set sizes.
+def km_curve(sample: Sample) -> tuple[np.ndarray, np.ndarray]:
+    """Kaplan-Meier curve of one sample: (event times, S-hat at each).
+
+    The event times are the distinct times with at least one event, in
+    increasing order.  Tied events at a time u contribute a single factor
+    1 - dN(u)/Y(u), where Y(u) counts every recorded time >= u, so a
+    censoring tied with an event is still at risk.  S-hat is 1 before the
+    first event time and constant from the last one through k; no tail
+    redistribution is applied.  With ``np.searchsorted`` on the event
+    times, side "right" gives S-hat(t) and side "left" its left limit.
 
     Examples
     --------
-    >>> s = truncate(([1.0, 1.0, 2.0, 3.0], [True, True, False, True]), 10.0)
-    >>> cp = counting_processes(s)
-    >>> cp.event_times.tolist(), cp.dn.tolist(), cp.y.tolist()
-    ([1.0, 3.0], [2, 1], [4, 1])
+    >>> s = truncate(([1.0, 1.0, 2.0, 3.0, 12.0], [True, True, False, True, False]), 10.0)
+    >>> times, surv = km_curve(s)
+    >>> times.tolist(), surv.tolist()
+    ([1.0, 3.0, 10.0], [0.6, 0.3, 0.0])
+    >>> km_curve(Sample([4.0, 5.0], [False, False], 10.0))[0].size
+    0
     """
     order = np.argsort(sample.times, kind="stable")
     t = sample.times[order]
-    e = sample.events[order]
     # first position of each distinct time in the sorted order
     start = np.flatnonzero(np.concatenate(([True], t[1:] != t[:-1])))
-    distinct = t[start]
-    # y at a distinct time = subjects at or after its first occurrence
-    y_all = sample.n - start
-    dn_all = np.add.reduceat(e.astype(np.int64), start)
-    has_event = dn_all > 0
-    return CountingProcesses(
-        event_times=distinct[has_event],
-        dn=dn_all[has_event],
-        y=y_all[has_event],
-    )
-
-
-def kaplan_meier(sample: Sample) -> KaplanMeierFit:
-    """Kaplan-Meier product-limit estimate of the survival function.
-
-    Tied events at a time u contribute a single factor (1 - dN(u)/Y(u)).
-    Beyond the last event time the estimate stays constant through k; no
-    tail redistribution is applied.
-
-    Examples
-    --------
-    >>> s = truncate(([1.0, 2.0, 3.0], [True, False, True]), 10.0)
-    >>> fit = kaplan_meier(s)
-    >>> float(fit.survival(1.0)), float(fit.survival(3.0))
-    (0.6666666666666667, 0.0)
-    """
-    cp = counting_processes(sample)
-    factors = 1.0 - cp.dn / cp.y
-    surv = np.cumprod(factors)
-    step = StepFunction(cp.event_times, surv, 1.0, sample.k)
-    return KaplanMeierFit(survival=step, counting=cp, n=sample.n)
-
-
-def nelson_aalen(sample: Sample) -> StepFunction:
-    """Nelson-Aalen cumulative-hazard estimate, jumps dN(u)/Y(u).
-
-    Examples
-    --------
-    >>> s = truncate(([1.0, 2.0], [True, True]), 10.0)
-    >>> na = nelson_aalen(s)
-    >>> float(na(1.0)), float(na(2.0))
-    (0.5, 1.5)
-    """
-    cp = counting_processes(sample)
-    return StepFunction(cp.event_times, np.cumsum(cp.dn / cp.y), 0.0, sample.k)
+    dn = np.add.reduceat(sample.events[order].astype(np.int64), start)
+    # at risk at a distinct time: subjects at or after its first occurrence
+    y = sample.n - start
+    hit = dn > 0
+    return t[start[hit]], np.cumprod(1.0 - dn[hit] / y[hit])

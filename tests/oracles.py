@@ -3,13 +3,15 @@
 The mid-rank pairwise count gives the effect on uncensored data from all
 n1 x n2 pairs.  ``wilcoxon_integral`` and ``integration_by_parts_value``
 give the effect and its by-parts companion as exact jump sums over
-Kaplan-Meier step functions.  ``reference_batch_statistics`` is the
+Kaplan-Meier step functions (``StepFunction``, ``kaplan_meier``, built on
+the ``np.unique`` form of the counting processes,
+``reference_counting_processes``); the package's ``km_curve`` must match
+``kaplan_meier`` bit for bit.  ``reference_batch_statistics`` is the
 statistic engine on the full grid of pooled times, ``reference_batch_context``
 builds the engine's context with two ``np.unique`` calls and a
 ``searchsorted``, ``reference_ingest_csv`` reads a CSV one row at a time,
-``reference_counting_processes`` finds the distinct times with
-``np.unique``, and ``reference_calibrate_censoring`` rebuilds the
-censoring times from the uniforms at every bisection step.  The plug-in
+and ``reference_calibrate_censoring`` rebuilds the censoring times from
+the uniforms at every bisection step.  The plug-in
 variance in ``survcmp._engine`` is a reassociated single sum over one
 group's event times; the forms here evaluate the same quantity the direct
 way: a covariance kernel per group, its four-limit average at any pair of
@@ -32,9 +34,128 @@ from survcmp._engine import (BatchContext, batch_statistics, bootstrap_indices,
 from survcmp.datasets import _label_key
 from survcmp.simulate import (_CAL_TAG, CENSORING_BANDS, CensoringCalibration,
                               ScenarioConfig, draw_survival, horizon)
-from survcmp.stepfun import StepFunction
-from survcmp.survival import (HORIZON_POLICIES, CountingProcesses, KaplanMeierFit,
-                              PooledSample, Sample, kaplan_meier)
+from survcmp.survival import HORIZON_POLICIES, PooledSample, Sample
+
+
+class StepFunction:
+    """Right-continuous piecewise-constant function on [0, k].
+
+    The function equals ``initial_value`` on [0, t_1) and ``values[i]`` on
+    [t_i, t_{i+1}), where t_1 < t_2 < ... are the jump times.  Evaluation
+    uses binary search with exact time comparison, so times that are equal
+    as floats hit the same piece.
+
+    Parameters
+    ----------
+    jump_times : array_like
+        Strictly increasing jump locations, all in (0, k].
+    values : array_like
+        Function value on and after each jump time.  Same length as
+        ``jump_times``.
+    initial_value : float
+        Value on [0, t_1).
+    k : float
+        Right end of the time window.
+    """
+
+    __slots__ = ("jump_times", "values", "initial_value", "k", "_padded")
+
+    def __init__(self, jump_times, values, initial_value, k):
+        jump_times = np.asarray(jump_times, dtype=float)
+        values = np.asarray(values, dtype=float)
+        if jump_times.ndim != 1 or values.shape != jump_times.shape:
+            raise ValueError("jump_times and values must be 1-d arrays of equal length")
+        if jump_times.size and np.any(np.diff(jump_times) <= 0):
+            raise ValueError("jump times must be strictly increasing")
+        if jump_times.size and (jump_times[0] <= 0 or jump_times[-1] > k):
+            raise ValueError("jump times must lie in (0, k]")
+        self.jump_times = jump_times
+        self.values = values
+        self.initial_value = float(initial_value)
+        self.k = float(k)
+        # value on each piece: the initial value, then one per jump
+        self._padded = np.concatenate(([self.initial_value], values))
+        for arr in (jump_times, values, self._padded):
+            arr.setflags(write=False)
+
+    def __call__(self, t):
+        """Evaluate at t (scalar or array), right-continuously."""
+        out = self._padded[np.searchsorted(self.jump_times, t, side="right")]
+        return float(out) if np.isscalar(t) else out
+
+    def left_limit(self, t):
+        """Value just before t, i.e. lim_{s -> t-} f(s)."""
+        out = self._padded[np.searchsorted(self.jump_times, t, side="left")]
+        return float(out) if np.isscalar(t) else out
+
+    @property
+    def deltas(self):
+        """Jump sizes f(t_i) - f(t_i-), one per jump time."""
+        return np.diff(self._padded)
+
+
+@dataclass(frozen=True)
+class CountingProcesses:
+    """Aggregated event counts and risk-set sizes at the distinct event times.
+
+    ``event_times`` holds the strictly increasing times with at least one
+    event, ``dn`` the number of events at each, and ``y`` the number of
+    subjects with recorded time >= that time.  Censored-only times do not
+    appear in ``event_times`` but do shrink ``y`` at later times.
+    """
+
+    event_times: np.ndarray
+    dn: np.ndarray
+    y: np.ndarray
+
+
+@dataclass(frozen=True)
+class KaplanMeierFit:
+    """Product-limit fit of one sample.
+
+    ``survival`` is the Kaplan-Meier step function S-hat, ``normalized``
+    evaluates the mid-point version (S-hat(t) + S-hat(t-)) / 2 used for
+    tie-aware comparisons, ``counting`` carries the underlying counts, and
+    ``n`` is the sample size.
+    """
+
+    survival: StepFunction
+    counting: CountingProcesses
+    n: int
+
+    def normalized(self, t):
+        """Mid-point survival (S(t) + S(t-)) / 2 at t (scalar or array)."""
+        s = self.survival
+        return 0.5 * (s(t) + s.left_limit(t))
+
+
+def reference_counting_processes(sample: Sample) -> CountingProcesses:
+    """Event counts and risk sets at the distinct event times, with
+    ``np.unique`` finding the distinct times and their first positions."""
+    order = np.argsort(sample.times, kind="stable")
+    t = sample.times[order]
+    e = sample.events[order]
+    distinct, start = np.unique(t, return_index=True)
+    y_all = sample.n - start
+    dn_all = np.add.reduceat(e.astype(np.int64), start)
+    has_event = dn_all > 0
+    return CountingProcesses(event_times=distinct[has_event], dn=dn_all[has_event],
+                             y=y_all[has_event])
+
+
+def kaplan_meier(sample: Sample) -> KaplanMeierFit:
+    """Kaplan-Meier step function of one sample: one factor
+    (1 - dN(u)/Y(u)) per distinct event time, constant after the last."""
+    cp = reference_counting_processes(sample)
+    surv = np.cumprod(1.0 - cp.dn / cp.y)
+    return KaplanMeierFit(survival=StepFunction(cp.event_times, surv, 1.0, sample.k),
+                          counting=cp, n=sample.n)
+
+
+def split(z: PooledSample) -> tuple[Sample, Sample]:
+    """Undo ``survcmp.survival.pool`` without shuffling."""
+    return (Sample(z.times[:z.n1], z.events[:z.n1], z.k),
+            Sample(z.times[z.n1:], z.events[z.n1:], z.k))
 
 
 def wilcoxon_integral(f_normalized, g: StepFunction) -> float:
@@ -60,9 +181,15 @@ def wilcoxon_integral(f_normalized, g: StepFunction) -> float:
 def integration_by_parts_value(s1: Sample, s2: Sample) -> float:
     """Companion value 1/2 - int_[0,k) S1 dS2 / 2 + int_[0,k) S2 dS1 / 2.
 
-    The half-open domain excludes jumps exactly at k.  Equals the effect
-    estimate whenever at least one Kaplan-Meier curve has no mass left at
-    k; in general the two differ by S1(k) S2(k) / 2.
+    The half-open domain excludes jumps exactly at k.  The product rule on
+    [0, k) relates it to the effect estimate p = -int_[0,k] S1+- dS2 (S1+-
+    the mid-point curve) exactly:
+
+        value - p = S1(k-) S2(k-) / 2 + S1+-(k) dS2(k),
+
+    where dS2(k) = S2(k) - S2(k-) <= 0 is group 2's jump at k.  Without that
+    jump the difference is S1(k-) S2(k-) / 2, and the two agree when either
+    curve has no mass left just before k.
     """
     if s1.k != s2.k:
         raise ValueError("incompatible horizons")
@@ -404,20 +531,6 @@ def reference_ingest_csv(path, k: float, time_col: str = "time", status_col: str
         events = np.array([e for _, e in rows])
         samples.append(Sample(times, events, k))
     return samples[0], samples[1]
-
-
-def reference_counting_processes(sample: Sample) -> CountingProcesses:
-    """``survcmp.survival.counting_processes`` with ``np.unique`` finding
-    the distinct times and their first positions."""
-    order = np.argsort(sample.times, kind="stable")
-    t = sample.times[order]
-    e = sample.events[order]
-    distinct, start = np.unique(t, return_index=True)
-    y_all = sample.n - start
-    dn_all = np.add.reduceat(e.astype(np.int64), start)
-    has_event = dn_all > 0
-    return CountingProcesses(event_times=distinct[has_event], dn=dn_all[has_event],
-                             y=y_all[has_event])
 
 
 def _censored_fraction(times, unit, rate, k):

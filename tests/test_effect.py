@@ -6,9 +6,10 @@ from numpy.testing import assert_allclose
 
 from survcmp.datasets import load_tongue
 from survcmp.inference import mann_whitney_effect
-from survcmp.survival import Sample, kaplan_meier, truncate
+from survcmp.survival import Sample, truncate
 
-from oracles import integration_by_parts_value, uncensored_pairwise_oracle, wilcoxon_integral
+from oracles import (integration_by_parts_value, kaplan_meier, uncensored_pairwise_oracle,
+                     wilcoxon_integral)
 
 K = 10.0
 
@@ -27,6 +28,24 @@ def _censored(rng, n, force_group_max_event=False):
         events[top] = True
         times[top] = 9.5  # strict maximum, survival curve reaches zero
     return Sample(times, events, K)
+
+
+def _censored_at_k(rng, n):
+    # about a third of the times moved to K, half of those as events
+    s = _censored(rng, n)
+    times, events = s.times.copy(), s.events.copy()
+    at_k = rng.random(n) < 0.35
+    times[at_k] = K
+    events[at_k] = rng.random(int(at_k.sum())) < 0.5
+    return Sample(times, events, K)
+
+
+def _by_parts_gap(s1, s2):
+    # by-parts value minus p_hat: S1(K-) S2(K-) / 2 + S1+-(K) dS2(K)
+    f1 = kaplan_meier(s1).survival
+    f2 = kaplan_meier(s2).survival
+    mid1 = 0.5 * (f1(K) + f1.left_limit(K))
+    return 0.5 * f1.left_limit(K) * f2.left_limit(K) + mid1 * (f2(K) - f2.left_limit(K))
 
 
 class TestWilcoxonIntegral:
@@ -115,12 +134,37 @@ class TestIntegrationByParts:
         for _ in range(100):
             s1 = _censored(rng, int(rng.integers(2, 15)))
             s2 = _censored(rng, int(rng.integers(2, 15)))
-            f1 = kaplan_meier(s1).survival
-            f2 = kaplan_meier(s2).survival
-            gap = 0.5 * f1.left_limit(K) * f2.left_limit(K)
             est = mann_whitney_effect(s1, s2).p_hat
             ibp = integration_by_parts_value(s1, s2)
-            assert_allclose(ibp - est, gap, atol=1e-10)
+            assert_allclose(ibp - est, _by_parts_gap(s1, s2), atol=1e-10)
+
+    def test_leftover_mass_relation_with_jumps_at_k(self):
+        # times at K, events and censorings alike, as the event policy makes
+        # them: group 2's jump at K adds S1+-(K) dS2(K) to the difference
+        rng = np.random.default_rng(606)
+        jumps = 0
+        for _ in range(200):
+            s1 = _censored_at_k(rng, int(rng.integers(2, 15)))
+            s2 = _censored_at_k(rng, int(rng.integers(2, 15)))
+            f1 = kaplan_meier(s1).survival
+            f2 = kaplan_meier(s2).survival
+            jumps += (f1(K) + f1.left_limit(K)) * (f2(K) - f2.left_limit(K)) != 0.0
+            est = mann_whitney_effect(s1, s2).p_hat
+            ibp = integration_by_parts_value(s1, s2)
+            assert_allclose(ibp - est, _by_parts_gap(s1, s2), atol=1e-10)
+        assert jumps >= 100
+
+    @pytest.mark.parametrize("s1, s2, gap", [
+        # S1(K) = 0, yet the difference is S1(K-) S2(K-) / 2 = 1/8
+        (Sample([2.0, 10.0], [True, True], K), Sample([3.0, 10.0], [True, False], K), 0.125),
+        # both curves keep mass at K, and group 2's jump there cancels it
+        (Sample([2.0, 4.0, 10.0], [True, True, False], K),
+         Sample([3.0, 10.0, 10.0], [True, True, False], K), 0.0),
+    ])
+    def test_leftover_mass_relation_hand_cases(self, s1, s2, gap):
+        est = mann_whitney_effect(s1, s2).p_hat
+        assert_allclose(integration_by_parts_value(s1, s2) - est, gap, atol=1e-15)
+        assert_allclose(_by_parts_gap(s1, s2), gap, atol=1e-15)
 
     def test_single_shared_event(self):
         s = Sample([1.0], [True], K)

@@ -27,10 +27,10 @@ from survcmp.inference import mann_whitney_effect, studentized_p
 from survcmp import resampling
 from survcmp.resampling import ResamplingPlan, replicate_set
 from survcmp.rng import BLOCK, SCHEME_IDS, blocks, stream
-from survcmp.survival import Sample, kaplan_meier, pool, split, truncate
+from survcmp.survival import Sample, pool, truncate
 
-from oracles import (assert_same_context, cov_kernel, reference_batch_context,
-                     reference_batch_statistics, sigma2_jk, uncensored_pairwise_oracle)
+from oracles import (assert_same_context, cov_kernel, kaplan_meier, reference_batch_context,
+                     reference_batch_statistics, sigma2_jk, split, uncensored_pairwise_oracle)
 
 K = 10.0
 

@@ -16,10 +16,10 @@ from survcmp._engine import (batch_context, batch_statistics, bootstrap_indices,
                              permutation_indices)
 from survcmp.inference import mann_whitney_effect, studentized_p
 from survcmp.simulate import ScenarioConfig, _generate, calibrate_censoring
-from survcmp.survival import Sample, counting_processes, kaplan_meier
+from survcmp.survival import Sample, km_curve
 
-from oracles import (assert_same_context, cov_kernel, reference_batch_context,
-                     reference_batch_statistics, reference_counting_processes, sigma2_jk)
+from oracles import (assert_same_context, cov_kernel, kaplan_meier, reference_batch_context,
+                     reference_batch_statistics, sigma2_jk)
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
 
@@ -111,11 +111,11 @@ def test_invariant_under_increasing_time_maps(pair, name, a):
 
 @PROPERTY
 @given(tied_censored_pairs())
-def test_counting_processes_equal_unique_form_bitwise(pair):
+def test_km_curve_equals_oracle_kaplan_meier_bitwise(pair):
     for sample in pair:
-        got, want = counting_processes(sample), reference_counting_processes(sample)
-        for name in ("event_times", "dn", "y"):
-            a, b = getattr(got, name), getattr(want, name)
+        times, surv = km_curve(sample)
+        want = kaplan_meier(sample).survival
+        for a, b in ((times, want.jump_times), (surv, want.values)):
             assert a.dtype == b.dtype
             assert a.tobytes() == b.tobytes()
 

@@ -21,9 +21,9 @@ from survcmp.resampling import (
 )
 from survcmp.rng import stream
 from survcmp.simulate import draw_survival
-from survcmp.survival import PooledSample, Sample, pool, split, truncate
+from survcmp.survival import PooledSample, Sample, pool, truncate
 
-from oracles import bootstrap_replicate, permutation_replicate
+from oracles import bootstrap_replicate, permutation_replicate, split
 
 K = 10.0
 

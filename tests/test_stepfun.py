@@ -1,10 +1,13 @@
-"""Right-continuous step function: evaluation, left limits, jump masses."""
+"""The oracles' right-continuous step function: evaluation, left limits,
+jump masses, and the mid-point curve of a Kaplan-Meier fit."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from survcmp.stepfun import StepFunction
+from survcmp.survival import Sample
+
+from oracles import StepFunction, kaplan_meier
 
 
 class TestEvaluation:
@@ -84,3 +87,15 @@ class TestValidation:
         out = f(np.array([0.5, 1.0]))
         out[0] = 0.0  # evaluations are copies of the table's entries
         assert f(0.5) == 1.0 and f.left_limit(1.0) == 1.0
+
+
+class TestNormalized:
+    def test_normalized_is_midpoint_everywhere(self):
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            n = int(rng.integers(2, 25))
+            s = Sample(rng.uniform(0.5, 9.5, n), rng.random(n) < 0.7, 10.0)
+            fit = kaplan_meier(s)
+            pts = np.concatenate([fit.survival.jump_times, rng.uniform(0, s.k, 5)])
+            mid = 0.5 * (fit.survival(pts) + fit.survival.left_limit(pts))
+            assert_allclose(fit.normalized(pts), mid, atol=0)

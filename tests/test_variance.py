@@ -6,9 +6,9 @@ from numpy.testing import assert_allclose
 
 from survcmp.datasets import load_tongue
 from survcmp.inference import mann_whitney_effect
-from survcmp.survival import Sample, kaplan_meier
+from survcmp.survival import Sample
 
-from oracles import cov_kernel, normalized_kernel_value, sigma2_jk
+from oracles import cov_kernel, kaplan_meier, normalized_kernel_value, sigma2_jk
 
 K = 10.0
 
