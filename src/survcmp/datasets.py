@@ -66,8 +66,11 @@ def ingest_csv(path, k: float, time_col: str = "time", status_col: str = "delta"
         raise ValueError(f"expected exactly 2 groups, found {len(labels)}")
     in_first = _among(groups, [raw for raw, name in label.items() if name == labels[0]])
     times, events = _beyond_horizon(times, is_event, k, beyond_horizon)
-    return (Sample(times[in_first], events[in_first], k),
-            Sample(times[~in_first], events[~in_first], k))
+    # each group's rows in file order, as indices: a gather by index runs
+    # several times faster than one by mask where the groups interleave
+    first, second = np.flatnonzero(in_first), np.flatnonzero(~in_first)
+    return (Sample(times.take(first), events.take(first), k),
+            Sample(times.take(second), events.take(second), k))
 
 
 def _need(header: list[str], names) -> list[int]:

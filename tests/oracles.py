@@ -372,8 +372,9 @@ def _terms(sj, sj_left, mass_k, trail):
 
 
 def reference_batch_context(times, events, n1: int, n2: int) -> BatchContext:
-    """``survcmp._engine.batch_context`` finding the event slots with a
-    second ``np.unique`` and each observation's column by ``searchsorted``."""
+    """``survcmp._engine.batch_context`` by ``np.unique``'s inverse for the
+    slots, a second ``np.unique`` for the event slots, ``searchsorted`` for
+    each observation's column and boolean-mask gathers for the counts."""
     grid, pos = np.unique(np.asarray(times, dtype=float), return_inverse=True)
     pos = pos.astype(np.int64)
     events = np.asarray(events, bool).copy()

@@ -349,6 +349,22 @@ class TestFastPath:
         path = _write(tmp_path, text)
         _assert_same_samples(ingest_csv(path, k=8.0), reference_ingest_csv(path, k=8.0))
 
+    def test_interleaved_groups_keep_file_order(self, tmp_path):
+        # unsorted times in irregular runs of each group, one group spelled
+        # two ways: every group's rows stay in file order
+        gen = np.random.default_rng(2020)
+        labels = gen.choice(["a", " a", "b"], size=500, p=[0.3, 0.2, 0.5])
+        times = np.round(gen.uniform(0.1, 9.9, 500), 3)
+        events = gen.random(500) < 0.6
+        path = _write(tmp_path, "type,time,delta\n" + "".join(
+            f"{g},{t!r},{int(e)}\n" for g, t, e in zip(labels, times.tolist(), events)))
+        got = ingest_csv(path, k=10.0)
+        _assert_same_samples(got, reference_ingest_csv(path, k=10.0))
+        first = np.char.strip(labels.astype(str)) == "a"
+        for sample, rows in zip(got, (first, ~first)):
+            assert sample.times.tobytes() == times[rows].tobytes()
+            assert np.array_equal(sample.events, events[rows])
+
     def test_long_labels_whole(self, tmp_path):
         # no fixed string width truncates a label
         long = "arm-" + "\u00e9" * 5000

@@ -199,6 +199,38 @@ class TestStructure:
             assert_same_context(batch_context(times, events, n1, n2),
                                 reference_batch_context(times, events, n1, n2))
 
+    @staticmethod
+    def _large_n_pool(rng):
+        # the benchmark's large-n input: 2 x 2000 exponential times and
+        # censorings on a 0.001 grid, censored at K = 1.6
+        groups = []
+        for mean, rate in ((1.2, 0.2), (1.4, 0.35)):
+            t = np.maximum(np.ceil(rng.exponential(mean, 2000) * 1000), 1) / 1000
+            c = np.maximum(np.ceil(rng.exponential(1.0 / rate, 2000) * 1000), 1) / 1000
+            x = np.minimum(t, c)
+            groups.append((np.minimum(x, 1.6), (t <= c) & (x <= 1.6)))
+        return (np.concatenate([g[0] for g in groups]),
+                np.concatenate([g[1] for g in groups]), 2000, 2000)
+
+    @pytest.mark.parametrize("case", [
+        "one per group", "all times equal", "events in group 2 only", "all events", "large n"])
+    def test_context_edge_cases_equal_reference(self, case):
+        rng = np.random.default_rng(9020)
+        times, events, n1, n2 = {
+            "one per group": lambda: (np.array([2.0, 1.0]), np.array([True, False]), 1, 1),
+            "all times equal": lambda: (np.full(12, 3.5), rng.random(12) < 0.5, 5, 7),
+            "events in group 2 only": lambda: (
+                np.round(rng.uniform(0.1, 2.0, 30), 1), np.arange(30) >= 18, 18, 12),
+            "all events": lambda: (np.round(rng.uniform(0.1, 2.0, 40), 1), np.ones(40, bool),
+                                   20, 20),
+            "large n": lambda: self._large_n_pool(rng),
+        }[case]()
+        got = batch_context(times, events, n1, n2)
+        assert_same_context(got, reference_batch_context(times, events, n1, n2))
+        assert got.q == np.unique(times).size
+        if case == "all times equal":
+            assert got.q == 1 and not got.pos.any()
+
     def test_swap_antisymmetry_equal_groups(self):
         rng = np.random.default_rng(9004)
         n1 = n2 = 8

@@ -2,8 +2,8 @@
 
     python3 tools/ab_inprocess.py PARENT_DIR CHANGE_DIR --op cell [--rounds 80] [--seed 1]
         [--n1 15 --n2 15]
-    python3 tools/ab_inprocess.py PARENT_DIR CHANGE_DIR --op analyze [--csv FILE --k K] [--b 1999]
-        [--method all] [--target p|w|both]
+    python3 tools/ab_inprocess.py PARENT_DIR CHANGE_DIR --op analyze
+        [--csv FILE --k K | --large-n SEED] [--b 1999] [--method all] [--target p|w|both]
 
 PARENT_DIR and CHANGE_DIR are two checkouts of the repository.  Each
 checkout's ``src/survcmp`` is loaded under a package name of its own, so
@@ -23,9 +23,12 @@ Operations:
 - ``analyze``: ``survcmp analyze --method M --b B --json`` on the CSV
   (the change's copy of the bundled data, with K = 200, without
   ``--csv``), through ``cli.main``.  ``--method`` (default ``all``) and
-  ``--target`` (default: the CLI's own, left off the argv) pass through,
-  so ``--method asymptotic --target both`` on the benchmark's 4,000-row
-  CSV times the operation of the ``large-n-asymptotic`` workload.
+  ``--target`` (default: the CLI's own, left off the argv) pass through.
+  ``--large-n SEED`` writes the benchmark's 4,000-row CSV for that seed
+  into a temporary directory (``LargeNAsymptotic.prepare`` from the
+  change's ``bench/workloads.py``) and analyzes it with K = 1.6, so
+  ``--large-n SEED --method asymptotic --target both`` times the
+  operation of the ``large-n-asymptotic`` workload.
 
 Both sides must return equal results in every round (the coverage row's
 fields, or the JSON report), or the script stops with an assertion error.
@@ -42,6 +45,7 @@ import importlib.util
 import io
 import statistics
 import sys
+import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
 from time import perf_counter
@@ -82,6 +86,14 @@ def analyze_op(package, csv: str, k: float, b: int, seed: int, method: str, targ
     return run
 
 
+def large_n_csv(root: Path, out: Path, seed: int) -> tuple[str, float]:
+    """The ``large-n-asymptotic`` workload's CSV for ``seed``, written into
+    ``out`` by the checkout's ``bench/workloads.py``, and its window end."""
+    sys.path.insert(0, str(root / "bench"))
+    import workloads
+    return workloads.LargeNAsymptotic.prepare(root, out, seed)["data"], workloads.LARGE_K
+
+
 def _quartiles(values: list[float]) -> tuple[float, float]:
     q = statistics.quantiles(values, n=4)
     return q[0], q[2]
@@ -96,7 +108,10 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--n1", type=int, default=15, help="cell: group 1's size")
     parser.add_argument("--n2", type=int, default=15, help="cell: group 2's size")
-    parser.add_argument("--csv", help="analyze: input CSV (default: the bundled data)")
+    data = parser.add_mutually_exclusive_group()
+    data.add_argument("--csv", help="analyze: input CSV (default: the bundled data)")
+    data.add_argument("--large-n", type=int, metavar="SEED",
+                      help="analyze: the large-n-asymptotic workload's CSV for SEED, K = 1.6")
     parser.add_argument("--k", type=float, help="analyze: window end, needed with --csv")
     parser.add_argument("--b", type=int, default=1999, help="analyze: replicates")
     parser.add_argument("--method", default="all", help="analyze: --method of the analysis")
@@ -106,11 +121,20 @@ def main() -> None:
     if args.csv is not None and args.k is None:
         parser.error("--k is required with --csv")
 
-    # the bundled data by path: a checkout from before `tongue_path` resolved
-    # its package's own name asks for the resource "survcmp.data", which a
-    # package loaded under another name cannot find
-    csv = args.csv or str(args.change_dir / "src" / "survcmp" / "data" / "tongue.csv")
-    k = 200.0 if args.csv is None else args.k
+    with tempfile.TemporaryDirectory() as tmp:
+        if args.large_n is not None:
+            csv, k = large_n_csv(args.change_dir.resolve(), Path(tmp), args.large_n)
+        elif args.csv is not None:
+            csv, k = args.csv, args.k
+        else:  # the bundled data by path: a checkout from before `tongue_path`
+            # resolved its package's own name asks for the resource
+            # "survcmp.data", which a package loaded under another name cannot find
+            csv, k = str(args.change_dir / "src" / "survcmp" / "data" / "tongue.csv"), 200.0
+        compare(args, csv, k)
+
+
+def compare(args, csv: str, k: float) -> None:
+    """Load both sides, time ``args.rounds`` alternating rounds and print the summary."""
     sides = {}
     for side, root in (("parent", args.parent_dir), ("change", args.change_dir)):
         package = load(root.resolve(), f"survcmp_{side}")
