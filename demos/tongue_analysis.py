@@ -5,7 +5,6 @@ import numpy as np
 from survcmp import (
     ResamplingPlan,
     asymptotic_ci,
-    asymptotic_test,
     load_tongue,
     mann_whitney_effect,
     resampling_ci,
@@ -31,7 +30,7 @@ for scheme in ("bootstrap", "permutation"):
           f"  (B={res.b}, dropped {res.dropped})")
 
 # the one-sided question: is survival longer in the aneuploid group?
-one = asymptotic_test(s1, s2, alternative="greater")
+one = asymptotic_ci(s1, s2, alternative="greater")
 print(f"\none-sided test of p > 1/2: statistic {one.statistic:.4f}, "
       f"p-value {one.p_value:.4f}, reject at 5%: {one.reject}")
 

@@ -10,14 +10,8 @@ submodules.
 """
 
 from .survival import Sample, pool
-from .inference import asymptotic_ci, asymptotic_test, mann_whitney_effect, studentized_p
-from .resampling import (
-    ReplicateSet,
-    ResamplingPlan,
-    replicate_quantile,
-    replicate_set,
-    resampling_ci,
-)
+from .inference import asymptotic_ci, mann_whitney_effect, resampling_ci, studentized_p
+from .resampling import ReplicateSet, ResamplingPlan, replicate_quantile, replicate_set
 from .datasets import load_tongue
 from .simulate import ScenarioConfig, coverage_study, true_effect
 
@@ -29,7 +23,6 @@ __all__ = [
     "mann_whitney_effect",
     "studentized_p",
     "asymptotic_ci",
-    "asymptotic_test",
     "ResamplingPlan",
     "ReplicateSet",
     "replicate_set",

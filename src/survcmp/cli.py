@@ -23,7 +23,7 @@ from dataclasses import replace as _replace
 from time import monotonic
 
 from .datasets import ingest_csv, tongue_path
-from .resampling import METHODS, analyze
+from .inference import METHODS, analyze
 from .survival import HORIZON_POLICIES, pool
 from . import simulate as sim
 

@@ -1,15 +1,25 @@
-"""The observed estimate, and asymptotic intervals and tests built on it.
+"""The observed estimate, and every interval and test built on it.
 
 The effect p = P(T1 > T2) + P(T1 = T2) / 2 and the two variance terms of
 its studentization are the observed row of the statistic engine
 (``_engine.py``, whose docstring derives them); :class:`Estimate` holds
 that row.
 
-The studentized statistic sqrt(n1 n2 / n) (p_hat - p0) / sigma_hat is
-asymptotically standard normal, which yields Wald-type intervals for the
-effect p and, through the delta method, for the win ratio w = p / (1 - p).
+One studentized statistic, sqrt(n1 n2 / n) (p_hat - p0) / sigma_hat, is
+calibrated three ways (:data:`METHODS`): by the standard normal law, and
+by the replicates of the pooled bootstrap and of studentized permutations
+(``resampling.py``).  Each calibration gives a test of p = 1/2 and the
+interval dual to it, for the effect p and, through the delta method, for
+the win ratio w = p / (1 - p).  Two-sided resampling intervals and tests
+use the upper quantile of the absolute replicate values: the replicate
+location can sit noticeably below zero when the pooled survival curve
+keeps mass at the window end (the pooled centering value is
+(1 - S(k)^2) / 2, not 1/2), and the absolute-value quantile widens both
+sides accordingly; one-sided ones use the plain upper (or lower) tail.
 Intervals are clamped to the parameter's range; the unclamped endpoints
-are kept alongside because test inversion uses them.
+are kept alongside because test inversion uses them.  :func:`analyze`
+builds every result, for the command line, the coverage study and the
+two interval functions alike.
 """
 
 from __future__ import annotations
@@ -21,18 +31,23 @@ from statistics import NormalDist
 import numpy as np
 
 from ._engine import RowStatistics, identity_row, studentize
+from .resampling import ReplicateSet, ResamplingPlan, _order_statistic, replicate_set
 from .survival import PooledSample, Sample, pool
 
 __all__ = [
+    "METHODS",
     "Estimate",
     "InferenceResult",
     "mann_whitney_effect",
     "studentized_p",
     "studentized_w",
     "normal_quantile",
+    "analyze",
     "asymptotic_ci",
-    "asymptotic_test",
+    "resampling_ci",
 ]
+
+METHODS = ("asymptotic", "bootstrap", "permutation")
 
 _ALTERNATIVES = ("two-sided", "greater", "less")
 
@@ -197,40 +212,6 @@ def _studentized_w(est: Estimate, w0: float) -> float:
     return _rate(est.n1, est.n2) * (1.0 - est.p_hat) ** 2 * (est.w_hat - w0) / est.sigma
 
 
-def _interval(center: float, halfwidth: float, target: str,
-              alternative: str) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Raw and clamped interval endpoints for the given alternative."""
-    lo_b, hi_b = (0.0, 1.0) if target == "p" else (0.0, np.inf)
-    if alternative == "two-sided":
-        raw = (center - halfwidth, center + halfwidth)
-    elif alternative == "greater":
-        raw = (center - halfwidth, hi_b)
-    else:
-        raw = (lo_b, center + halfwidth)
-    clamped = (min(max(raw[0], lo_b), hi_b), min(max(raw[1], lo_b), hi_b))
-    return raw, clamped
-
-
-def _build(method: str, target: str, alternative: str, est: Estimate, alpha: float,
-           critical: float, statistic: float, p_value: float,
-           b: int = 0, dropped: int = 0, rank: int = 0) -> InferenceResult:
-    se = est.sigma / _rate(est.n1, est.n2)
-    if target == "p":
-        center = est.p_hat
-        scale = 1.0
-    else:
-        if est.p_hat >= 1.0:
-            raise ValueError("win ratio degenerate")
-        center = est.w_hat
-        scale = 1.0 / (1.0 - est.p_hat) ** 2
-    raw, clamped = _interval(center, critical * se * scale, target, alternative)
-    return InferenceResult(
-        method=method, target=target, alternative=alternative, estimate=est,
-        statistic=statistic, ci=clamped, ci_raw=raw, p_value=p_value,
-        critical=critical, alpha=alpha, b=b, dropped=dropped, rank=rank,
-    )
-
-
 def _normal_p_value(statistic: float, alternative: str) -> float:
     # P(Z > x) = erfc(x / sqrt 2) / 2, accurate far into either tail
     if alternative == "greater":
@@ -240,35 +221,123 @@ def _normal_p_value(statistic: float, alternative: str) -> float:
     return math.erfc(abs(statistic) / math.sqrt(2))
 
 
-def _check_options(target: str, alternative: str) -> None:
-    if target not in ("p", "w"):
-        raise ValueError("target must be 'p' or 'w'")
+def _replicate_test(est: Estimate, reps: ReplicateSet, alpha: float,
+                    alternative: str) -> tuple[float, float, float, int]:
+    """Observed statistic, critical value, p-value and quantile rank from
+    the replicate tail that calibrates the alternative, read as an upper
+    tail."""
+    t_obs = _studentized_p(est, 0.5)
+    stats = reps.statistics
+    if alternative == "greater":
+        tail, t = stats, t_obs
+    elif alternative == "less":
+        tail, t = -stats, -t_obs
+    else:
+        tail, t = np.abs(stats), abs(t_obs)
+    critical, rank = _order_statistic(tail, alpha)
+    return t_obs, critical, (1 + int((tail >= t).sum())) / (reps.b_eff + 1), rank
+
+
+def _interval(est: Estimate, target: str, alternative: str,
+              critical: float) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Raw and clamped endpoints of the target's interval for the alternative."""
+    se = est.sigma / _rate(est.n1, est.n2)
+    if target == "p":
+        center, scale, top = est.p_hat, 1.0, 1.0
+    else:
+        if est.p_hat >= 1.0:
+            raise ValueError("win ratio degenerate")
+        center, scale, top = est.w_hat, 1.0 / (1.0 - est.p_hat) ** 2, np.inf
+    halfwidth = critical * se * scale
+    if alternative == "two-sided":
+        raw = (center - halfwidth, center + halfwidth)
+    elif alternative == "greater":
+        raw = (center - halfwidth, top)
+    else:
+        raw = (0.0, center + halfwidth)
+    return raw, (min(max(raw[0], 0.0), top), min(max(raw[1], 0.0), top))
+
+
+def analyze(z: PooledSample, methods, targets, alpha: float, alternative: str, b: int,
+            seed: int, workers: int) -> list[tuple[ReplicateSet | None, list[InferenceResult]]]:
+    """Each of ``methods`` (see :data:`METHODS`) as its replicate set (None
+    for 'asymptotic') and one result per target, in order.
+
+    One observed estimate and one engine context serve every method; a
+    resampling method draws ``replicate_set(z, ResamplingPlan(method, b,
+    seed, workers))``.  The targets, the alternative and alpha are
+    checked, and ``b`` and ``workers`` must be positive whichever methods
+    are asked for, before any computation; a degenerate estimate raises
+    "degenerate variance" before any replicate is drawn.
+    """
+    for target in targets:
+        if target not in ("p", "w"):
+            raise ValueError("target must be 'p' or 'w'")
     if alternative not in _ALTERNATIVES:
         raise ValueError(f"alternative must be one of {_ALTERNATIVES}")
-
-
-def _asymptotic(est: Estimate, alpha: float, target: str,
-                alternative: str) -> InferenceResult:
-    stat = _studentized_p(est, 0.5) if target == "p" else _studentized_w(est, 1.0)
-    z = normal_quantile(alpha / 2 if alternative == "two-sided" else alpha)
-    return _build("asymptotic", target, alternative, est, alpha, z,
-                  stat, _normal_p_value(stat, alternative))
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must be in (0, 1)")
+    if b < 1:
+        raise ValueError("need at least one replicate")
+    if workers < 1:
+        raise ValueError("workers must be positive")
+    est = _observed(z)
+    out = []
+    for method in methods:
+        if method == "asymptotic":
+            reps, counts = None, {}
+            critical = normal_quantile(alpha / 2 if alternative == "two-sided" else alpha)
+            observed = [_studentized_p(est, 0.5) if target == "p" else
+                        _studentized_w(est, 1.0) for target in targets]
+            tests = [(t, _normal_p_value(t, alternative)) for t in observed]
+        else:
+            plan = ResamplingPlan(method, b, seed, workers)
+            if est.degenerate:  # fail before drawing any replicate
+                raise ValueError("degenerate variance")
+            reps = replicate_set(z, plan)
+            # the replicates studentize the effect, so the targets share the
+            # statistic, the critical value and the p-value
+            t_obs, critical, p_value, rank = _replicate_test(est, reps, alpha, alternative)
+            tests = [(t_obs, p_value)] * len(targets)
+            counts = {"b": b, "dropped": reps.dropped, "rank": rank}
+        results = []
+        for target, (statistic, p_value) in zip(targets, tests):
+            raw, ci = _interval(est, target, alternative, critical)
+            results.append(InferenceResult(
+                method=method, target=target, alternative=alternative, estimate=est,
+                statistic=statistic, ci=ci, ci_raw=raw, p_value=p_value,
+                critical=critical, alpha=alpha, **counts))
+        out.append((reps, results))
+    return out
 
 
 def asymptotic_ci(s1: Sample, s2: Sample, alpha: float = 0.05, target: str = "p",
                   alternative: str = "two-sided") -> InferenceResult:
-    """Normal-quantile confidence interval (and matching test) at level alpha.
+    """Normal-quantile confidence interval and the dual test of p = 1/2.
 
     Two-sided: p_hat -/+ z_{alpha/2} sigma_hat sqrt(n / (n1 n2)), clamped
     to [0, 1]; the win-ratio interval divides the halfwidth by
     (1 - p_hat)^2 and clamps to [0, inf).  One-sided intervals use
     z_alpha and extend to the respective range boundary.
     """
-    _check_options(target, alternative)
-    return _asymptotic(_observed(pool(s1, s2)), alpha, target, alternative)
+    # b, seed and workers are unused by the asymptotic method
+    [(_, [result])] = analyze(pool(s1, s2), ("asymptotic",), (target,), alpha, alternative,
+                              1, 0, 1)
+    return result
 
 
-def asymptotic_test(s1: Sample, s2: Sample, alpha: float = 0.05, target: str = "p",
-                    alternative: str = "greater") -> InferenceResult:
-    """Studentized test of p0 = 1/2 (or w0 = 1); same result object as the CI."""
-    return asymptotic_ci(s1, s2, alpha=alpha, target=target, alternative=alternative)
+def resampling_ci(s1: Sample, s2: Sample, plan: ResamplingPlan,
+                  alpha: float = 0.05, alternative: str = "two-sided",
+                  target: str = "p") -> InferenceResult:
+    """Resampling confidence interval and the dual test of p = 1/2.
+
+    Two-sided: center -/+ c |se| with c the upper-alpha quantile of the
+    absolute replicates, and the test compares |T| with c; one-sided
+    intervals and tests use the one-tailed quantile, and the intervals
+    extend to the range boundary.  The p-value is the (1 + count) /
+    (b_eff + 1) exceedance rule on the matching tail.  The win-ratio
+    interval rescales the halfwidth by 1 / (1 - p_hat)^2.
+    """
+    [(_, [result])] = analyze(pool(s1, s2), (plan.scheme,), (target,), alpha, alternative,
+                              plan.b, plan.seed, plan.workers)
+    return result

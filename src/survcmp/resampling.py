@@ -1,21 +1,12 @@
-"""Pooled bootstrap and permutation inference, and every method from one pool.
+"""Pooled bootstrap and permutation replicate sets.
 
 Both schemes erase the group labels, re-form two groups of the original
 sizes from the pooled sample (with replacement for the bootstrap, by
 shuffling for permutations), and recompute the studentized statistic with
-the null value 1/2.  Conditional quantiles of those replicate statistics
-calibrate tests and confidence intervals.
-
-Two-sided intervals and tests use the upper quantile of the absolute
-replicate values.  The replicate location can sit noticeably below zero
-when the pooled survival curve keeps mass at the window end (the pooled
-centering value is (1 - S(k)^2) / 2, not 1/2), and the absolute-value
-quantile widens both sides accordingly; separate one-sided constructions
-use the plain upper (or lower) tail.
-
-:func:`analyze` runs the asymptotic, bootstrap and permutation methods on
-one pooled sample, for the command line, the coverage study and
-:func:`resampling_ci` alike.
+the null value 1/2.  :func:`replicate_set` draws the replicates of one
+plan, and :func:`replicate_quantile` reads their conservative upper
+quantile; ``inference.analyze`` turns the replicates into tests and
+intervals.
 """
 
 from __future__ import annotations
@@ -27,23 +18,16 @@ import numpy as np
 from . import rng as _rng
 from ._engine import (batch_statistics, bootstrap_indices, chunk_blocks, permutation_indices,
                       studentize)
-from .survival import PooledSample, Sample, pool
-from .inference import (Estimate, InferenceResult, _asymptotic, _build, _check_options,
-                        _observed, _studentized_p)
+from .survival import PooledSample
 
 __all__ = [
-    "METHODS",
     "ResamplingPlan",
     "ReplicateSet",
     "replicate_set",
     "replicate_quantile",
-    "analyze",
-    "resampling_test",
-    "resampling_ci",
 ]
 
 _SCHEMES = ("bootstrap", "permutation")
-METHODS = ("asymptotic",) + _SCHEMES
 
 # B x (n + 2) from which worker processes pay for their start-up (fresh
 # `analyze` processes, 2-vCPU x86); a smaller replicate set runs inline
@@ -67,16 +51,12 @@ class ResamplingPlan:
     def __post_init__(self):
         if self.scheme not in _SCHEMES:
             raise ValueError(f"scheme must be one of {_SCHEMES}")
-        _check_counts(self.b, self.workers)
+        if self.b < 1:
+            raise ValueError("need at least one replicate")
+        if self.workers < 1:
+            raise ValueError("workers must be positive")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
-
-
-def _check_counts(b: int, workers: int) -> None:
-    if b < 1:
-        raise ValueError("need at least one replicate")
-    if workers < 1:
-        raise ValueError("workers must be positive")
 
 
 @dataclass(frozen=True)
@@ -144,106 +124,18 @@ def replicate_quantile(r: ReplicateSet, alpha: float) -> float:
     """Conservative upper-alpha quantile of the retained replicates.
 
     Returns the ceil((1 - alpha) (b_eff + 1))-th order statistic, capped
-    at the largest replicate (:attr:`InferenceResult.capped` records the
-    cap).
+    at the largest replicate (``inference.InferenceResult.capped`` records
+    the cap).
     """
+    return _order_statistic(r.statistics, alpha)[0]
+
+
+def _order_statistic(values: np.ndarray, alpha: float) -> tuple[float, int]:
+    # the conservative upper-alpha quantile of values, and its rank
+    # ceil((1 - alpha) (n + 1)) before the cap at n = values.size
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    b_eff = r.b_eff
-    if b_eff == 0:
+    if values.size == 0:
         raise ValueError("no valid replicates")
-    ordered = np.sort(r.statistics)
-    return float(ordered[min(_rank(alpha, b_eff), b_eff) - 1])
-
-
-def _rank(alpha: float, b_eff: int) -> int:
-    # the conservative quantile's order statistic, before the cap at b_eff
-    return int(np.ceil((1.0 - alpha) * (b_eff + 1)))
-
-
-def _exceedance(count: int, b_eff: int) -> float:
-    return (1 + count) / (b_eff + 1)
-
-
-def _resampling_results(est: Estimate, reps: ReplicateSet, plan: ResamplingPlan,
-                        alpha: float, alternative: str, targets) -> list[InferenceResult]:
-    """One replicate set read off as an interval and test for each target.
-
-    The replicates studentize the effect, so the critical value and the
-    p-value are shared by the targets; only the interval is rescaled.
-    """
-    t_obs = _studentized_p(est, 0.5)
-    stats = reps.statistics
-    if reps.b_eff == 0:
-        raise ValueError("no valid replicates")
-
-    # the tail that calibrates the alternative, read as an upper tail
-    if alternative == "greater":
-        tail, t = stats, t_obs
-    elif alternative == "less":
-        tail, t = -stats, -t_obs
-    else:
-        tail, t = np.abs(stats), abs(t_obs)
-    crit = replicate_quantile(ReplicateSet(statistics=tail, dropped=reps.dropped), alpha)
-    p_val = _exceedance(int((tail >= t).sum()), reps.b_eff)
-    return [_build(plan.scheme, target, alternative, est, alpha, crit, t_obs,
-                   min(p_val, 1.0), b=plan.b, dropped=reps.dropped,
-                   rank=_rank(alpha, reps.b_eff)) for target in targets]
-
-
-def analyze(z: PooledSample, methods, targets, alpha: float, alternative: str, b: int,
-            seed: int, workers: int) -> list[tuple[ReplicateSet | None, list[InferenceResult]]]:
-    """Each of ``methods`` (see :data:`METHODS`) as its replicate set (None
-    for 'asymptotic') and one result per target, in order.
-
-    One observed estimate and one engine context serve every method; a
-    resampling method draws ``replicate_set(z, ResamplingPlan(method, b,
-    seed, workers))``, unless the estimate is degenerate: that raises
-    "degenerate variance" before any replicate is drawn.  ``b`` and
-    ``workers`` must be positive whichever methods are asked for.
-    """
-    for target in targets:
-        _check_options(target, alternative)
-    _check_counts(b, workers)  # for the asymptotic method too, which uses neither
-    est = _observed(z)
-    out = []
-    for method in methods:
-        if method == "asymptotic":
-            out.append((None, [_asymptotic(est, alpha, target, alternative)
-                               for target in targets]))
-            continue
-        plan = ResamplingPlan(method, b, seed, workers)
-        if est.degenerate:  # fail before drawing any replicate
-            raise ValueError("degenerate variance")
-        reps = replicate_set(z, plan)
-        out.append((reps, _resampling_results(est, reps, plan, alpha, alternative, targets)))
-    return out
-
-
-def resampling_test(s1: Sample, s2: Sample, plan: ResamplingPlan,
-                    alpha: float = 0.05, alternative: str = "greater",
-                    target: str = "p") -> InferenceResult:
-    """Resampling test of p = 1/2 (equivalently w = 1).
-
-    One-sided 'greater' rejects when the observed statistic exceeds the
-    upper-alpha replicate quantile; 'less' mirrors it; 'two-sided'
-    compares |T| with the upper-alpha quantile of the absolute
-    replicates.  The p-value is the (1 + count) / (b_eff + 1) exceedance
-    rule on the matching tail.
-    """
-    return resampling_ci(s1, s2, plan, alpha=alpha, alternative=alternative, target=target)
-
-
-def resampling_ci(s1: Sample, s2: Sample, plan: ResamplingPlan,
-                  alpha: float = 0.05, alternative: str = "two-sided",
-                  target: str = "p") -> InferenceResult:
-    """Resampling confidence interval dual to :func:`resampling_test`.
-
-    Two-sided: center -/+ c |se| with c the upper-alpha quantile of the
-    absolute replicates; one-sided intervals use the one-tailed quantile
-    and extend to the range boundary.  The win-ratio interval rescales
-    the halfwidth by 1 / (1 - p_hat)^2.
-    """
-    [(_, [result])] = analyze(pool(s1, s2), (plan.scheme,), (target,), alpha, alternative,
-                              plan.b, plan.seed, plan.workers)
-    return result
+    rank = int(np.ceil((1.0 - alpha) * (values.size + 1)))
+    return float(np.sort(values)[min(rank, values.size) - 1]), rank

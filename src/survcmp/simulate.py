@@ -26,7 +26,7 @@ import numpy as np
 
 from . import rng as _rng
 from .survival import pool, truncate
-from .resampling import METHODS, analyze
+from .inference import METHODS, analyze
 
 __all__ = [
     "SETUPS",

@@ -53,8 +53,9 @@ class Sample:
     __slots__ = ("times", "events", "k")
 
     def __init__(self, times, events, k):
-        times = np.asarray(times, dtype=float)
-        events = np.asarray(events, dtype=bool)
+        # copies, so that freezing them below leaves the caller's arrays writable
+        times = np.array(times, dtype=float)
+        events = np.array(events, dtype=bool)
         if times.ndim != 1 or events.shape != times.shape:
             raise ValueError("times and events must be 1-d arrays of equal length")
         if times.size == 0:

@@ -8,9 +8,9 @@ import numpy as np
 
 from survcmp.cli import main as cli_main
 from survcmp.datasets import load_tongue
-from survcmp.inference import asymptotic_ci, mann_whitney_effect
+from survcmp.inference import asymptotic_ci, mann_whitney_effect, resampling_ci
 from survcmp import resampling
-from survcmp.resampling import ResamplingPlan, resampling_ci, resampling_test
+from survcmp.resampling import ResamplingPlan
 from survcmp.rng import stream
 from survcmp.simulate import (
     ScenarioConfig,
@@ -113,8 +113,8 @@ def test_criterion_06_permutation_exactness():
         s1 = truncate((t[:8], ev[:8]), 5.0)
         s2 = truncate((t[8:], ev[8:]), 5.0)
         try:
-            res = resampling_test(s1, s2, ResamplingPlan("permutation", 999, rep),
-                                  alpha=0.05)
+            res = resampling_ci(s1, s2, ResamplingPlan("permutation", 999, rep),
+                                alpha=0.05, alternative="greater")
         except ValueError:
             continue
         valid += 1

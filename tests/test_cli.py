@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from survcmp import cli, resampling, simulate
+from survcmp import cli, inference, resampling, simulate
 from survcmp.cli import main
 
 
@@ -82,13 +82,13 @@ class TestAnalyze:
 
     def test_target_both_builds_one_replicate_set_per_method(self, capsys, monkeypatch):
         schemes = []
-        original = resampling.replicate_set
+        original = inference.replicate_set
 
         def counting(z, plan):
             schemes.append(plan.scheme)
             return original(z, plan)
 
-        monkeypatch.setattr(resampling, "replicate_set", counting)
+        monkeypatch.setattr(inference, "replicate_set", counting)
         rc, _, _ = _run(capsys, ["analyze", "--method", "all", "--target", "both",
                                  "--b", "99", "--json"])
         assert rc == 0
@@ -238,6 +238,17 @@ class TestAnalyze:
         rc, out, got = _run(capsys, ["analyze", "--method", method] + flags)
         assert rc == 1 and out == ""
         assert got == f"survcmp: {err}\n"
+
+    @pytest.mark.parametrize("method", ["asymptotic", "bootstrap", "permutation", "all"])
+    def test_bad_alpha_exits_1_before_replicates(self, capsys, monkeypatch, method):
+        # alpha / 2 = 0.75 once passed the normal quantile's own check
+        def no_replicates(z, plan):
+            raise AssertionError("replicates drawn before alpha was checked")
+
+        monkeypatch.setattr(inference, "replicate_set", no_replicates)
+        rc, out, err = _run(capsys, ["analyze", "--method", method, "--alpha", "1.5",
+                                     "--b", "200000"])
+        assert (rc, out, err) == (1, "", "survcmp: alpha must be in (0, 1)\n")
 
     def test_missing_input_file(self, capsys, tmp_path):
         rc, _, err = _run(capsys, ["analyze", "--input", str(tmp_path / "no.csv"),

@@ -5,16 +5,18 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import special
 
+from survcmp import inference
 from survcmp.datasets import load_tongue
 from survcmp.inference import (
     _normal_p_value,
     asymptotic_ci,
-    asymptotic_test,
     mann_whitney_effect,
     normal_quantile,
+    resampling_ci,
     studentized_p,
     studentized_w,
 )
+from survcmp.resampling import ResamplingPlan
 from survcmp.simulate import horizon, survival_function
 from survcmp.survival import Sample
 
@@ -137,6 +139,39 @@ class TestStatistics:
             studentized_w(s1, s2)
 
 
+def _no_replicates(z, plan):
+    raise AssertionError("replicates drawn before the options were checked")
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.5])
+@pytest.mark.parametrize("scheme", ["bootstrap", "permutation"])
+def test_alpha_checked_before_replicates(monkeypatch, scheme, alpha):
+    monkeypatch.setattr(inference, "replicate_set", _no_replicates)
+    s1, s2 = load_tongue()
+    with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
+        resampling_ci(s1, s2, ResamplingPlan(scheme, 200_000, 1), alpha=alpha)
+
+
+class TestErrorPrecedence:
+    # complete separation: p_hat = 1 with zero variance; the other case has
+    # a group without events
+    CASES = {"separated": (([5.0, 6.0], [True, True]), ([1.0, 2.0], [True, True])),
+             "no events": (([1.0, 2.0], [False, False]), ([1.5, 2.5, 3.0], [True, True, False]))}
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("target", ["p", "w"])
+    @pytest.mark.parametrize("method", ["asymptotic", "bootstrap", "permutation"])
+    def test_message(self, method, target, case):
+        s1, s2 = (Sample(t, e, K) for t, e in self.CASES[case])
+        want = ("win ratio degenerate" if (case, method, target) == ("separated", "asymptotic", "w")
+                else "degenerate variance")
+        with pytest.raises(ValueError, match=want):
+            if method == "asymptotic":
+                asymptotic_ci(s1, s2, target=target)
+            else:
+                resampling_ci(s1, s2, ResamplingPlan(method, 99, 1), target=target)
+
+
 class TestIntervals:
     def test_two_sided_raw_width(self):
         rng = np.random.default_rng(707)
@@ -218,7 +253,7 @@ class TestTongueFrozen:
         # the p-value; the reference lower bound 0.497 < 1/2 (criterion 02)
         # means the 5% test does not reject on this dataset
         s1, s2 = load_tongue()
-        res = asymptotic_test(s1, s2, alternative="greater")
+        res = asymptotic_ci(s1, s2, alternative="greater")
         assert res.reject == (res.ci[0] > 0.5)
         assert res.reject == (res.p_value < res.alpha)
         assert not res.reject

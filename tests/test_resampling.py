@@ -1,8 +1,10 @@
 """Pooled bootstrap and permutation inference: quantile rule, determinism,
 distributional checks, frozen data values."""
 
+import ast
 import concurrent.futures
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,14 +12,12 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from survcmp import resampling, survival
 from survcmp.datasets import load_tongue
-from survcmp.inference import asymptotic_ci, mann_whitney_effect
+from survcmp.inference import asymptotic_ci, mann_whitney_effect, resampling_ci
 from survcmp.resampling import (
     ReplicateSet,
     ResamplingPlan,
     replicate_quantile,
     replicate_set,
-    resampling_ci,
-    resampling_test,
 )
 from survcmp.rng import stream
 from survcmp.simulate import draw_survival
@@ -239,7 +239,7 @@ class TestDistribution:
         s2 = Sample(np.arange(1.0, 11.0), np.ones(10, bool), 30.0)
         plan = ResamplingPlan("permutation", 99, 0)
         r = replicate_set(pool(s1, s2), plan)
-        res = resampling_test(s1, s2, plan, alternative="greater")
+        res = resampling_ci(s1, s2, plan, alternative="greater")
         assert res.statistic > float(r.statistics.max())
         assert res.p_value == 1.0 / (r.b_eff + 1)
 
@@ -286,14 +286,25 @@ class TestFrozenTongue:
 
     def test_permutation_one_sided_lower_bound(self):
         s1, s2 = load_tongue()
-        res = resampling_test(s1, s2, ResamplingPlan("permutation", 9999, 1),
-                              alternative="greater")
+        res = resampling_ci(s1, s2, ResamplingPlan("permutation", 9999, 1),
+                            alternative="greater")
         assert_allclose(res.critical, 1.5789901774367752, atol=1e-12)
         assert_allclose(res.ci[0], 0.5033676525913904, atol=1e-12)
         assert res.ci[1] == 1.0
         assert_allclose(res.p_value, 0.046, atol=1e-12)
         assert abs(res.ci[0] - 0.506) <= 0.01
         assert res.reject
+
+
+def test_resampling_imports_nothing_from_inference():
+    # inference builds results from replicate sets, never the other way round
+    imported = []
+    for node in ast.walk(ast.parse(Path(resampling.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported += [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert [name for name in imported if "inference" in name.split(".")] == []
 
 
 class TestPlanValidation:

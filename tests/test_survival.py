@@ -65,6 +65,17 @@ class TestSample:
         with pytest.raises(ValueError):
             s.times[0] = 3.0
 
+    def test_caller_arrays_stay_writable_and_apart(self):
+        # float64 and bool inputs are the dtypes a no-copy conversion would keep
+        t = np.array([1.0, 2.0, 3.0])
+        e = np.array([True, False, True])
+        s = Sample(t, e, 5.0)
+        t[0] = 1.5
+        e[1] = True
+        assert t.flags.writeable and e.flags.writeable
+        assert_array_equal(s.times, [1.0, 2.0, 3.0])
+        assert_array_equal(s.events, [True, False, True])
+
 
 class TestKaplanMeier:
     def test_hand_example_with_ties(self):
