@@ -9,17 +9,17 @@ One studentized statistic, sqrt(n1 n2 / n) (p_hat - p0) / sigma_hat, is
 calibrated three ways (:data:`METHODS`): by the standard normal law, and
 by the replicates of the pooled bootstrap and of studentized permutations
 (``resampling.py``).  Each calibration gives a test of p = 1/2 and the
-interval dual to it, for the effect p and, through the delta method, for
-the win ratio w = p / (1 - p).  Two-sided resampling intervals and tests
-use the upper quantile of the absolute replicate values: the replicate
-location can sit noticeably below zero when the pooled survival curve
-keeps mass at the window end (the pooled centering value is
-(1 - S(k)^2) / 2, not 1/2), and the absolute-value quantile widens both
-sides accordingly; one-sided ones use the plain upper (or lower) tail.
-Intervals are clamped to the parameter's range; the unclamped endpoints
-are kept alongside because test inversion uses them.  :func:`analyze`
-builds every result, for the command line, the coverage study and the
-two interval functions alike.
+interval for p dual to it, clamped to [0, 1].  The win ratio
+w = p / (1 - p) increases with p, so w's test is p's test and w's
+interval is the image of p's under that map, with +inf for an endpoint
+at 1: it covers w exactly when p's covers p.  Two-sided resampling
+intervals and tests use the upper quantile of the absolute replicate
+values: the replicate location can sit noticeably below zero when the
+pooled survival curve keeps mass at the window end (the pooled centering
+value is (1 - S(k)^2) / 2, not 1/2), and the absolute-value quantile
+widens both sides accordingly; one-sided ones use the plain upper (or
+lower) tail.  :func:`analyze` builds every result, for the command line,
+the coverage study and the two interval functions alike.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ __all__ = [
     "InferenceResult",
     "mann_whitney_effect",
     "studentized_p",
-    "studentized_w",
     "normal_quantile",
     "analyze",
     "asymptotic_ci",
@@ -97,13 +96,13 @@ class Estimate:
 class InferenceResult:
     """One method's interval and test for a chosen target.
 
-    ``ci`` is clamped to the target's range ([0, 1] for p, [0, inf) for
-    w); ``ci_raw`` keeps the unclamped endpoints.  ``statistic`` is the
-    studentized statistic at the null (p0 = 1/2 or w0 = 1), ``p_value``
-    its tail probability under ``alternative``.  ``b`` and ``dropped``
-    are 0 for the asymptotic method, and so is ``rank``, the order
-    statistic ceil((1 - alpha) (b_eff + 1)) of a resampling method's
-    critical value.
+    ``ci`` is p's interval clamped to [0, 1], or for w its image under
+    x -> x / (1 - x) in [0, inf].  ``statistic`` is the studentized
+    effect at the null p0 = 1/2 (w0 = 1), ``p_value`` its tail
+    probability under ``alternative``; both are the same for either
+    target.  ``b`` and ``dropped`` are 0 for the asymptotic method, and
+    so is ``rank``, the order statistic ceil((1 - alpha) (b_eff + 1)) of
+    a resampling method's critical value.
     """
 
     method: str
@@ -112,7 +111,6 @@ class InferenceResult:
     estimate: Estimate
     statistic: float
     ci: tuple[float, float]
-    ci_raw: tuple[float, float]
     p_value: float
     critical: float
     alpha: float
@@ -193,25 +191,6 @@ def _studentized_p(est: Estimate, p0: float) -> float:
     return float(studentize(est.p_hat, est.sigma2, True, est.n1, est.n2, p0))
 
 
-def studentized_w(s1: Sample, s2: Sample, w0: float = 1.0) -> float:
-    """Studentized win-ratio statistic via the delta method.
-
-    sqrt(n1 n2 / n) (1 - p_hat)^2 (w_hat - w0) / sigma_hat, since
-    dw/dp = 1 / (1 - p)^2.  Raises "win ratio degenerate" at p_hat == 1
-    and "degenerate variance" at sigma_hat == 0 or when a group has no
-    events.
-    """
-    return _studentized_w(_observed(pool(s1, s2)), w0)
-
-
-def _studentized_w(est: Estimate, w0: float) -> float:
-    if est.p_hat >= 1.0:
-        raise ValueError("win ratio degenerate")
-    if est.degenerate:
-        raise ValueError("degenerate variance")
-    return _rate(est.n1, est.n2) * (1.0 - est.p_hat) ** 2 * (est.w_hat - w0) / est.sigma
-
-
 def _normal_p_value(statistic: float, alternative: str) -> float:
     # P(Z > x) = erfc(x / sqrt 2) / 2, accurate far into either tail
     if alternative == "greater":
@@ -239,23 +218,16 @@ def _replicate_test(est: Estimate, reps: ReplicateSet, alpha: float,
 
 
 def _interval(est: Estimate, target: str, alternative: str,
-              critical: float) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Raw and clamped endpoints of the target's interval for the alternative."""
-    se = est.sigma / _rate(est.n1, est.n2)
-    if target == "p":
-        center, scale, top = est.p_hat, 1.0, 1.0
-    else:
-        if est.p_hat >= 1.0:
-            raise ValueError("win ratio degenerate")
-        center, scale, top = est.w_hat, 1.0 / (1.0 - est.p_hat) ** 2, np.inf
-    halfwidth = critical * se * scale
-    if alternative == "two-sided":
-        raw = (center - halfwidth, center + halfwidth)
-    elif alternative == "greater":
-        raw = (center - halfwidth, top)
-    else:
-        raw = (0.0, center + halfwidth)
-    return raw, (min(max(raw[0], 0.0), top), min(max(raw[1], 0.0), top))
+              critical: float) -> tuple[float, float]:
+    """p's interval for the alternative, clamped to [0, 1], or for w its
+    image under x -> x / (1 - x), with +inf at 1."""
+    halfwidth = critical * (est.sigma / _rate(est.n1, est.n2))
+    lo = 0.0 if alternative == "less" else est.p_hat - halfwidth
+    hi = 1.0 if alternative == "greater" else est.p_hat + halfwidth
+    ci = (min(max(lo, 0.0), 1.0), min(max(hi, 0.0), 1.0))
+    if target == "w":
+        return tuple(np.inf if x >= 1.0 else x / (1.0 - x) for x in ci)
+    return ci
 
 
 def analyze(z: PooledSample, methods, targets, alpha: float, alternative: str, b: int,
@@ -286,28 +258,23 @@ def analyze(z: PooledSample, methods, targets, alpha: float, alternative: str, b
     for method in methods:
         if method == "asymptotic":
             reps, counts = None, {}
+            statistic = _studentized_p(est, 0.5)
             critical = normal_quantile(alpha / 2 if alternative == "two-sided" else alpha)
-            observed = [_studentized_p(est, 0.5) if target == "p" else
-                        _studentized_w(est, 1.0) for target in targets]
-            tests = [(t, _normal_p_value(t, alternative)) for t in observed]
+            p_value = _normal_p_value(statistic, alternative)
         else:
             plan = ResamplingPlan(method, b, seed, workers)
             if est.degenerate:  # fail before drawing any replicate
                 raise ValueError("degenerate variance")
             reps = replicate_set(z, plan)
-            # the replicates studentize the effect, so the targets share the
-            # statistic, the critical value and the p-value
-            t_obs, critical, p_value, rank = _replicate_test(est, reps, alpha, alternative)
-            tests = [(t_obs, p_value)] * len(targets)
+            statistic, critical, p_value, rank = _replicate_test(est, reps, alpha, alternative)
             counts = {"b": b, "dropped": reps.dropped, "rank": rank}
-        results = []
-        for target, (statistic, p_value) in zip(targets, tests):
-            raw, ci = _interval(est, target, alternative, critical)
-            results.append(InferenceResult(
-                method=method, target=target, alternative=alternative, estimate=est,
-                statistic=statistic, ci=ci, ci_raw=raw, p_value=p_value,
-                critical=critical, alpha=alpha, **counts))
-        out.append((reps, results))
+        # w = p / (1 - p) increases with p, so the targets share the test
+        # and w's interval is the image of p's
+        out.append((reps, [InferenceResult(
+            method=method, target=target, alternative=alternative, estimate=est,
+            statistic=statistic, ci=_interval(est, target, alternative, critical),
+            p_value=p_value, critical=critical, alpha=alpha, **counts)
+            for target in targets]))
     return out
 
 
@@ -316,9 +283,9 @@ def asymptotic_ci(s1: Sample, s2: Sample, alpha: float = 0.05, target: str = "p"
     """Normal-quantile confidence interval and the dual test of p = 1/2.
 
     Two-sided: p_hat -/+ z_{alpha/2} sigma_hat sqrt(n / (n1 n2)), clamped
-    to [0, 1]; the win-ratio interval divides the halfwidth by
-    (1 - p_hat)^2 and clamps to [0, inf).  One-sided intervals use
-    z_alpha and extend to the respective range boundary.
+    to [0, 1]; one-sided intervals use z_alpha and extend to the
+    respective boundary.  The win-ratio interval is the image of p's
+    under x -> x / (1 - x), and its test is p's.
     """
     # b, seed and workers are unused by the asymptotic method
     [(_, [result])] = analyze(pool(s1, s2), ("asymptotic",), (target,), alpha, alternative,
@@ -331,12 +298,13 @@ def resampling_ci(s1: Sample, s2: Sample, plan: ResamplingPlan,
                   target: str = "p") -> InferenceResult:
     """Resampling confidence interval and the dual test of p = 1/2.
 
-    Two-sided: center -/+ c |se| with c the upper-alpha quantile of the
-    absolute replicates, and the test compares |T| with c; one-sided
-    intervals and tests use the one-tailed quantile, and the intervals
-    extend to the range boundary.  The p-value is the (1 + count) /
-    (b_eff + 1) exceedance rule on the matching tail.  The win-ratio
-    interval rescales the halfwidth by 1 / (1 - p_hat)^2.
+    Two-sided: p_hat -/+ c se, clamped to [0, 1], with c the upper-alpha
+    quantile of the absolute replicates, and the test compares |T| with
+    c; one-sided intervals and tests use the one-tailed quantile, and the
+    intervals extend to the range boundary.  The p-value is the
+    (1 + count) / (b_eff + 1) exceedance rule on the matching tail.  The
+    win-ratio interval is the image of p's under x -> x / (1 - x), and
+    its test is p's.
     """
     [(_, [result])] = analyze(pool(s1, s2), (plan.scheme,), (target,), alpha, alternative,
                               plan.b, plan.seed, plan.workers)

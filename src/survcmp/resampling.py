@@ -67,7 +67,10 @@ class ReplicateSet:
     dropped: int
 
     def __post_init__(self):
-        self.statistics.setflags(write=False)
+        # a frozen copy, so that the caller's array stays writable
+        statistics = np.array(self.statistics, dtype=float)
+        statistics.setflags(write=False)
+        object.__setattr__(self, "statistics", statistics)
 
     @property
     def b_eff(self) -> int:

@@ -8,17 +8,18 @@ from scipy import special
 from survcmp import inference
 from survcmp.datasets import load_tongue
 from survcmp.inference import (
+    METHODS,
     _normal_p_value,
+    analyze,
     asymptotic_ci,
     mann_whitney_effect,
     normal_quantile,
     resampling_ci,
     studentized_p,
-    studentized_w,
 )
 from survcmp.resampling import ResamplingPlan
 from survcmp.simulate import horizon, survival_function
-from survcmp.survival import Sample
+from survcmp.survival import Sample, pool
 
 K = 10.0
 
@@ -85,35 +86,6 @@ class TestStatistics:
         assert studentized_p(s1, s2) > 0.0
         assert studentized_p(s2, s1) < 0.0
 
-    def test_w_statistic_algebraic_relation(self):
-        rng = np.random.default_rng(606)
-        for _ in range(80):
-            s1, s2 = _random_pair(rng)
-            p_hat = mann_whitney_effect(s1, s2).p_hat
-            if p_hat >= 1.0:
-                continue
-            t = studentized_p(s1, s2)
-            w = studentized_w(s1, s2)
-            assert_allclose(w, 2.0 * (1.0 - p_hat) * t, atol=1e-12)
-            assert np.sign(w) == np.sign(t) or t == 0.0
-
-    def test_w_statistic_forms_agree(self):
-        # (1 - p)^2 = 1 / (1 + w)^2 turns the delta-method form into the
-        # equivalent rate (w - w0) / (sigma (1 + w)^2)
-        rng = np.random.default_rng(607)
-        checked = 0
-        for _ in range(80):
-            s1, s2 = _random_pair(rng)
-            est = mann_whitney_effect(s1, s2)
-            if est.p_hat >= 1.0 or est.degenerate:
-                continue
-            rate = np.sqrt(est.n1 * est.n2 / (est.n1 + est.n2))
-            for w0 in (0.5, 1.0, 2.0):
-                other = rate * (est.w_hat - w0) / (est.sigma * (1.0 + est.w_hat) ** 2)
-                assert_allclose(studentized_w(s1, s2, w0), other, rtol=1e-12, atol=1e-12)
-            checked += 1
-        assert checked >= 60
-
     def test_degenerate_variance_rejected(self):
         s1 = Sample([1.0, 2.0], [False, False], K)
         s2 = Sample([1.5, 2.5], [False, False], K)
@@ -131,12 +103,6 @@ class TestStatistics:
             studentized_p(s1, s2)
         with pytest.raises(ValueError, match="degenerate variance"):
             asymptotic_ci(s1, s2)
-
-    def test_degenerate_win_ratio_rejected(self):
-        s1 = Sample([5.0, 6.0], [True, True], K)
-        s2 = Sample([1.0, 2.0], [True, True], K)
-        with pytest.raises(ValueError, match="win ratio degenerate"):
-            studentized_w(s1, s2)
 
 
 def _no_replicates(z, plan):
@@ -163,9 +129,7 @@ class TestErrorPrecedence:
     @pytest.mark.parametrize("method", ["asymptotic", "bootstrap", "permutation"])
     def test_message(self, method, target, case):
         s1, s2 = (Sample(t, e, K) for t, e in self.CASES[case])
-        want = ("win ratio degenerate" if (case, method, target) == ("separated", "asymptotic", "w")
-                else "degenerate variance")
-        with pytest.raises(ValueError, match=want):
+        with pytest.raises(ValueError, match="degenerate variance"):
             if method == "asymptotic":
                 asymptotic_ci(s1, s2, target=target)
             else:
@@ -175,6 +139,7 @@ class TestErrorPrecedence:
 class TestIntervals:
     def test_two_sided_raw_width(self):
         rng = np.random.default_rng(707)
+        unclamped = 0
         for _ in range(40):
             s1, s2 = _random_pair(rng)
             try:
@@ -184,10 +149,13 @@ class TestIntervals:
             est = mann_whitney_effect(s1, s2)
             n = est.n1 + est.n2
             se = np.sqrt(est.sigma2) / np.sqrt(est.n1 * est.n2 / n)
-            lo, hi = res.ci_raw
-            assert_allclose(hi - lo, 2.0 * normal_quantile(0.025) * se, atol=1e-12)
-            mid = 0.5 * (lo + hi)
-            assert_allclose(mid, res.estimate.p_hat, atol=1e-12)
+            assert res.critical == normal_quantile(0.025)
+            lo, hi = res.ci
+            if 0.0 < lo and hi < 1.0:  # not clamped
+                assert_allclose(hi - lo, 2.0 * res.critical * se, atol=1e-12)
+                assert_allclose(0.5 * (lo + hi), est.p_hat, atol=1e-12)
+            unclamped += 0.0 < lo and hi < 1.0
+        assert unclamped >= 20
 
     def test_clamped_to_unit_interval(self):
         s1 = Sample([5.0, 6.0, 7.0], [True] * 3, K)
@@ -195,7 +163,9 @@ class TestIntervals:
         res = asymptotic_ci(s1, s2)
         lo, hi = res.ci
         assert 0.0 <= lo <= hi <= 1.0
-        assert res.ci_raw[1] > 1.0
+        se = res.sigma / np.sqrt(s1.n * s2.n / (s1.n + s2.n))
+        assert res.estimate.p_hat + res.critical * se > 1.0
+        assert hi == 1.0
 
     def test_one_sided_reaches_boundaries(self):
         s1, s2 = load_tongue()
@@ -215,7 +185,7 @@ class TestIntervals:
         assert res_w.ci[0] >= 0.0
 
     def test_duality_with_test(self):
-        # two-sided test at level alpha rejects exactly when p0 leaves the raw interval
+        # two-sided test at level alpha rejects exactly when p0 leaves the interval
         rng = np.random.default_rng(818)
         checked = 0
         while checked < 60:
@@ -224,7 +194,7 @@ class TestIntervals:
                 res = asymptotic_ci(s1, s2, alpha=0.1)
             except ValueError:
                 continue
-            lo, hi = res.ci_raw
+            lo, hi = res.ci
             for p0 in rng.uniform(0.05, 0.95, 4):
                 t = studentized_p(s1, s2, p0)
                 rejects = abs(t) > res.critical
@@ -233,11 +203,37 @@ class TestIntervals:
             checked += 1
 
 
+def _w_image(ci):
+    return tuple(np.inf if x == 1.0 else x / (1.0 - x) for x in ci)
+
+
+@pytest.mark.parametrize("alternative", ["two-sided", "greater", "less"])
+def test_w_is_the_image_of_p(alternative):
+    # on tied, censored pairs (some near separation, so that clamped
+    # endpoints occur), w's interval is p's mapped through x / (1 - x)
+    # and both targets share one test
+    rng = np.random.default_rng(919)
+    checked = 0
+    for i in range(24):
+        s1, s2 = _random_pair(rng, lo=6, hi=20)
+        if i % 3 == 0:  # shift group 1 late: p_hat near 1
+            s1 = Sample(np.minimum(s1.times + 4.0, K), s1.events, K)
+        try:
+            rows = analyze(pool(s1, s2), METHODS, ("p", "w"), 0.1, alternative, 49, i, 1)
+        except ValueError:
+            continue
+        for _, (p, w) in rows:
+            assert w.ci == _w_image(p.ci)
+            assert (w.statistic, w.p_value, w.critical, w.reject) == \
+                (p.statistic, p.p_value, p.critical, p.reject)
+        checked += 1
+    assert checked >= 16
+
+
 class TestTongueFrozen:
     def test_statistic_values(self):
         s1, s2 = load_tongue()
         assert_allclose(studentized_p(s1, s2), 1.6266942271555058, atol=1e-12)
-        assert_allclose(studentized_w(s1, s2), 1.2530881941, atol=1e-9)
 
     def test_two_sided_interval_and_p_value(self):
         s1, s2 = load_tongue()

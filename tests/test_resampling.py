@@ -329,3 +329,10 @@ class TestPlanValidation:
     def test_b_eff_property(self):
         r = ReplicateSet(np.array([1.0, 2.0]), 3)
         assert r.b_eff == 2
+
+    def test_freezes_a_copy(self):
+        a = np.array([1.0, 2.0])
+        r = ReplicateSet(a, 0)
+        a[0] = 3.0  # the caller's array stays writable
+        assert r.statistics.tolist() == [1.0, 2.0]
+        assert not r.statistics.flags.writeable

@@ -32,6 +32,9 @@ Operations:
 
 Both sides must return equal results in every round (the coverage row's
 fields, or the JSON report), or the script stops with an assertion error.
+So where the two checkouts' win-ratio results differ (as across the
+change that made w's interval the image of p's), time ``--target p``, or
+``--op cell``, which reads p alone.
 It prints each side's median and quartiles in milliseconds, the ratio of
 the medians and the rounds that the change wins.
 """
