@@ -255,8 +255,6 @@ def _run_simulate(args) -> str:
     if missing:
         raise ValueError("missing scenario settings: " + ", ".join(missing)
                          + " (give flags or --config)")
-    kwargs.setdefault("reps", 1000)
-    kwargs.setdefault("b", 1999)
     row = sim.coverage_study(sim.ScenarioConfig(**kwargs))
     return sim.coverage_tsv([row]) if args.tsv else sim.coverage_text([row])
 

@@ -6,7 +6,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
-from scipy import integrate, special
+from scipy import integrate, special, stats
 
 from survcmp.rng import stream
 from survcmp.simulate import (
@@ -19,7 +19,6 @@ from survcmp.simulate import (
     coverage_study,
     coverage_text,
     coverage_tsv,
-    density,
     draw_survival,
     full_study_configs,
     horizon,
@@ -61,11 +60,6 @@ class TestDraws:
         b = draw_survival(3, 2, stream(0, 50, 5), 1000)
         assert_array_equal(a, b)
 
-    def test_scalar_draw(self):
-        v = draw_survival(1, 1, stream(0, 50, 6))
-        assert np.isscalar(v) or np.ndim(v) == 0
-        assert v > 0
-
     def test_draws_match_distribution_functions(self):
         # empirical tail probabilities against the closed-form curves
         for setup in (1, 2, 3):
@@ -76,38 +70,70 @@ class TestDraws:
                     assert abs((x > t).mean() - sf(t)) <= 0.005
 
 
+class _ExpMix:
+    """The 1/3-2/3 mixture of exponentials with means 1/1.27 and 1/2.5."""
+
+    parts = ((1.0 / 3.0, stats.expon(scale=1.0 / 1.27)), (2.0 / 3.0, stats.expon(scale=1.0 / 2.5)))
+
+    def pdf(self, t):
+        return sum(w * law.pdf(t) for w, law in self.parts)
+
+    def sf(self, t):
+        return sum(w * law.sf(t) for w, law in self.parts)
+
+
+# the scenario laws written independently of the package, on scipy.stats
+SCIPY_LAWS = {
+    1: (stats.expon(scale=0.5), _ExpMix()),
+    2: (stats.weibull_min(0.9, scale=1.65), stats.lognorm(1.0)),
+    3: (stats.weibull_min(1.5), stats.weibull_min(1.5)),
+}
+
+
 class TestTrueEffect:
     @staticmethod
     def _quad_effect(setup):
+        # P(T1 > T2) on [0, K] plus the tie of two times that both reach K
+        law1, law2 = SCIPY_LAWS[setup]
         k = horizon(setup)
-        s1, s2 = survival_function(setup, 1), survival_function(setup, 2)
-        f2 = density(setup, 2)
-        head, _ = integrate.quad(lambda t: s1(t) * f2(t), 0.0, k, limit=200)
-        return head + 0.5 * s1(k) * s2(k)
+        head, _ = integrate.quad(lambda t: law1.sf(t) * law2.pdf(t), 0.0, k, limit=200,
+                                 epsabs=1e-14, epsrel=1e-13)
+        return head + 0.5 * law1.sf(k) * law2.sf(k)
 
     def test_matches_independent_quadrature(self):
         for setup in (1, 2, 3):
-            assert abs(true_effect(setup) - self._quad_effect(setup)) <= 5e-6
+            assert abs(true_effect(setup) - self._quad_effect(setup)) <= 1e-9, setup
 
-    def test_complement_decomposition_sums_to_one(self):
-        for setup in (1, 2, 3):
-            k = horizon(setup)
-            s1, s2 = survival_function(setup, 1), survival_function(setup, 2)
-            f1, f2 = density(setup, 1), density(setup, 2)
-            a, _ = integrate.quad(lambda t: s1(t) * f2(t), 0.0, k, limit=200)
-            b, _ = integrate.quad(lambda t: s2(t) * f1(t), 0.0, k, limit=200)
-            assert_allclose(a + b + s1(k) * s2(k), 1.0, atol=1e-6)
+    def test_identical_groups_give_exactly_one_half(self):
+        assert abs(true_effect(3) - 0.5) <= 1e-12
+
+    def test_survival_functions_match_scipy(self):
+        t = np.concatenate([np.logspace(-8, 0, 200), np.linspace(0.0, 3.0, 301)[1:]])
+        for setup, laws in SCIPY_LAWS.items():
+            for group, law in enumerate(laws, start=1):
+                assert_allclose(survival_function(setup, group)(t), law.sf(t), rtol=1e-13)
 
     def test_all_setups_sit_at_the_null(self):
         for setup in (1, 2, 3):
             assert abs(true_effect(setup) - 0.5) < 0.005
 
-    def test_densities_integrate_to_sub_one_mass(self):
-        for setup in (1, 2, 3):
-            for group in (1, 2):
-                f = density(setup, group)
-                mass, _ = integrate.quad(f, 0.0, 50.0, limit=400)
-                assert 0.99 <= mass <= 1.0 + 1e-6
+
+class TestSetupTag:
+    def test_unknown_setup_or_group_is_a_clear_error(self):
+        bad_setup = "setup must be 1, 2 or 3"
+        cases = [
+            (lambda: horizon(0), bad_setup),
+            (lambda: true_effect(7), bad_setup),
+            (lambda: calibrate_censoring(7, "none"), bad_setup),
+            (lambda: calibrate_censoring(7, "strong"), bad_setup),
+            (lambda: truncation_proportions(7, "strong"), bad_setup),
+            (lambda: draw_survival(4, 1, stream(0, 50, 7), 3), bad_setup),
+            (lambda: survival_function(0, 2), bad_setup),
+            (lambda: draw_survival(1, 3, stream(0, 50, 7), 3), "group must be 1 or 2"),
+        ]
+        for call, match in cases:
+            with pytest.raises(ValueError, match=match):
+                call()
 
 
 class TestCalibration:
