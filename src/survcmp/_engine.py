@@ -1,9 +1,11 @@
 """The studentized statistic, for the observed data and for every resample.
 
 One row of an index matrix selects a two-group sample from the pooled
-data; :func:`batch_statistics` returns each row's effect p, variance
-terms sigma2_12 and sigma2_21 and validity, and :func:`studentize` turns
-them into sqrt(n1 n2 / n) (p - p0) / sigma.  The observed data are the
+sample (:class:`PooledSample`, which carries the event grid below;
+:func:`batch_context` builds it once per pool);
+:func:`batch_statistics` returns each row's effect p, variance terms
+sigma2_12 and sigma2_21 and validity, and :func:`studentize` turns them
+into sqrt(n1 n2 / n) (p - p0) / sigma.  The observed data are the
 identity row 0..n-1 (:func:`identity_row`), so the observed statistic and
 its replicates come from the same arithmetic, bit for bit.
 
@@ -124,9 +126,9 @@ values and tail sums.  At 15/15 (17-32 columns) a B = 999 set is one call,
 and a 200/200 pool takes one block per call; on the machine above a
 ten-replication coverage cell ran 11-16 % faster at 32,768 than at 16,384.
 Each thread keeps one workspace (a ``threading.local``), which every call
-fits to its context and row count, reusing every array large enough;
+fits to its pool and row count, reusing every array large enough;
 arrays laid out beyond the budget (one-block calls on a pool of n > 126)
-are dropped at the thread's first call on another context.  The bin codes
+are dropped at the thread's first call on another pool.  The bin codes
 are one gather of the observations' codes plus an offset plane, rows x n
 int64 (the row, plus r in group 2's columns); the plane's first n1 columns
 are kept apart for permutation calls, and rows x n unit weights make
@@ -151,7 +153,7 @@ import numpy as np
 
 from .rng import BLOCK
 
-__all__ = ["CHUNK_CELLS", "SLAB", "BatchContext", "RowStatistics", "batch_context",
+__all__ = ["CHUNK_CELLS", "SLAB", "PooledSample", "RowStatistics", "batch_context",
            "batch_statistics", "bootstrap_indices", "chunk_blocks", "identity_row",
            "permutation_indices", "studentize"]
 
@@ -165,55 +167,56 @@ PLANES = 4  # row counts whose offset planes a workspace keeps (see "Chunks")
 
 
 @dataclass(frozen=True)
-class BatchContext:
-    """Pooled data prepared for batched resampling.
+class PooledSample:
+    """Both groups' observations concatenated, group 1 first, labels
+    erased, on the shared window [0, k], with the event grid the engine reads.
 
-    ``pos`` maps each pooled observation to its slot on the full grid of
-    q distinct times and ``events`` is the pooled indicator vector.  The
-    event grid has ``width`` columns: column 0 for times before the first
-    event, column c = 1..E for the full-grid slot ``event_slots[c - 1]``,
-    and a last column that no observation reaches.  ``column`` is each
-    pooled observation's event-grid column; ``pool_deaths`` and
-    ``pool_at_risk`` are the pooled counts on the event grid, in float64.
-    :func:`batch_context` forms ``pos`` from one sort and the event slots
-    and ``pool_deaths`` as counts weighted by ``events``.
+    The grid has ``width`` columns: column 0 for times before the first
+    event, one per distinct pooled event time, and a last column that no
+    observation reaches.  ``column`` is each observation's grid column;
+    ``pool_deaths`` and ``pool_at_risk`` are the pooled counts on the
+    grid, in float64.  Built by :func:`batch_context`.
     """
 
-    pos: np.ndarray
+    times: np.ndarray
     events: np.ndarray
-    q: int
     n1: int
     n2: int
-    event_slots: np.ndarray
+    k: float
+    width: int
     column: np.ndarray
     pool_deaths: np.ndarray
     pool_at_risk: np.ndarray
 
-    @property
-    def width(self) -> int:
-        return self.event_slots.size + 2
-
     def __post_init__(self):
-        for arr in (self.pos, self.events, self.event_slots, self.column,
-                    self.pool_deaths, self.pool_at_risk):
+        for arr in (self.times, self.events, self.column, self.pool_deaths,
+                    self.pool_at_risk):
             arr.setflags(write=False)
 
+    @property
+    def n(self) -> int:
+        return self.n1 + self.n2
 
-def batch_context(times: np.ndarray, events: np.ndarray, n1: int, n2: int) -> BatchContext:
-    """The engine's view of a pool of n1 + n2 >= 1 observations, group 1 first.
 
-    One sort gives each observation's full-grid slot: in sorted order a
-    slot is the count of changes between neighbours so far, scattered back
-    through the order (``np.unique`` with ``return_inverse`` sorts too, and
-    does more around it).  The event slots and pooled deaths are counts
-    weighted by the event flags (``bincount`` sums the weights in float64,
-    so the deaths need no cast), not counts of a boolean-mask gather
-    through them: where events and censorings interleave, such a gather
-    costs about as much as the weighted count that replaces it and its
-    count together.
+def batch_context(times: np.ndarray, events: np.ndarray, n1: int, n2: int,
+                  k: float) -> PooledSample:
+    """The pool of n1 + n2 >= 1 observations, group 1 first, on window [0, k].
+
+    The inputs are copied, so that freezing them leaves the caller's
+    arrays writable.  One sort gives each observation's slot on the full
+    grid of distinct times: in sorted order a slot is the count of changes
+    between neighbours so far, scattered back through the order
+    (``np.unique`` with ``return_inverse`` sorts too, and does more around
+    it).  The event slots and pooled deaths are counts weighted by the
+    event flags (``bincount`` sums the weights in float64, so the deaths
+    need no cast), not counts of a boolean-mask gather through them: where
+    events and censorings interleave, such a gather costs about as much as
+    the weighted count that replaces it and its count together.
     """
-    times = np.asarray(times, dtype=float)
-    events = np.asarray(events, bool).copy()
+    times = np.array(times, dtype=float)
+    events = np.array(events, dtype=bool)
+    if times.size != n1 + n2:
+        raise ValueError("pooled size must be n1 + n2")
     order = np.argsort(times)
     ordered = times[order]
     changed = np.empty(times.size, bool)
@@ -222,18 +225,16 @@ def batch_context(times: np.ndarray, events: np.ndarray, n1: int, n2: int) -> Ba
     rank = np.cumsum(changed)
     pos = np.empty(times.size, np.int64)
     pos[order] = rank
-    q = int(rank[-1]) + 1
     # a slot is an event column when a pooled event lands on it; each
     # observation's column counts the event slots at or before its own
-    hit = np.bincount(pos, events, q) > 0
-    slots = np.flatnonzero(hit)
+    hit = np.bincount(pos, events, int(rank[-1]) + 1) > 0
     column = np.cumsum(hit)[pos]
-    width = slots.size + 2
+    width = int(np.count_nonzero(hit)) + 2
     deaths = np.bincount(column, events, width)
     at_risk = np.cumsum(np.bincount(column, minlength=width)[::-1])[::-1].astype(float)
-    return BatchContext(pos=pos, events=events, q=q, n1=int(n1), n2=int(n2),
-                        event_slots=slots, column=column,
-                        pool_deaths=deaths, pool_at_risk=at_risk)
+    return PooledSample(times=times, events=events, n1=int(n1), n2=int(n2), k=float(k),
+                        width=width, column=column, pool_deaths=deaths,
+                        pool_at_risk=at_risk)
 
 
 class RowStatistics(NamedTuple):
@@ -271,16 +272,16 @@ def permutation_indices(rng: np.random.Generator, r: int, n: int, out=None) -> n
     return rng.permuted(out, axis=1, out=out)
 
 
-def chunk_blocks(ctx: BatchContext) -> int:
+def chunk_blocks(z: PooledSample) -> int:
     """Whole 256-row blocks per engine call: rows x (n + 2) <= CHUNK_CELLS, at least one."""
-    return max(1, CHUNK_CELLS // (BLOCK * (ctx.n1 + ctx.n2 + 2)))
+    return max(1, CHUNK_CELLS // (BLOCK * (z.n + 2)))
 
 
 class _Workspace(threading.local):
-    """One thread's arrays for engine calls, fitted to each call's context
+    """One thread's arrays for engine calls, fitted to each call's pool
     and row count; a ``threading.local``, so every thread sees its own.
 
-    The memory outlives the context: :meth:`fit` keeps every array that is
+    The memory outlives the pool: :meth:`fit` keeps every array that is
     large enough, unless it was laid out beyond :data:`CHUNK_CELLS`.
     """
 
@@ -288,7 +289,7 @@ class _Workspace(threading.local):
         self._memory: dict[str, np.ndarray] = {}
         # planes and weights by row count, and the code tables, for `sizes`
         self._planes, self._tables, self.sizes = {}, None, None
-        self.ctx, self.r = None, 0  # the context and row count of the views
+        self.z, self.r = None, 0  # the pool and row count of the views
         self.cells = 0  # largest rows x (n + 2) the memory was laid out for
 
     def _take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -298,28 +299,28 @@ class _Workspace(threading.local):
             buf = self._memory[name] = np.empty(size)
         return buf[:size].reshape(shape)
 
-    def fit(self, ctx: BatchContext, r: int) -> None:
-        """(Column, group, row) views for calls of exactly r rows on ctx."""
-        if ctx is self.ctx and r == self.r:
+    def fit(self, z: PooledSample, r: int) -> None:
+        """(Column, group, row) views for calls of exactly r rows on z."""
+        if z is self.z and r == self.r:
             return
-        if ctx is not self.ctx and self.cells > CHUNK_CELLS:
+        if z is not self.z and self.cells > CHUNK_CELLS:
             self._memory, self.cells = {}, 0
-        self.ctx, self.r, w = ctx, r, ctx.width
-        self.cells = max(self.cells, r * (ctx.n1 + ctx.n2 + 2))
+        self.z, self.r, w = z, r, z.width
+        self.cells = max(self.cells, r * (z.n + 2))
         # histogram bin of (event?, column, group, row): the observation's
         # code, plus the offset plane: the row, plus r in group 2's columns
-        self.code = ctx.events * (w * 2 * r) + ctx.column * (2 * r)
-        if (ctx.n1, ctx.n2) != self.sizes:
-            self._planes, self._tables, self.sizes = {}, None, (ctx.n1, ctx.n2)
+        self.code = z.events * (w * 2 * r) + z.column * (2 * r)
+        if (z.n1, z.n2) != self.sizes:
+            self._planes, self._tables, self.sizes = {}, None, (z.n1, z.n2)
         elif r not in self._planes and len(self._planes) == PLANES:
             self._planes = {}
         if r not in self._planes:  # the full plane, group 1's columns alone, unit weights
-            plane = np.arange(r)[:, None] + np.where(np.arange(ctx.n1 + ctx.n2) < ctx.n1, 0, r)
-            self._planes[r] = plane, plane[:, :ctx.n1].copy(), np.ones(plane.size)
+            plane = np.arange(r)[:, None] + np.where(np.arange(z.n) < z.n1, 0, r)
+            self._planes[r] = plane, plane[:, :z.n1].copy(), np.ones(plane.size)
         self.plane, self.group1_plane, self.ones = self._planes[r]
         # the Kaplan-Meier factor and dH by code y radix + d, where the
         # tables are no larger than the call's grid; None: the formulas run
-        self.radix = max(ctx.n1, ctx.n2) + 1
+        self.radix = max(z.n1, z.n2) + 1
         self.tables = None
         if self.radix ** 2 <= w * 2 * r:
             if self._tables is None:
@@ -361,13 +362,13 @@ def _km_tables(radix: int) -> np.ndarray:
     return tables
 
 
-def _permutation_counts(ctx: BatchContext, totals, y, d) -> None:
+def _permutation_counts(z: PooledSample, totals, y, d) -> None:
     """Group 1's at-risk counts from its totals and deaths, and group 2's
     counts as the pooled ones minus group 1's, on columns 1..w - 1."""
     np.add(totals[:, 0], d[:, 0], out=y[:, 0])
     _accumulate(np.add, y[:, 0], y[:, 0], reverse=True)
-    np.subtract(ctx.pool_at_risk[1:, None], y[:, 0], out=y[:, 1])
-    np.subtract(ctx.pool_deaths[1:, None], d[:, 0], out=d[:, 1])
+    np.subtract(z.pool_at_risk[1:, None], y[:, 0], out=y[:, 1])
+    np.subtract(z.pool_deaths[1:, None], d[:, 0], out=d[:, 1])
 
 
 def _accumulate(op, values, out, reverse: bool = False) -> None:
@@ -383,14 +384,14 @@ def _accumulate(op, values, out, reverse: bool = False) -> None:
         op(prev, value, this)
 
 
-def batch_statistics(ctx: BatchContext, idx: np.ndarray, *,
+def batch_statistics(z: PooledSample, idx: np.ndarray, *,
                      permutation: bool = False) -> RowStatistics:
     """The effect, variance terms and validity of each row of the index matrix.
 
     Parameters
     ----------
-    ctx : BatchContext
-        Prepared pooled data.
+    z : PooledSample
+        The pool and its event grid, from :func:`batch_context`.
     idx : ndarray of shape (r, n1 + n2)
         Row-wise selections into the pooled sample; the first n1 columns
         form group 1 of the replicate.
@@ -403,13 +404,11 @@ def batch_statistics(ctx: BatchContext, idx: np.ndarray, *,
     RowStatistics
         Arrays of shape (r,), freshly allocated.
     """
-    n1, n2 = ctx.n1, ctx.n2
-    n = n1 + n2
-    if idx.ndim != 2 or idx.shape[1] != n:
+    if idx.ndim != 2 or idx.shape[1] != z.n:
         raise ValueError("index matrix must have n1 + n2 columns")
-    r, w = idx.shape[0], ctx.width
+    r, w = idx.shape[0], z.width
     work = _work
-    work.fit(ctx, r)
+    work.fit(z, r)
 
     # counts on the event grid, [event?][column][group][row], as floats
     # (unit weights; group 2's stay 0 for permutation rows), all integers
@@ -422,11 +421,11 @@ def batch_statistics(ctx: BatchContext, idx: np.ndarray, *,
     hist = np.bincount(bins.ravel(), work.ones[:bins.size], 2 * w * 2 * r).reshape(2, w, 2, r)
     y, d = work.at_risk, hist[1, 1:]
     if permutation and 2 * r < SLAB:
-        _permutation_counts(ctx, hist[0, 1:], y, d)
+        _permutation_counts(z, hist[0, 1:], y, d)
     elif permutation:  # ufunc buffers of one run of r values (see "The layout")
         with np.errstate():
             np.setbufsize(r // 16 * 16)
-            _permutation_counts(ctx, hist[0, 1:], y, d)
+            _permutation_counts(z, hist[0, 1:], y, d)
     else:
         np.add(hist[0, 1:], d, out=y)
         _accumulate(np.add, y, y, reverse=True)
@@ -474,7 +473,7 @@ def batch_statistics(ctx: BatchContext, idx: np.ndarray, *,
     else:  # a reduce along a non-inner axis adds one slab at a time, in order
         sums = np.add.reduce(dh, axis=0)
     sigma2_12, sigma2_21 = 0.25 * sums[0], 0.25 * sums[1]
-    sigma2 = (n1 * n2 / n) * (sigma2_12 + sigma2_21)
+    sigma2 = (z.n1 * z.n2 / z.n) * (sigma2_12 + sigma2_21)
     # a curve ends below 1.0 exactly when its group has an event
     has_events = (s[-1, 0] < 1.0) & (s[-1, 1] < 1.0)
     # np.clip's values, p being a sum of non-negative terms (never -0.0 or
@@ -484,11 +483,11 @@ def batch_statistics(ctx: BatchContext, idx: np.ndarray, *,
                          valid=(sigma2 > 0.0) & has_events)
 
 
-def identity_row(ctx: BatchContext) -> RowStatistics:
+def identity_row(z: PooledSample) -> RowStatistics:
     """The observed data's row: group 1 is the first n1 pooled observations.
 
     The identity is a permutation, so group 2's counts are the pooled
     counts minus group 1's.
     """
-    idx = np.arange(ctx.n1 + ctx.n2, dtype=np.int64)[None, :]
-    return batch_statistics(ctx, idx, permutation=True)
+    idx = np.arange(z.n, dtype=np.int64)[None, :]
+    return batch_statistics(z, idx, permutation=True)

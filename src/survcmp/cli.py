@@ -24,6 +24,7 @@ from time import monotonic
 
 from .datasets import ingest_csv, tongue_path
 from .inference import METHODS, analyze
+from .rng import check_seed
 from .survival import HORIZON_POLICIES, pool
 from . import simulate as sim
 
@@ -44,9 +45,7 @@ def _resolve_seed(flag_value, fallback=_DEFAULT_SEED):
             seed = int(env)
         except ValueError:
             raise ValueError("SURVCMP_SEED must be an integer") from None
-    if not 0 <= seed < 2**64:
-        raise ValueError("seed must fit in 64 unsigned bits")
-    return seed
+    return check_seed(seed)
 
 
 @functools.cache
@@ -197,12 +196,14 @@ def _run_analyze(args) -> str:
             raise ValueError("--k is required with --input")
         k = args.k
     seed = _resolve_seed(args.seed)
+    if args.dump_replicates:  # checked before any work, as --out is in main
+        if args.method not in ("bootstrap", "permutation"):
+            raise ValueError("--dump-replicates needs --method bootstrap or permutation")
+        open(args.dump_replicates, "a").close()
     s1, s2 = ingest_csv(
         path, k, time_col=args.time_col, status_col=args.status_col,
         group_col=args.group_col, event_value=args.event_value,
         censored_value=args.censored_value, beyond_horizon=args.beyond_horizon)
-    if args.dump_replicates and args.method not in ("bootstrap", "permutation"):
-        raise ValueError("--dump-replicates needs --method bootstrap or permutation")
     rows = _analysis_results(s1, s2, args, seed)
     for res in {res.method: res for _, res in rows if res.capped}.values():
         print(f"survcmp: warning: {res.method} quantile rank {res.rank} capped at "

@@ -156,9 +156,8 @@ def _rate(n1: int, n2: int) -> float:
 
 
 def _observed(z: PooledSample) -> Estimate:
-    # the engine's identity row on the pool's context, which the pool's
-    # replicate sets share
-    return Estimate.from_row(identity_row(z.context), z.n1, z.n2)
+    # the engine's identity row on the pool, from which its replicate sets draw
+    return Estimate.from_row(identity_row(z), z.n1, z.n2)
 
 
 def mann_whitney_effect(s1: Sample, s2: Sample) -> Estimate:
@@ -235,7 +234,7 @@ def analyze(z: PooledSample, methods, targets, alpha: float, alternative: str, b
     """Each of ``methods`` (see :data:`METHODS`) as its replicate set (None
     for 'asymptotic') and one result per target, in order.
 
-    One observed estimate and one engine context serve every method; a
+    One observed estimate and one pool serve every method; a
     resampling method draws ``replicate_set(z, ResamplingPlan(method, b,
     seed, workers))``.  The targets, the alternative and alpha are
     checked, and ``b`` and ``workers`` must be positive whichever methods

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from ._engine import (batch_statistics, bootstrap_indices, chunk_blocks, permutation_indices,
-                      studentize)
-from .survival import PooledSample
+from ._engine import (PooledSample, batch_statistics, bootstrap_indices, chunk_blocks,
+                      permutation_indices, studentize)
 
 __all__ = [
     "ResamplingPlan",
@@ -27,7 +26,7 @@ __all__ = [
     "replicate_quantile",
 ]
 
-_SCHEMES = ("bootstrap", "permutation")
+_SCHEMES = tuple(_rng.SCHEME_IDS)
 
 # B x (n + 2) from which worker processes pay for their start-up (fresh
 # `analyze` processes, 2-vCPU x86); a smaller replicate set runs inline
@@ -55,8 +54,7 @@ class ResamplingPlan:
             raise ValueError("need at least one replicate")
         if self.workers < 1:
             raise ValueError("workers must be positive")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
+        _rng.check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -93,7 +91,7 @@ def replicate_set(z: PooledSample, plan: ResamplingPlan) -> ReplicateSet:
     processes take contiguous runs of those calls (:func:`~survcmp.rng.fan_out`).
     """
     todo = _rng.blocks(plan.b)
-    per_call = chunk_blocks(z.context)
+    per_call = chunk_blocks(z)
     chunks = [todo[i:i + per_call] for i in range(0, len(todo), per_call)]
     workers = plan.workers if plan.b * (z.n + 2) >= POOL_CELLS else 1
     parts = [part for run in _rng.fan_out(_run_chunks, chunks, workers, z, plan)
@@ -105,7 +103,6 @@ def replicate_set(z: PooledSample, plan: ResamplingPlan) -> ReplicateSet:
 
 def _run_chunks(z: PooledSample, plan: ResamplingPlan, chunks) -> list:
     """(Studentized replicates, validity) per chunk, one engine call each."""
-    ctx = z.context
     scheme_id = _rng.SCHEME_IDS[plan.scheme]
     permutation = plan.scheme == "permutation"
     parts = []
@@ -117,7 +114,7 @@ def _run_chunks(z: PooledSample, plan: ResamplingPlan, chunks) -> list:
                 permutation_indices(rng, size, z.n, out=block)
             else:
                 block[...] = bootstrap_indices(rng, size, z.n)
-        rows = batch_statistics(ctx, idx, permutation=permutation)
+        rows = batch_statistics(z, idx, permutation=permutation)
         parts.append((studentize(rows.p, rows.sigma2, rows.valid, z.n1, z.n2, 0.5),
                       rows.valid))
     return parts

@@ -16,7 +16,7 @@ import threading
 
 import numpy as np
 
-__all__ = ["BLOCK", "SCHEME_IDS", "stream", "blocks", "fan_out", "derive_seed"]
+__all__ = ["BLOCK", "SCHEME_IDS", "check_seed", "stream", "blocks", "fan_out", "derive_seed"]
 
 # replicates per generator block; fixed so that worker splits cannot move
 # a replicate to a different stream
@@ -28,20 +28,25 @@ SCHEME_IDS = {"bootstrap": 1, "permutation": 2}
 DATA_TAG = 101
 
 
+def check_seed(seed: int) -> int:
+    """The seed, once it is checked to fit in 64 unsigned bits."""
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must fit in 64 unsigned bits")
+    return seed
+
+
 def stream(seed: int, *path: int) -> np.random.Generator:
     """Counter-based generator for the given seed and stream path.
 
     Parameters
     ----------
     seed : int
-        Nonnegative user seed (64-bit range).
+        User seed, 0 <= seed < 2**64 (:func:`check_seed`).
     *path : int
         Nonnegative integers naming the stream, e.g. (scheme id, block
         index).  Distinct paths give statistically independent streams.
     """
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
-    ss = np.random.SeedSequence(seed, spawn_key=tuple(int(x) for x in path))
+    ss = np.random.SeedSequence(check_seed(seed), spawn_key=tuple(int(x) for x in path))
     return np.random.Generator(np.random.Philox(ss))
 
 

@@ -113,6 +113,9 @@ _LEVEL_IDS = {"strong": 1, "moderate": 2, "none": 0}
 # internal stream tags (data generation uses rng.DATA_TAG)
 _CAL_TAG = 301
 _PROP_TAG = 302
+# draws per group behind the censoring calibration and the beyond-window table
+_CAL_DRAWS = 100_000
+_PROP_DRAWS = 10_000
 
 
 def _scenario(setup: int) -> tuple[_Law, _Law, float]:
@@ -172,15 +175,16 @@ class CensoringCalibration:
 
 
 @lru_cache(maxsize=None)
-def calibrate_censoring(setup: int, level: str, draws: int = 100_000) -> CensoringCalibration:
+def calibrate_censoring(setup: int, level: str) -> CensoringCalibration:
     """Bisect exponential censoring rates onto the band midpoint.
 
-    Uses a fixed internal stream, so the rates are reproducible constants
-    of (setup, level).  The same uniforms are reused across bisection
-    steps, making the censored fraction monotone in the rate; their
-    exponential transform and the truncated survival times are computed
-    once per group, and each step only rescales and compares.  Scenario 3
-    shares one rate across its identical groups.
+    Uses a fixed internal stream of :data:`_CAL_DRAWS` draws per group, so
+    the rates are reproducible constants of (setup, level).  The same
+    uniforms are reused across bisection steps, making the censored
+    fraction monotone in the rate; their exponential transform and the
+    truncated survival times are computed once per group, and each step
+    only rescales and compares.  Scenario 3 shares one rate across its
+    identical groups.
     """
     k = horizon(setup)
     if level == "none":
@@ -192,8 +196,8 @@ def calibrate_censoring(setup: int, level: str, draws: int = 100_000) -> Censori
 
     def solve(group):
         gen = _rng.stream(0, _CAL_TAG, setup, _LEVEL_IDS[level], group)
-        reached = np.minimum(draw_survival(setup, group, gen, draws), k)
-        exp1 = _exp1(gen, draws)
+        reached = np.minimum(draw_survival(setup, group, gen, _CAL_DRAWS), k)
+        exp1 = _exp1(gen, _CAL_DRAWS)
 
         def fraction(rate):
             # censored <=> C < min(T, K), with C = Exp(rate) = exp1 / rate
@@ -218,9 +222,10 @@ def calibrate_censoring(setup: int, level: str, draws: int = 100_000) -> Censori
     return CensoringCalibration(rate1, rate2, achieved1, achieved2)
 
 
-def truncation_proportions(setup: int, level: str, reps: int = 10_000,
+def truncation_proportions(setup: int, level: str,
                            pre_censoring: bool = False) -> tuple[float, float]:
-    """Percentage of simulated observations beyond the window, per group.
+    """Percentage of :data:`_PROP_DRAWS` simulated observations per group
+    beyond the window.
 
     Default counts recorded times min(T, C) > K under the calibrated
     censoring; ``pre_censoring`` counts the latent survival times T > K
@@ -232,9 +237,9 @@ def truncation_proportions(setup: int, level: str, reps: int = 10_000,
     out = []
     for group in (1, 2):
         gen = _rng.stream(0, _PROP_TAG, setup, _LEVEL_IDS[level], group)
-        times = draw_survival(setup, group, gen, reps)
+        times = draw_survival(setup, group, gen, _PROP_DRAWS)
         if not pre_censoring and rates[group - 1] > 0:
-            c = _exp1(gen, reps) / rates[group - 1]
+            c = _exp1(gen, _PROP_DRAWS) / rates[group - 1]
             times = np.minimum(times, c)
         out.append(100.0 * float(np.mean(times > k)))
     return out[0], out[1]
@@ -264,8 +269,7 @@ class ScenarioConfig:
             raise ValueError("alpha must be in (0, 1)")
         if self.reps < 1 or self.b < 1:
             raise ValueError("reps and b must be positive")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
+        _rng.check_seed(self.seed)
         if self.workers < 1:
             raise ValueError("workers must be positive")
 

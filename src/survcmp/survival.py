@@ -1,4 +1,4 @@
-"""Censored samples, their pooled form and the product-limit curve.
+"""Censored samples, their pooling and the product-limit curve.
 
 All survival times are analysed on a window [0, k] chosen by the caller.
 A recorded time beyond the window becomes a time at k, and one policy of
@@ -11,17 +11,14 @@ subject in the risk set at that time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-
 import numpy as np
 
-from ._engine import BatchContext, batch_context
+from ._engine import PooledSample, batch_context
 
 __all__ = [
     "HORIZON_POLICIES",
     "Sample",
-    "PooledSample",
+    "PooledSample",  # the type pool returns, defined with the engine that reads it
     "truncate",
     "pool",
     "km_curve",
@@ -80,46 +77,13 @@ class Sample:
         return f"Sample(n={self.n}, events={int(self.events.sum())}, k={self.k})"
 
 
-@dataclass(frozen=True)
-class PooledSample:
-    """Both groups' observations concatenated, labels erased.
-
-    Group 1 occupies the first ``n1`` slots.  ``k`` is the shared window
-    end.  ``context`` is the statistic engine's view of the pool, built on
-    first use and shared by the observed statistic and every replicate set
-    drawn from the pool.
-    """
-
-    times: np.ndarray
-    events: np.ndarray
-    n1: int
-    n2: int
-    k: float
-
-    def __post_init__(self):
-        if self.times.size != self.n1 + self.n2:
-            raise ValueError("pooled size must be n1 + n2")
-        self.times.setflags(write=False)
-        self.events.setflags(write=False)
-
-    @property
-    def n(self) -> int:
-        return self.n1 + self.n2
-
-    @cached_property
-    def context(self) -> BatchContext:
-        return batch_context(self.times, self.events, self.n1, self.n2)
-
-
 def pool(s1: Sample, s2: Sample) -> PooledSample:
-    """Concatenate two samples, group 1 first, keeping the shared window."""
+    """Concatenate two samples, group 1 first, keeping the shared window;
+    the result carries the statistic engine's event grid."""
     if s1.k != s2.k:
         raise ValueError("incompatible horizons")
-    return PooledSample(
-        times=np.concatenate([s1.times, s2.times]),
-        events=np.concatenate([s1.events, s2.events]),
-        n1=s1.n, n2=s2.n, k=s1.k,
-    )
+    return batch_context(np.concatenate([s1.times, s2.times]),
+                         np.concatenate([s1.events, s2.events]), s1.n, s2.n, s1.k)
 
 
 def truncate(raw, k) -> Sample:

@@ -7,8 +7,9 @@ Kaplan-Meier step functions (``StepFunction``, ``kaplan_meier``, built on
 the ``np.unique`` form of the counting processes,
 ``reference_counting_processes``); the package's ``km_curve`` must match
 ``kaplan_meier`` bit for bit.  ``reference_batch_statistics`` is the
-statistic engine on the full grid of pooled times, ``reference_batch_context``
-builds the engine's context with two ``np.unique`` calls and a
+statistic engine on the full grid of pooled times (its slots from
+``np.unique``, not the engine's sort), ``reference_batch_context``
+builds the pool's event grid with two ``np.unique`` calls and a
 ``searchsorted``, ``reference_ingest_csv`` reads a CSV one row at a time,
 and ``reference_calibrate_censoring`` rebuilds the censoring times from
 the uniforms at every bisection step.  The plug-in
@@ -29,12 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from survcmp import rng as _rng
-from survcmp._engine import (BatchContext, batch_statistics, bootstrap_indices,
+from survcmp._engine import (PooledSample, batch_statistics, bootstrap_indices,
                              permutation_indices, studentize)
 from survcmp.datasets import _label_key
 from survcmp.simulate import (_CAL_TAG, CENSORING_BANDS, CensoringCalibration,
                               ScenarioConfig, draw_survival, horizon)
-from survcmp.survival import HORIZON_POLICIES, PooledSample, Sample
+from survcmp.survival import HORIZON_POLICIES, Sample
 
 
 class StepFunction:
@@ -371,34 +372,37 @@ def _terms(sj, sj_left, mass_k, trail):
     return tail[:, 0], sj * mass_k + tail[:, 1:]
 
 
-def reference_batch_context(times, events, n1: int, n2: int) -> BatchContext:
+def reference_batch_context(times, events, n1: int, n2: int, k: float) -> PooledSample:
     """``survcmp._engine.batch_context`` by ``np.unique``'s inverse for the
     slots, a second ``np.unique`` for the event slots, ``searchsorted`` for
     each observation's column and boolean-mask gathers for the counts."""
-    grid, pos = np.unique(np.asarray(times, dtype=float), return_inverse=True)
-    pos = pos.astype(np.int64)
-    events = np.asarray(events, bool).copy()
+    times = np.array(times, dtype=float)
+    events = np.array(events, dtype=bool)
+    _, pos = np.unique(times, return_inverse=True)
     slots = np.unique(pos[events])
     column = np.searchsorted(slots, pos, side="right")
     width = slots.size + 2
     deaths = np.bincount(column[events], minlength=width).astype(float)
     at_risk = np.cumsum(np.bincount(column, minlength=width)[::-1])[::-1].astype(float)
-    return BatchContext(pos=pos, events=events, q=int(grid.size), n1=int(n1), n2=int(n2),
-                        event_slots=slots, column=column,
-                        pool_deaths=deaths, pool_at_risk=at_risk)
+    return PooledSample(times=times, events=events, n1=int(n1), n2=int(n2), k=float(k),
+                        width=width, column=column, pool_deaths=deaths,
+                        pool_at_risk=at_risk)
 
 
-def assert_same_context(got: BatchContext, want: BatchContext) -> None:
-    """Two engine contexts hold the same arrays, dtypes and bytes alike."""
-    assert (got.q, got.n1, got.n2) == (want.q, want.n1, want.n2)
-    for name in ("pos", "events", "event_slots", "column", "pool_deaths", "pool_at_risk"):
+def assert_same_context(got: PooledSample, want: PooledSample) -> None:
+    """Two pools hold the same sizes, window, grid width and arrays, dtypes
+    and bytes alike."""
+    for name in ("n1", "n2", "k", "width"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert type(a) is type(b) and a == b, name
+    for name in ("times", "events", "column", "pool_deaths", "pool_at_risk"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name
 
 
 def _single(z: PooledSample, idx: np.ndarray) -> float:
-    rows = batch_statistics(z.context, idx[None, :])
+    rows = batch_statistics(z, idx[None, :])
     if not rows.valid[0]:
         raise ValueError("degenerate replicate")
     return float(studentize(rows.p, rows.sigma2, rows.valid, z.n1, z.n2, 0.5)[0])
@@ -419,7 +423,7 @@ def permutation_replicate(z: PooledSample, rng: np.random.Generator) -> float:
     return _single(z, permutation_indices(rng, 1, z.n)[0])
 
 
-def reference_batch_statistics(ctx, idx: np.ndarray):
+def reference_batch_statistics(z: PooledSample, idx: np.ndarray):
     """The statistic engine on the full grid of pooled distinct times.
 
     Row-major (row, slot) arrays from bincounts of their own, with every
@@ -433,9 +437,9 @@ def reference_batch_statistics(ctx, idx: np.ndarray):
 
     Parameters
     ----------
-    ctx : survcmp._engine.BatchContext
-        Prepared pooled data; only ``pos``, ``events``, ``q``, ``n1`` and
-        ``n2`` are read.
+    z : survcmp._engine.PooledSample
+        The pool; only ``times``, ``events``, ``n1`` and ``n2`` are read,
+        and the full grid is ``np.unique`` of the times.
     idx : ndarray of shape (r, n1 + n2)
         Row-wise selections into the pooled sample; the first n1 columns
         form group 1 of the replicate.
@@ -446,14 +450,15 @@ def reference_batch_statistics(ctx, idx: np.ndarray):
         p, sigma2_12, sigma2_21, sigma2 and valid, as in
         ``survcmp._engine.RowStatistics``.
     """
-    n1, n2 = ctx.n1, ctx.n2
+    n1, n2 = z.n1, z.n2
     n = n1 + n2
     if idx.ndim != 2 or idx.shape[1] != n:
         raise ValueError("index matrix must have n1 + n2 columns")
-    pos = ctx.pos[idx]
-    ev = ctx.events[idx].astype(float)
-    s1, s1_left, dh1 = _group_curves(pos[:, :n1], ev[:, :n1], ctx.q)
-    s2, s2_left, dh2 = _group_curves(pos[:, n1:], ev[:, n1:], ctx.q)
+    grid, slot = np.unique(z.times, return_inverse=True)
+    pos = slot[idx]
+    ev = z.events[idx].astype(float)
+    s1, s1_left, dh1 = _group_curves(pos[:, :n1], ev[:, :n1], grid.size)
+    s2, s2_left, dh2 = _group_curves(pos[:, n1:], ev[:, n1:], grid.size)
 
     mass2 = s2_left - s2
     mass1 = s1_left - s1

@@ -151,7 +151,7 @@ def test_criterion_07_coverage_cells():
 
 
 def test_criterion_08_beyond_window_proportions():
-    p1, p2 = truncation_proportions(2, "strong", reps=10_000)
+    p1, p2 = truncation_proportions(2, "strong")
     ok = abs(p1 - 12.16) <= 1.0 and abs(p2 - 10.44) <= 1.0
     _report(8, ok, f"recorded beyond-window {p1:.2f}/{p2:.2f}% "
                    f"vs 12.16/10.44 +-1.0")

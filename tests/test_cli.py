@@ -196,6 +196,22 @@ class TestAnalyze:
         assert rc == 1
         assert "--dump-replicates needs --method bootstrap or permutation" in err
 
+    @pytest.mark.parametrize("method, where, err", [
+        ("all", "x.txt", "--dump-replicates needs --method bootstrap or permutation"),
+        ("bootstrap", "missing/x.txt", "[Errno 2] No such file or directory: '{}'"),
+    ], ids=["method rule", "bad path"])
+    def test_dump_replicates_checked_before_any_work(self, capsys, tmp_path, monkeypatch,
+                                                     method, where, err):
+        def never(*args, **kwargs):
+            raise AssertionError("work began before --dump-replicates was checked")
+
+        monkeypatch.setattr(cli, "ingest_csv", never)
+        monkeypatch.setattr(inference, "replicate_set", never)
+        target = tmp_path / where
+        rc, out, got = _run(capsys, ["analyze", "--method", method,
+                                     "--dump-replicates", str(target)])
+        assert (rc, out, got) == (1, "", f"survcmp: {err.format(target)}\n")
+
     def test_custom_input_requires_k(self, capsys, tmp_path):
         path = tmp_path / "d.csv"
         rows = "".join(f"{t},1,{g}\n" for t, g in

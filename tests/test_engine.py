@@ -1,6 +1,6 @@
 """Batched statistic evaluation: rows against re-formed samples, the
-observed statistic as the identity row, the context and the reference
-engine."""
+observed statistic as the identity row, the pool's event grid and the
+reference engine."""
 
 import hashlib
 import multiprocessing
@@ -35,10 +35,10 @@ from oracles import (assert_same_context, cov_kernel, kaplan_meier, reference_ba
 K = 10.0
 
 
-def _studentized(ctx, idx, **kwargs):
+def _studentized(z, idx, **kwargs):
     # rows studentized at p0 = 1/2, as the replicate sets do
-    rows = batch_statistics(ctx, idx, **kwargs)
-    return studentize(rows.p, rows.sigma2, rows.valid, ctx.n1, ctx.n2, 0.5), rows.valid
+    rows = batch_statistics(z, idx, **kwargs)
+    return studentize(rows.p, rows.sigma2, rows.valid, z.n1, z.n2, 0.5), rows.valid
 
 
 def _pooled(rng, n1, n2):
@@ -59,10 +59,9 @@ def _wide(n1, n2, seed):
 
 def _reference_set(z, scheme, b, seed):
     # each block's stream through the full-grid reference engine
-    ctx = z.context
     draw = bootstrap_indices if scheme == "bootstrap" else permutation_indices
     parts = [reference_batch_statistics(
-                 ctx, draw(stream(seed, SCHEME_IDS[scheme], index), size, z.n1 + z.n2))
+                 z, draw(stream(seed, SCHEME_IDS[scheme], index), size, z.n1 + z.n2))
              for index, size in blocks(b)]
     p, _, _, sigma2, valid = (np.concatenate(c) for c in zip(*parts))
     return studentize(p, sigma2, valid, z.n1, z.n2, 0.5)[valid], int((~valid).sum())
@@ -86,8 +85,7 @@ def _row_statistic(z, row):
 
 class TestAgreement:
     def _check_matrix(self, z, idx):
-        ctx = batch_context(z.times, z.events, z.n1, z.n2)
-        stats, valid = _studentized(ctx, idx)
+        stats, valid = _studentized(z, idx)
         for r, row in enumerate(idx):
             expected, ok = _row_statistic(z, row)
             assert valid[r] == ok
@@ -134,8 +132,7 @@ class TestAgreement:
         events = np.array([False, False, True, True, False])
         z = pool(Sample(times[:2], events[:2], K), Sample(times[2:], events[2:], K))
         idx = np.arange(5, dtype=np.int64)[None, :]
-        ctx = batch_context(z.times, z.events, z.n1, z.n2)
-        assert not batch_statistics(ctx, idx).valid[0]
+        assert not batch_statistics(z, idx).valid[0]
         self._check_matrix(z, idx)
 
     def test_degenerate_row_flagged_invalid(self):
@@ -157,11 +154,10 @@ class TestStructure:
         leftover = pool(Sample(times[: z.n1], events[: z.n1], K),
                         Sample(times[z.n1 :], events[z.n1 :], K))
         for case in (z, leftover):
-            ctx = batch_context(case.times, case.events, case.n1, case.n2)
             idx = np.arange(case.n1 + case.n2, dtype=np.int64)[None, :]
             expected = studentized_p(*split(case))
             for permutation in (False, True):
-                stats, valid = _studentized(ctx, idx, permutation=permutation)
+                stats, valid = _studentized(case, idx, permutation=permutation)
                 assert valid[0]
                 assert stats[0].tobytes() == np.float64(expected).tobytes()
 
@@ -176,9 +172,7 @@ class TestStructure:
             cens = gen.exponential(1.0 / 0.2, 16)
             t, ev = np.minimum(latent, cens), latent <= cens
             s1, s2 = truncate((t[:8], ev[:8]), 5.0), truncate((t[8:], ev[8:]), 5.0)
-            z = pool(s1, s2)
-            ctx = batch_context(z.times, z.events, 8, 8)
-            stats, ok = _studentized(ctx, np.arange(16, dtype=np.int64)[None, :])
+            stats, ok = _studentized(pool(s1, s2), np.arange(16, dtype=np.int64)[None, :])
             if not ok[0]:
                 continue
             valid += 1
@@ -192,12 +186,11 @@ class TestStructure:
         big = np.ceil(rng.exponential(1.2, 4000) * 1000) / 1000
         s1, s2 = load_tongue()
         tongue = pool(s1, s2)
-        cases = [(big, rng.random(4000) < 0.8, 2000, 2000),
-                 (tongue.times, tongue.events, tongue.n1, tongue.n2),
-                 (np.round(rng.uniform(0.1, 2.0, 30), 2), rng.random(30) < 0.6, 15, 15)]
-        for times, events, n1, n2 in cases:
-            assert_same_context(batch_context(times, events, n1, n2),
-                                reference_batch_context(times, events, n1, n2))
+        cases = [(big, rng.random(4000) < 0.8, 2000, 2000, big.max()),
+                 (tongue.times, tongue.events, tongue.n1, tongue.n2, tongue.k),
+                 (np.round(rng.uniform(0.1, 2.0, 30), 2), rng.random(30) < 0.6, 15, 15, 2.0)]
+        for case in cases:
+            assert_same_context(batch_context(*case), reference_batch_context(*case))
 
     @staticmethod
     def _large_n_pool(rng):
@@ -225,11 +218,11 @@ class TestStructure:
                                    20, 20),
             "large n": lambda: self._large_n_pool(rng),
         }[case]()
-        got = batch_context(times, events, n1, n2)
-        assert_same_context(got, reference_batch_context(times, events, n1, n2))
-        assert got.q == np.unique(times).size
+        got = batch_context(times, events, n1, n2, K)
+        assert_same_context(got, reference_batch_context(times, events, n1, n2, K))
+        assert got.width == np.unique(times[events]).size + 2
         if case == "all times equal":
-            assert got.q == 1 and not got.pos.any()
+            assert got.width == 3 and (got.column == 1).all()
 
     def test_swap_antisymmetry_equal_groups(self):
         rng = np.random.default_rng(9004)
@@ -237,10 +230,9 @@ class TestStructure:
         times = np.round(rng.uniform(0.5, 9.5, n1 + n2), 2)
         events = np.ones(n1 + n2, bool)
         z = pool(Sample(times[:n1], events[:n1], K), Sample(times[n1:], events[n1:], K))
-        ctx = batch_context(z.times, z.events, n1, n2)
         ident = np.arange(n1 + n2, dtype=np.int64)
         swapped = np.concatenate([ident[n1:], ident[:n1]])
-        stats, valid = _studentized(ctx, np.stack([ident, swapped]))
+        stats, valid = _studentized(z, np.stack([ident, swapped]))
         assert valid.all()
         assert_allclose(stats[0], -stats[1], atol=1e-12)
 
@@ -252,7 +244,7 @@ class TestStructure:
         # small a set
         monkeypatch.setattr(resampling, "POOL_CELLS", 0)
         z = _pooled(np.random.default_rng(9006), 12, 9)
-        assert chunk_blocks(z.context) >= 3
+        assert chunk_blocks(z) >= 3
         reps = replicate_set(z, ResamplingPlan(scheme=scheme, b=600, seed=17, workers=workers))
         want, dropped = _reference_set(z, scheme, 600, 17)
         assert_array_equal(reps.statistics, want)
@@ -266,7 +258,7 @@ class TestStructure:
         # for this small a set
         monkeypatch.setattr(resampling, "POOL_CELLS", 0)
         z = _wide(200, 200, 9009)
-        assert chunk_blocks(z.context) == 1
+        assert chunk_blocks(z) == 1
         sets = [replicate_set(z, ResamplingPlan(scheme, 600, 23, workers))
                 for workers in (1, 2, 3)]
         assert multiprocessing.active_children() == []
@@ -324,13 +316,13 @@ class TestStructure:
         work = _engine._work
         narrow = _pooled(np.random.default_rng(9017), 15, 15)
         replicate_set(narrow, ResamplingPlan("bootstrap", 999, 10))
-        identity_row(narrow.context)
+        identity_row(narrow)
         assert work.sizes == (15, 15) and sorted(work._planes) == [1, 999]
         other = _pooled(np.random.default_rng(9018), 12, 20)
         replicate_set(other, ResamplingPlan("permutation", 300, 11))
         assert work.sizes == (12, 20) and sorted(work._planes) == [300]
         for r in range(1, 2 * _engine.PLANES):
-            batch_statistics(other.context, bootstrap_indices(stream(12, 1, r), r, 32))
+            batch_statistics(other, bootstrap_indices(stream(12, 1, r), r, 32))
             assert len(work._planes) <= _engine.PLANES
         for r, (plane, group1, ones) in work._planes.items():
             assert plane.shape == (r, 32) and group1.shape == (r, 12)
@@ -343,13 +335,13 @@ class TestStructure:
     @pytest.mark.parametrize("permutation", [False, True])
     def test_identity_row_between_calls_changes_no_row(self, permutation):
         # the identity row lays out planes of one row between two 999-row calls
-        ctx = _pooled(np.random.default_rng(9019), 15, 15).context
+        z = _pooled(np.random.default_rng(9019), 15, 15)
         draw = permutation_indices if permutation else bootstrap_indices
         idx = draw(stream(13, 1, 0), 999, 30)
-        first = batch_statistics(ctx, idx, permutation=permutation)
-        identity_row(ctx)
-        _assert_same_rows(batch_statistics(ctx, idx, permutation=permutation), first)
-        _assert_same_rows(first, reference_batch_statistics(ctx, idx))
+        first = batch_statistics(z, idx, permutation=permutation)
+        identity_row(z)
+        _assert_same_rows(batch_statistics(z, idx, permutation=permutation), first)
+        _assert_same_rows(first, reference_batch_statistics(z, idx))
 
     @pytest.mark.parametrize("permutation", [False, True])
     def test_both_recurrence_forms_equal_reference(self, permutation):
@@ -358,22 +350,21 @@ class TestStructure:
         draw = permutation_indices if permutation else bootstrap_indices
         narrow, wide = _pooled(np.random.default_rng(9010), 15, 15), _wide(200, 200, 9011)
         for z, rows in ((narrow, 999), (wide, 7)):
-            ctx = z.context
             assert (rows >= SLAB) == (z is narrow)
             idx = draw(stream(31, 1, rows), rows, z.n1 + z.n2)
-            _assert_same_rows(batch_statistics(ctx, idx, permutation=permutation),
-                              reference_batch_statistics(ctx, idx))
+            _assert_same_rows(batch_statistics(z, idx, permutation=permutation),
+                              reference_batch_statistics(z, idx))
 
     def test_identity_row_of_a_wide_pool_equals_reference(self):
         z = _wide(600, 550, 9012)
-        assert z.context.width > 1000
+        assert z.width > 1000
         idx = np.arange(z.n1 + z.n2, dtype=np.int64)[None, :]
-        _assert_same_rows(identity_row(z.context), reference_batch_statistics(z.context, idx))
+        _assert_same_rows(identity_row(z), reference_batch_statistics(z, idx))
 
     def test_wrong_column_count_rejected(self):
-        ctx = batch_context(np.array([1.0, 2.0]), np.array([True, True]), 1, 1)
+        z = batch_context(np.array([1.0, 2.0]), np.array([True, True]), 1, 1, K)
         with pytest.raises(ValueError, match="n1 [+] n2 columns"):
-            batch_statistics(ctx, np.zeros((3, 5), dtype=np.int64))
+            batch_statistics(z, np.zeros((3, 5), dtype=np.int64))
 
 
 class TestCodeTables:
@@ -400,15 +391,15 @@ class TestCodeTables:
         work = _engine._work
         narrow, wide = _pooled(np.random.default_rng(9022), 15, 15), _wide(600, 550, 9023)
         idx = bootstrap_indices(stream(32, 1, 0), 999, 30)
-        cases = [(narrow.context, idx, True),
-                 (narrow.context, np.arange(30, dtype=np.int64)[None, :], False),
-                 (wide.context, np.arange(1150, dtype=np.int64)[None, :], False)]
-        for ctx, rows, table in cases:
-            got = batch_statistics(ctx, rows, permutation=rows.shape[0] == 1)
+        cases = [(narrow, idx, True),
+                 (narrow, np.arange(30, dtype=np.int64)[None, :], False),
+                 (wide, np.arange(1150, dtype=np.int64)[None, :], False)]
+        for z, rows, table in cases:
+            got = batch_statistics(z, rows, permutation=rows.shape[0] == 1)
             assert (work.tables is not None) == table
             if table:
-                assert work.radix ** 2 <= ctx.width * 2 * rows.shape[0]
-            _assert_same_rows(got, reference_batch_statistics(ctx, rows))
+                assert work.radix ** 2 <= z.width * 2 * rows.shape[0]
+            _assert_same_rows(got, reference_batch_statistics(z, rows))
 
     def test_tables_kept_for_current_group_sizes_only(self):
         work = _engine._work
@@ -438,12 +429,12 @@ class TestLeadingColumn:
     @pytest.mark.parametrize("permutation", [False, True])
     @pytest.mark.parametrize("rows", [999, 7])
     def test_rows_equal_reference(self, censored_first, permutation, rows):
-        ctx = self._pool(censored_first).context
-        assert (ctx.column == 0).any() == censored_first
+        z = self._pool(censored_first)
+        assert (z.column == 0).any() == censored_first
         draw = permutation_indices if permutation else bootstrap_indices
         idx = draw(stream(33, 1, rows), rows, 30)
-        _assert_same_rows(batch_statistics(ctx, idx, permutation=permutation),
-                          reference_batch_statistics(ctx, idx))
+        _assert_same_rows(batch_statistics(z, idx, permutation=permutation),
+                          reference_batch_statistics(z, idx))
 
 
 class TestWideGridPrecision:
@@ -457,7 +448,7 @@ class TestWideGridPrecision:
         times = rng.integers(1, 2000, 6000) * 0.005
         events = np.ones(3000, bool)
         s1, s2 = Sample(times[:3000], events, K), Sample(times[3000:], events, K)
-        assert pool(s1, s2).context.width >= 1900
+        assert pool(s1, s2).width >= 1900
         p_hat = mann_whitney_effect(s1, s2).p_hat
         assert abs(p_hat - uncensored_pairwise_oracle(s1, s2)) <= 1e-13
 

@@ -154,7 +154,7 @@ def engine_pools(draw):
         events[draw(st.integers(0, n - 1))] = True
     rows = draw(st.sampled_from([1, 7, 256]))
     seed = draw(st.integers(0, 2**32 - 1))
-    return times, events, n1, n2, rows, seed
+    return times, events, n1, n2, k, rows, seed
 
 
 def _assert_same(got, want):
@@ -168,16 +168,16 @@ def _assert_same(got, want):
 @PROPERTY
 @given(engine_pools())
 def test_engine_bitwise_equals_full_grid_reference(case):
-    times, events, n1, n2, rows, seed = case
-    ctx = batch_context(times, events, n1, n2)
-    assert_same_context(ctx, reference_batch_context(times, events, n1, n2))
+    times, events, n1, n2, k, rows, seed = case
+    z = batch_context(times, events, n1, n2, k)
+    assert_same_context(z, reference_batch_context(times, events, n1, n2, k))
     rng = np.random.default_rng(seed)
     # the thread's one workspace serves every call, so stale arrays from a
     # full block precede each smaller one
     boot = bootstrap_indices(rng, 256, n1 + n2), bootstrap_indices(rng, rows, n1 + n2)
     perm = permutation_indices(rng, 256, n1 + n2), permutation_indices(rng, rows, n1 + n2)
     for idx in boot:
-        _assert_same(batch_statistics(ctx, idx), reference_batch_statistics(ctx, idx))
+        _assert_same(batch_statistics(z, idx), reference_batch_statistics(z, idx))
     for idx in perm:
-        _assert_same(batch_statistics(ctx, idx, permutation=True),
-                     reference_batch_statistics(ctx, idx))
+        _assert_same(batch_statistics(z, idx, permutation=True),
+                     reference_batch_statistics(z, idx))

@@ -11,6 +11,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from survcmp import resampling, survival
+from survcmp._engine import batch_context
 from survcmp.datasets import load_tongue
 from survcmp.inference import asymptotic_ci, mann_whitney_effect, resampling_ci
 from survcmp.resampling import (
@@ -21,7 +22,7 @@ from survcmp.resampling import (
 )
 from survcmp.rng import stream
 from survcmp.simulate import draw_survival
-from survcmp.survival import PooledSample, Sample, pool, truncate
+from survcmp.survival import Sample, pool, truncate
 
 from oracles import bootstrap_replicate, permutation_replicate, split
 
@@ -57,8 +58,9 @@ class TestPool:
             pool(s1, s2)
 
     def test_size_field_consistency_enforced(self):
-        with pytest.raises(ValueError, match="pooled size"):
-            PooledSample(np.array([1.0, 2.0]), np.array([True, True]), 2, 1, K)
+        for times, n1, n2 in ((np.array([1.0, 2.0]), 2, 1), (np.arange(1, 9.0), 5, 5)):
+            with pytest.raises(ValueError, match="pooled size must be n1 [+] n2"):
+                batch_context(times, np.ones(times.size, bool), n1, n2, K)
 
     def test_centering_identity(self):
         # pooled curve against itself integrates to 1/2 once the largest
@@ -156,8 +158,7 @@ class TestReplicateSets:
 
         def canonical(za):
             order = np.lexsort((za.events, za.times))
-            return PooledSample(za.times[order].copy(), za.events[order].copy(),
-                                za.n1, za.n2, za.k)
+            return batch_context(za.times[order], za.events[order], za.n1, za.n2, za.k)
 
         plan = ResamplingPlan("permutation", 400, 13)
         a = replicate_set(canonical(pool(s1, s2)), plan)
@@ -182,7 +183,7 @@ class TestReplicateSets:
 
     def test_all_censored_pool_drops_everything(self):
         times = np.linspace(1.0, 4.0, 8)
-        z = PooledSample(times, np.zeros(8, bool), 4, 4, K)
+        z = batch_context(times, np.zeros(8, bool), 4, 4, K)
         r = replicate_set(z, ResamplingPlan("permutation", 50, 0))
         assert r.b_eff == 0
         assert r.dropped == 50

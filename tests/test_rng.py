@@ -36,8 +36,14 @@ class TestStream:
         )
 
     def test_negative_seed_rejected(self):
-        with pytest.raises(ValueError, match="seed must be nonnegative"):
+        with pytest.raises(ValueError, match="seed must fit in 64 unsigned bits"):
             stream(-1, 0)
+
+    def test_seed_beyond_64_bits_rejected(self):
+        stream(2**64 - 1, 1)
+        for seed in (2**64, 2**70):
+            with pytest.raises(ValueError, match="seed must fit in 64 unsigned bits"):
+                stream(seed, 1)
 
     def test_scheme_tags_distinct(self):
         assert SCHEME_IDS["bootstrap"] != SCHEME_IDS["permutation"]
