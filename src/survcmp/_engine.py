@@ -16,7 +16,8 @@ pooled event time, a leading column for times before the first event and
 a trailing column that no observation reaches.  Each observation sits in
 the last event column at or before its time, which keeps every at-risk
 count right.  Per replicate and group, event and at-risk counts are
-histogrammed onto that grid; curves, hazard-variance increments and the
+histogrammed onto that grid as int64 (``np.bincount`` without weights) and
+stay exact integers; curves, hazard-variance increments and the
 effect integral then come out of cumulative products and reversed
 cumulative sums along the columns, for both groups in one pass.  This is
 exact: on the full grid a slot without an event only multiplies S by 1.0
@@ -30,11 +31,14 @@ increment dH = min(d, gap) / max(gap, 1), gap = (y - d) y, depend only on
 a column's at-risk count y <= max(n1, n2) and death count d <= y.  So two
 tables hold them for every code y radix + d, radix = max(n1, n2) + 1, made
 by the same formulas (:func:`_km_terms`) from divmod(arange(radix^2),
-radix), and a call reads its grid's values from them by code.  The tables
-are used where they are no larger than the call's grid (radix^2 <= w x 2
-x rows), as for every replicate call; otherwise, as for the identity row,
-the formulas run on the grid itself.  Either way each value comes from the
-same elementwise operations on the same two integers, so the bits agree.
+radix), and a call forms its codes in place in its integer counts and
+reads its grid's values from the tables by them.  The tables are used
+where they are no larger than the call's grid (radix^2 <= w x 2 x rows),
+as for every replicate call; otherwise, as for the identity row, the
+formulas run on the counts themselves.  Either way each value comes from
+the same elementwise operations on the same two integers, so the bits
+agree.  The last radix's tables are cached, read-only (4,096 bytes at
+15/15, 646,416 at 200/200); the identity row does not read or evict them.
 
 The variance.  The estimator's asymptotic variance decomposes into two
 terms, one per group.  Each term integrates a covariance kernel of that
@@ -118,32 +122,24 @@ at 999 rows took 24-30 us with the default buffer and 7 us with one run's.
 
 Chunks.  :func:`chunk_blocks` sizes one engine call: as many whole 256-row
 blocks as keep rows x (n + 2) within :data:`CHUNK_CELLS`, and at least
-one.  n + 2 bounds the grid width and the width n of the (rows, n) index
-and bin arrays, so a call's five (column, group, row) grids stay within
-2 x 32,768 8-byte cells each (2.6 MB together) whatever the pool; the
-histogram's grids, of death counts and totals, are reused for scratch
-values and tail sums.  At 15/15 (17-32 columns) a B = 999 set is one call,
-and a 200/200 pool takes one block per call; on the machine above a
-ten-replication coverage cell ran 11-16 % faster at 32,768 than at 16,384.
-Each thread keeps one workspace (a ``threading.local``), which every call
-fits to its pool and row count, reusing every array large enough;
-arrays laid out beyond the budget (one-block calls on a pool of n > 126)
-are dropped at the thread's first call on another pool.  The bin codes
-are one gather of the observations' codes plus an offset plane, rows x n
-int64 (the row, plus r in group 2's columns); the plane's first n1 columns
-are kept apart for permutation calls, and rows x n unit weights make
-``bincount`` count in float64: 240 + 120 + 240 KB at 999 x 30,
-819 + 410 + 819 KB at 256 x 400.  The identity row (r = 1) and the
-replicate calls alternate, so these arrays stay for up to :data:`PLANES`
-row counts, and the two code tables (2 x radix^2 float64: 4,096 bytes at
-15/15, 646,416 at 200/200) with them, while the group sizes do; a call's
-codes live in its deaths' grid, dead once they are formed.  A forked
-worker of :func:`~survcmp.rng.fan_out` starts from a copy of the
-workspace and a spawned one from none; no result depends on it.
+one.  n + 2 bounds the grid width and the width n of the (rows, n) int64
+bin codes (each observation's code, plus r in group 2's columns and the
+row, added by broadcasting), so a call's five (column, group, row) grids
+stay within 2 x 32,768 8-byte cells each (2.6 MB together) whatever the
+pool.  Two are the histogram's int64 counts, totals and deaths, which hold
+the at-risk counts and the codes in turn, and then, as float64 views, the
+jump masses and the tail sums; the other three (scratch values, dH and S)
+are kept by the thread's :class:`_Workspace`.  At 15/15 (17-32 columns) a
+B = 999 set is one call, and a 200/200 pool takes one block per call; on
+the machine above a ten-replication coverage cell ran 11-16 % faster at
+32,768 than at 16,384.  A forked worker of :func:`~survcmp.rng.fan_out`
+starts from a copy of the workspace and a spawned one from none; no result
+depends on it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -163,7 +159,6 @@ CHUNK_CELLS = 32768
 # values per column slab from which the column recurrences run one vector
 # operation per column instead of ufunc.accumulate (see "The layout")
 SLAB = 256
-PLANES = 4  # row counts whose offset planes a workspace keeps (see "Chunks")
 
 
 @dataclass(frozen=True)
@@ -175,7 +170,7 @@ class PooledSample:
     event, one per distinct pooled event time, and a last column that no
     observation reaches.  ``column`` is each observation's grid column;
     ``pool_deaths`` and ``pool_at_risk`` are the pooled counts on the
-    grid, in float64.  Built by :func:`batch_context`.
+    grid, in int64.  Built by :func:`batch_context`.
     """
 
     times: np.ndarray
@@ -189,8 +184,7 @@ class PooledSample:
     pool_at_risk: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.times, self.events, self.column, self.pool_deaths,
-                    self.pool_at_risk):
+        for arr in (self.times, self.events, self.column, self.pool_deaths, self.pool_at_risk):
             arr.setflags(write=False)
 
     @property
@@ -208,10 +202,11 @@ def batch_context(times: np.ndarray, events: np.ndarray, n1: int, n2: int,
     between neighbours so far, scattered back through the order
     (``np.unique`` with ``return_inverse`` sorts too, and does more around
     it).  The event slots and pooled deaths are counts weighted by the
-    event flags (``bincount`` sums the weights in float64, so the deaths
-    need no cast), not counts of a boolean-mask gather through them: where
-    events and censorings interleave, such a gather costs about as much as
-    the weighted count that replaces it and its count together.
+    event flags (``bincount`` sums the weights in float64, and the deaths
+    are cast to the engine's int64), not counts of a boolean-mask gather
+    through them: where events and censorings interleave, such a gather
+    costs about as much as the weighted count that replaces it and its
+    count together.
     """
     times = np.array(times, dtype=float)
     events = np.array(events, dtype=bool)
@@ -230,8 +225,8 @@ def batch_context(times: np.ndarray, events: np.ndarray, n1: int, n2: int,
     hit = np.bincount(pos, events, int(rank[-1]) + 1) > 0
     column = np.cumsum(hit)[pos]
     width = int(np.count_nonzero(hit)) + 2
-    deaths = np.bincount(column, events, width)
-    at_risk = np.cumsum(np.bincount(column, minlength=width)[::-1])[::-1].astype(float)
+    deaths = np.bincount(column, events, width).astype(np.int64)
+    at_risk = np.cumsum(np.bincount(column, minlength=width)[::-1])[::-1].copy()
     return PooledSample(times=times, events=events, n1=int(n1), n2=int(n2), k=float(k),
                         width=width, column=column, pool_deaths=deaths,
                         pool_at_risk=at_risk)
@@ -278,19 +273,25 @@ def chunk_blocks(z: PooledSample) -> int:
 
 
 class _Workspace(threading.local):
-    """One thread's arrays for engine calls, fitted to each call's pool
-    and row count; a ``threading.local``, so every thread sees its own.
+    """One thread's three grids for engine calls, grown to each call's
+    pool and row count; a ``threading.local``, so every thread sees its own.
 
-    The memory outlives the pool: :meth:`fit` keeps every array that is
-    large enough, unless it was laid out beyond :data:`CHUNK_CELLS`.
+    The grids outlive the call, and the pool, because fresh ones cost
+    more than the arithmetic on them: arrays of this size go back to the
+    system when they are freed, so every call would fault their pages in
+    again.  On a 2-vCPU x86 machine, an engine that allocated its three
+    grids on every call took about 5,700 minor page faults and 26-31 ms
+    per ten-replication 15/15 coverage cell (setup 3, strong censoring,
+    B = 999) in a standalone process, against 4-6 faults and 19-21 ms
+    with kept grids.  :meth:`grids` keeps every grid that is large enough;
+    grids laid out beyond :data:`CHUNK_CELLS` (one-block calls on a pool of
+    n > 126) are dropped at the thread's first call on another pool.
     """
 
     def __init__(self):  # once in every thread, at its first call
-        self._memory: dict[str, np.ndarray] = {}
-        # planes and weights by row count, and the code tables, for `sizes`
-        self._planes, self._tables, self.sizes = {}, None, None
-        self.z, self.r = None, 0  # the pool and row count of the views
-        self.cells = 0  # largest rows x (n + 2) the memory was laid out for
+        # the grids by name, the last call's pool, and the largest
+        # rows x (n + 2) the grids were laid out for
+        self._memory, self.z, self.cells = {}, None, 0
 
     def _take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
         size = math.prod(shape)
@@ -299,40 +300,14 @@ class _Workspace(threading.local):
             buf = self._memory[name] = np.empty(size)
         return buf[:size].reshape(shape)
 
-    def fit(self, z: PooledSample, r: int) -> None:
-        """(Column, group, row) views for calls of exactly r rows on z."""
-        if z is self.z and r == self.r:
-            return
+    def grids(self, z: PooledSample, r: int):
+        """(Column, group, row) views for a call of r rows on z: scratch
+        values and dH on columns 1..w - 1, and S on every column."""
         if z is not self.z and self.cells > CHUNK_CELLS:
             self._memory, self.cells = {}, 0
-        self.z, self.r, w = z, r, z.width
-        self.cells = max(self.cells, r * (z.n + 2))
-        # histogram bin of (event?, column, group, row): the observation's
-        # code, plus the offset plane: the row, plus r in group 2's columns
-        self.code = z.events * (w * 2 * r) + z.column * (2 * r)
-        if (z.n1, z.n2) != self.sizes:
-            self._planes, self._tables, self.sizes = {}, None, (z.n1, z.n2)
-        elif r not in self._planes and len(self._planes) == PLANES:
-            self._planes = {}
-        if r not in self._planes:  # the full plane, group 1's columns alone, unit weights
-            plane = np.arange(r)[:, None] + np.where(np.arange(z.n) < z.n1, 0, r)
-            self._planes[r] = plane, plane[:, :z.n1].copy(), np.ones(plane.size)
-        self.plane, self.group1_plane, self.ones = self._planes[r]
-        # the Kaplan-Meier factor and dH by code y radix + d, where the
-        # tables are no larger than the call's grid; None: the formulas run
-        self.radix = max(z.n1, z.n2) + 1
-        self.tables = None
-        if self.radix ** 2 <= w * 2 * r:
-            if self._tables is None:
-                self._tables = _km_tables(self.radix)
-            self.tables = self._tables
-        # columns 1..w - 1 only: y is dead once dH is known and then holds
-        # the jump masses; dh holds dH, then the variance terms
-        self.at_risk = self._take("at_risk", (w - 1, 2, r))
-        self.dh = self._take("dh", (w - 1, 2, r))
-        # S on every column: column 0's is exactly 1.0, the left limit of column 1
-        self.surv = self._take("surv", (w, 2, r))
-        self.surv[0] = 1.0
+        self.z, self.cells, w = z, max(self.cells, r * (z.n + 2)), z.width
+        return (self._take("tmp", (w - 1, 2, r)), self._take("dh", (w - 1, 2, r)),
+                self._take("surv", (w, 2, r)))
 
 
 _work = _Workspace()
@@ -353,22 +328,16 @@ def _km_terms(y, d, factor, dh) -> None:
     np.subtract(1.0, factor, out=factor)
 
 
+@functools.lru_cache(maxsize=1)
 def _km_tables(radix: int) -> np.ndarray:
     """Rows 0 and 1: the Kaplan-Meier factor and dH of every code
-    y radix + d, with y and d below radix (codes with d > y are never read)."""
+    y radix + d, with y and d below radix (codes with d > y are never read);
+    read-only, as every thread shares them."""
     y, d = np.divmod(np.arange(float(radix * radix)), radix)
     tables = np.empty((2, y.size))
     _km_terms(y, d, *tables)
+    tables.setflags(write=False)
     return tables
-
-
-def _permutation_counts(z: PooledSample, totals, y, d) -> None:
-    """Group 1's at-risk counts from its totals and deaths, and group 2's
-    counts as the pooled ones minus group 1's, on columns 1..w - 1."""
-    np.add(totals[:, 0], d[:, 0], out=y[:, 0])
-    _accumulate(np.add, y[:, 0], y[:, 0], reverse=True)
-    np.subtract(z.pool_at_risk[1:, None], y[:, 0], out=y[:, 1])
-    np.subtract(z.pool_deaths[1:, None], d[:, 0], out=d[:, 1])
 
 
 def _accumulate(op, values, out, reverse: bool = False) -> None:
@@ -407,50 +376,51 @@ def batch_statistics(z: PooledSample, idx: np.ndarray, *,
     if idx.ndim != 2 or idx.shape[1] != z.n:
         raise ValueError("index matrix must have n1 + n2 columns")
     r, w = idx.shape[0], z.width
-    work = _work
-    work.fit(z, r)
+    tmp, dh, surv = _work.grids(z, r)
+    surv[0] = 1.0  # S before the first event
 
-    # counts on the event grid, [event?][column][group][row], as floats
-    # (unit weights; group 2's stay 0 for permutation rows), all integers
-    # and so exact; column 0, before the first event, is never read after
-    # this: its S is 1.0 and its dH and jump masses are zeros.  d is the
-    # deaths, and y the totals, then the at-risk counts
-    plane = work.group1_plane if permutation else work.plane
-    bins = np.take(work.code, idx[:, :plane.shape[1]])
-    np.add(bins, plane, out=bins)
-    hist = np.bincount(bins.ravel(), work.ones[:bins.size], 2 * w * 2 * r).reshape(2, w, 2, r)
-    y, d = work.at_risk, hist[1, 1:]
-    if permutation and 2 * r < SLAB:
-        _permutation_counts(z, hist[0, 1:], y, d)
-    elif permutation:  # ufunc buffers of one run of r values (see "The layout")
-        with np.errstate():
+    # int64 counts on the event grid, [event?][column][group][row] (group
+    # 2's stay 0 for permutation rows); column 0 is never read after this.
+    # A bin is the observation's code, plus r in group 2's columns and the row
+    code = z.events * (w * 2 * r) + z.column * (2 * r)
+    bins = np.take(code, idx[:, :z.n1] if permutation else idx)
+    np.add(bins[:, z.n1:], r, out=bins[:, z.n1:])
+    np.add(bins, np.arange(r)[:, None], out=bins)
+    hist = np.bincount(bins.ravel(), minlength=2 * w * 2 * r).reshape(2, w, 2, r)
+    # y: the totals, then the at-risk counts; d: the deaths.  Permutation
+    # rows form group 1's and take group 2's as the pool's minus group 1's,
+    # on the grids' strided halves, with ufunc buffers of one run of r
+    # values from SLAB values per slab (see "The layout")
+    y, d = hist[0, 1:], hist[1, 1:]
+    g = 0 if permutation else slice(None)
+    with np.errstate():
+        if permutation and 2 * r >= SLAB:
             np.setbufsize(r // 16 * 16)
-            _permutation_counts(z, hist[0, 1:], y, d)
-    else:
-        np.add(hist[0, 1:], d, out=y)
-        _accumulate(np.add, y, y, reverse=True)
-    # the totals are dead, and so are the deaths once dH is known: the
-    # histogram's two grids hold the scratch values and the tail sums A
-    tmp, a = hist[:, 1:]
+        np.add(y[:, g], d[:, g], out=y[:, g])
+        _accumulate(np.add, y[:, g], y[:, g], reverse=True)
+        if permutation:
+            np.subtract(z.pool_at_risk[1:, None], y[:, 0], out=y[:, 1])
+            np.subtract(z.pool_deaths[1:, None], d[:, 0], out=d[:, 1])
 
-    # Kaplan-Meier curves and hazard-variance increments; the last column
-    # holds no event, so its dH and jump masses are exact zeros
-    s, s_left, dh = work.surv[1:], work.surv[:-1], work.dh
-    if work.tables is None:
+    # Kaplan-Meier factors (into tmp) and hazard-variance increments; the
+    # last column holds no event, so its dH and jump masses are exact zeros
+    radix = max(z.n1, z.n2) + 1
+    if radix * radix > w * 2 * r:  # tables larger than the grid: the formulas
         _km_terms(y, d, tmp, dh)
     else:  # the codes y radix + d take the deaths' place; every code is
         # in range, and "clip" spares np.take the buffered "raise" path
-        codes = d.view(np.int64)
-        np.multiply(y, work.radix, out=tmp)
-        np.add(tmp, d, out=tmp)
-        np.copyto(codes, tmp, casting="unsafe")
-        np.take(work.tables[0], codes, out=tmp, mode="clip")
-        np.take(work.tables[1], codes, out=dh, mode="clip")
+        np.multiply(y, radix, out=y)
+        np.add(d, y, out=d)
+        tables = _km_tables(radix)
+        np.take(tables[0], d, out=tmp, mode="clip")
+        np.take(tables[1], d, out=dh, mode="clip")
+    s, s_left = surv[1:], surv[:-1]
     _accumulate(np.multiply, tmp, s)
 
-    # mass[:, j] = jump masses of the other group's curve; a one-run ufunc
-    # buffer for this reversed write measured 1-3 % slower per call
-    mass = y
+    # the counts are dead: their grids hold, as floats, the jump masses
+    # (mass[:, j] those of the other group's curve) and the tail sums A.
+    # A one-run ufunc buffer for the reversed write measured 1-3 % slower
+    mass, a = hist[:, 1:].view(np.float64)
     np.subtract(s_left, s, out=mass[:, ::-1])
 
     # u = (S + S_left) mass, with group 2's atom doubled, 2 S1(k) S2(k), in

@@ -382,8 +382,8 @@ def reference_batch_context(times, events, n1: int, n2: int, k: float) -> Pooled
     slots = np.unique(pos[events])
     column = np.searchsorted(slots, pos, side="right")
     width = slots.size + 2
-    deaths = np.bincount(column[events], minlength=width).astype(float)
-    at_risk = np.cumsum(np.bincount(column, minlength=width)[::-1])[::-1].astype(float)
+    deaths = np.bincount(column[events], minlength=width)
+    at_risk = np.cumsum(np.bincount(column, minlength=width)[::-1])[::-1]
     return PooledSample(times=times, events=events, n1=int(n1), n2=int(n2), k=float(k),
                         width=width, column=column, pool_deaths=deaths,
                         pool_at_risk=at_risk)

@@ -310,31 +310,25 @@ class TestStructure:
         assert all(vars(work)[key] is value for key, value in before.items())
         assert all(work._memory[name] is buf for name, buf in memory.items())
 
-    def test_offset_planes_kept_for_current_group_sizes_only(self):
-        # a thread keeps the offset planes of at most PLANES row counts, and
-        # only for the group sizes of its last call
+    def test_sets_on_two_pools_reuse_the_same_three_grids(self):
+        # within the budget a thread keeps its three grids across calls and
+        # pools; fresh grids on every call would fault their pages in again
         work = _engine._work
-        narrow = _pooled(np.random.default_rng(9017), 15, 15)
-        replicate_set(narrow, ResamplingPlan("bootstrap", 999, 10))
-        identity_row(narrow)
-        assert work.sizes == (15, 15) and sorted(work._planes) == [1, 999]
-        other = _pooled(np.random.default_rng(9018), 12, 20)
-        replicate_set(other, ResamplingPlan("permutation", 300, 11))
-        assert work.sizes == (12, 20) and sorted(work._planes) == [300]
-        for r in range(1, 2 * _engine.PLANES):
-            batch_statistics(other, bootstrap_indices(stream(12, 1, r), r, 32))
-            assert len(work._planes) <= _engine.PLANES
-        for r, (plane, group1, ones) in work._planes.items():
-            assert plane.shape == (r, 32) and group1.shape == (r, 12)
-            assert group1.flags.c_contiguous
-            assert ones.dtype == np.float64 and ones.shape == (r * 32,) and (ones == 1.0).all()
-            rows = np.arange(r)[:, None]
-            assert_array_equal(plane, np.hstack([rows.repeat(12, 1), rows.repeat(20, 1) + r]))
-            assert_array_equal(group1, plane[:, :12])
+        pools = sorted((_pooled(np.random.default_rng(seed), 15, 15) for seed in (9027, 9028)),
+                       key=lambda z: -z.width)
+        assert pools[0].width > pools[1].width
+        replicate_set(pools[0], ResamplingPlan("bootstrap", 999, 16))
+        grids = dict(work._memory)
+        assert len(grids) == 3
+        for z in pools[::-1]:
+            for scheme in ("permutation", "bootstrap"):
+                replicate_set(z, ResamplingPlan(scheme, 999, 17))
+                assert work._memory.keys() == grids.keys()
+                assert all(work._memory[name] is buf for name, buf in grids.items())
 
     @pytest.mark.parametrize("permutation", [False, True])
     def test_identity_row_between_calls_changes_no_row(self, permutation):
-        # the identity row lays out planes of one row between two 999-row calls
+        # the identity row lays the grids out for one row between two 999-row calls
         z = _pooled(np.random.default_rng(9019), 15, 15)
         draw = permutation_indices if permutation else bootstrap_indices
         idx = draw(stream(13, 1, 0), 999, 30)
@@ -388,28 +382,40 @@ class TestCodeTables:
         assert (tables[0][everyone] == 0.0).all() and (tables[1][everyone] == 0.0).all()
 
     def test_calls_on_both_sides_of_the_size_rule_equal_reference(self):
-        work = _engine._work
+        # a call reads the tables only where they are no larger than its grid
         narrow, wide = _pooled(np.random.default_rng(9022), 15, 15), _wide(600, 550, 9023)
         idx = bootstrap_indices(stream(32, 1, 0), 999, 30)
         cases = [(narrow, idx, True),
                  (narrow, np.arange(30, dtype=np.int64)[None, :], False),
                  (wide, np.arange(1150, dtype=np.int64)[None, :], False)]
         for z, rows, table in cases:
+            radix = max(z.n1, z.n2) + 1
+            assert (radix ** 2 <= z.width * 2 * rows.shape[0]) == table
+            before = _engine._km_tables.cache_info()
             got = batch_statistics(z, rows, permutation=rows.shape[0] == 1)
-            assert (work.tables is not None) == table
-            if table:
-                assert work.radix ** 2 <= z.width * 2 * rows.shape[0]
+            after = _engine._km_tables.cache_info()
+            assert after.hits + after.misses == before.hits + before.misses + table
             _assert_same_rows(got, reference_batch_statistics(z, rows))
 
     def test_tables_kept_for_current_group_sizes_only(self):
-        work = _engine._work
-        replicate_set(_pooled(np.random.default_rng(9024), 15, 15),
-                      ResamplingPlan("bootstrap", 999, 14))
-        assert work._tables.shape == (2, 16 * 16) and work.tables is work._tables
+        # one radix at a time, kept across the identity row's formula call
+        narrow = _pooled(np.random.default_rng(9024), 15, 15)
+        replicate_set(narrow, ResamplingPlan("bootstrap", 999, 14))
+        identity_row(narrow)
+        info = _engine._km_tables.cache_info()
+        assert info.currsize == 1
+        tables = _engine._km_tables(16)
+        assert _engine._km_tables.cache_info().hits == info.hits + 1
+        assert tables.shape == (2, 16 * 16) and not tables.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            tables[1, 0] = 1.0
         replicate_set(_pooled(np.random.default_rng(9025), 12, 20),
                       ResamplingPlan("permutation", 300, 15))
-        assert work.sizes == (12, 20) and work.tables is work._tables
-        assert work._tables.tobytes() == _engine._km_tables(21).tobytes()
+        info = _engine._km_tables.cache_info()
+        tables = _engine._km_tables(21)
+        assert _engine._km_tables.cache_info().hits == info.hits + 1
+        assert not tables.flags.writeable
+        assert tables.tobytes() == _engine._km_tables.__wrapped__(21).tobytes()
 
 
 class TestLeadingColumn:

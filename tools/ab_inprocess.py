@@ -13,6 +13,15 @@ change first in even rounds.  Fresh-process timings spread too widely on a
 small shared machine to resolve a change of a few percent; alternating in
 one process cancels most of that drift.
 
+The two sides also share one heap: one allocator state, whose free memory
+each side reuses after the other.  So a change to how the program
+allocates (fresh arrays per call in place of kept ones, say) can read
+even here and not in fresh processes.  An engine that allocated its three
+grids on every call read 1.03x the kept grids here (14 of 80 rounds won),
+against about 1.45x per coverage cell in standalone processes.  Confirm
+any change to allocation patterns with interleaved fresh-process pairs:
+``bench/run.py`` or ``tools/time_cli.py``.
+
 Operations:
 
 - ``cell``: a ten-replication ``coverage_study`` (setup 3, strong
