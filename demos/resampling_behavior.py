@@ -8,32 +8,34 @@ import numpy as np
 from survcmp import (
     ReplicateSet,
     ResamplingPlan,
+    analyze,
     load_tongue,
     pool,
-    replicate_quantile,
     replicate_set,
-    studentized_p,
 )
 
 s1, s2 = load_tongue()
-z = pool(s1, s2)
-t_obs = studentized_p(s1, s2)
+# the one-sided results carry their replicate sets and upper critical values
+results = analyze(s1, s2, methods=("bootstrap", "permutation"), alternative="greater",
+                  b=9999, seed=1)
+t_obs = results[0].statistic
 print(f"observed statistic T = {t_obs:.4f}")
 
-for scheme in ("bootstrap", "permutation"):
-    r = replicate_set(z, ResamplingPlan(scheme, 9999, seed=1))
+for res in results:
+    r = res.replicates
     stats = r.statistics
-    print(f"\n{scheme}: {r.b_eff} retained, {r.dropped} dropped")
+    print(f"\n{res.method}: {r.b_eff} retained, {r.dropped} dropped")
     print(f"  mean {stats.mean():+.4f}  sd {stats.std(ddof=1):.4f}")
     print("  quantiles 2.5/50/97.5%:",
           np.round(np.percentile(stats, [2.5, 50, 97.5]), 4))
-    print(f"  upper 5% critical value c = {replicate_quantile(r, 0.05):.4f}"
+    print(f"  upper 5% critical value c = {res.critical:.4f}"
           "   (normal reference 1.6449)")
     exceed = int((stats >= t_obs).sum())
     print(f"  one-sided p-value = (1 + {exceed}) / {r.b_eff + 1} "
           f"= {(1 + exceed) / (r.b_eff + 1):.4f}")
 
 # worker counts schedule the same replicate blocks, so results never move
+z = pool(s1, s2)
 plan1 = ResamplingPlan("permutation", 600, seed=7, workers=1)
 plan4 = ResamplingPlan("permutation", 600, seed=7, workers=4)
 a = replicate_set(z, plan1).statistics

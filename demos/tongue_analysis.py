@@ -2,13 +2,7 @@
 
 import numpy as np
 
-from survcmp import (
-    ResamplingPlan,
-    asymptotic_ci,
-    load_tongue,
-    mann_whitney_effect,
-    resampling_ci,
-)
+from survcmp import analyze, load_tongue, mann_whitney_effect
 
 # 80 patients, split by tumor DNA profile, followed up to week 200
 s1, s2 = load_tongue()
@@ -20,23 +14,24 @@ print(f"\nP(aneuploid outlives diploid, ties half) = {eff.p_hat:.4f}")
 print(f"win ratio = {eff.w_hat:.4f}")
 print(f"sigma_hat = {np.sqrt(eff.sigma2):.4f}")
 
-# three routes to a 95% interval for the same quantity
+# three routes to a 95% interval for the same quantity, from one call:
+# asymptotic, bootstrap and permutation, in that order
+results = analyze(s1, s2, b=9999, seed=1)
 print("\n95% two-sided intervals for p")
-res = asymptotic_ci(s1, s2)
-print(f"  asymptotic   [{res.ci[0]:.4f}, {res.ci[1]:.4f}]  p-value {res.p_value:.4f}")
-for scheme in ("bootstrap", "permutation"):
-    res = resampling_ci(s1, s2, ResamplingPlan(scheme, 9999, 1))
-    print(f"  {scheme:<12} [{res.ci[0]:.4f}, {res.ci[1]:.4f}]  p-value {res.p_value:.4f}"
-          f"  (B={res.b}, dropped {res.dropped})")
+for res in results:
+    line = f"  {res.method:<12} [{res.ci[0]:.4f}, {res.ci[1]:.4f}]  p-value {res.p_value:.4f}"
+    if res.replicates is not None:
+        line += f"  (B={res.b}, dropped {res.dropped})"
+    print(line)
 
 # the one-sided question: is survival longer in the aneuploid group?
-one = asymptotic_ci(s1, s2, alternative="greater")
+[one] = analyze(s1, s2, methods=("asymptotic",), alternative="greater")
 print(f"\none-sided test of p > 1/2: statistic {one.statistic:.4f}, "
       f"p-value {one.p_value:.4f}, reject at 5%: {one.reject}")
 
-# same estimate on the win-ratio scale
-w = asymptotic_ci(s1, s2, target="w")
-print(f"win ratio interval [{w.ci[0]:.4f}, {w.ci[1]:.4f}]")
+# same estimate on the win-ratio scale: the image of p's asymptotic interval
+w = results[0].ci_w
+print(f"win ratio interval [{w[0]:.4f}, {w[1]:.4f}]")
 
 # patients alive past week 200: censor there, or count reaching the
 # window end as the event of interest

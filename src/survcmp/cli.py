@@ -25,7 +25,7 @@ from time import monotonic
 from .datasets import ingest_csv, tongue_path
 from .inference import METHODS, analyze
 from .rng import check_seed
-from .survival import HORIZON_POLICIES, pool
+from .survival import HORIZON_POLICIES
 from . import simulate as sim
 
 __all__ = ["main", "build_parser"]
@@ -116,23 +116,27 @@ def _json_num(x):
     return x
 
 
-def _analysis_results(s1, s2, args, seed):
+def _analysis_rows(s1, s2, args, seed):
+    """(Row name, target, interval, result) per method and target, in order."""
     methods = METHODS if args.method == "all" else (args.method,)
+    results = analyze(s1, s2, methods, args.alpha, args.alternative, args.b, seed,
+                      args.workers)
+    if args.dump_replicates:  # one resampling method only
+        with open(args.dump_replicates, "w") as fh:
+            results[0].replicates.export(fh)
+    for res in results:
+        if res.capped:
+            print(f"survcmp: warning: {res.method} quantile rank {res.rank} capped at "
+                  f"b_eff {res.b - res.dropped} (B {res.b}, alpha {res.alpha:g}); "
+                  "the interval has no nominal guarantee", file=sys.stderr)
     targets = ("p", "w") if args.target == "both" else (args.target,)
-    rows = []
-    for reps, results in analyze(pool(s1, s2), methods, targets, args.alpha,
-                                 args.alternative, args.b, seed, args.workers):
-        if args.dump_replicates:  # one resampling method only
-            with open(args.dump_replicates, "w") as fh:
-                reps.export(fh)
-        for res in results:
-            name = res.method if len(targets) == 1 else f"{res.method}:{res.target}"
-            rows.append((name, res))
-    return rows
+    return [(res.method if len(targets) == 1 else f"{res.method}:{target}", target,
+             res.ci if target == "p" else res.ci_w, res)
+            for res in results for target in targets]
 
 
 def _analysis_json(s1, s2, rows, seed) -> str:
-    first = rows[0][1]
+    first = rows[0][3]
     payload = {
         "n1": s1.n,
         "n2": s2.n,
@@ -143,13 +147,13 @@ def _analysis_json(s1, s2, rows, seed) -> str:
         "methods": [
             {
                 "name": name,
-                "ci": [_json_num(res.ci[0]), _json_num(res.ci[1])],
+                "ci": [_json_num(ci[0]), _json_num(ci[1])],
                 "statistic": res.statistic,
                 "p_value": res.p_value,
                 "b": res.b,
                 "dropped": res.dropped,
             }
-            for name, res in rows
+            for name, _, ci, res in rows
         ],
         "seed": seed,
     }
@@ -163,7 +167,7 @@ def _fmt_ci(ci) -> str:
 
 
 def _analysis_text(s1, s2, rows, seed) -> str:
-    first = rows[0][1]
+    first = rows[0][3]
     w = "inf" if first.estimate.w_infinite else f"{first.estimate.w_hat:.4f}"
     lines = [
         f"n1 {s1.n}  n2 {s2.n}  window {s1.k:g}",
@@ -174,9 +178,9 @@ def _analysis_text(s1, s2, rows, seed) -> str:
     header = ["method", "target", "alternative", "interval", "statistic",
               "p-value", "b", "dropped"]
     table = [header]
-    for name, res in rows:
+    for name, target, ci, res in rows:
         table.append([
-            name, res.target, res.alternative, _fmt_ci(res.ci),
+            name, target, res.alternative, _fmt_ci(ci),
             f"{res.statistic:.4f}", f"{res.p_value:.4f}",
             str(res.b) if res.b else "-", str(res.dropped) if res.b else "-",
         ])
@@ -204,11 +208,7 @@ def _run_analyze(args) -> str:
         path, k, time_col=args.time_col, status_col=args.status_col,
         group_col=args.group_col, event_value=args.event_value,
         censored_value=args.censored_value, beyond_horizon=args.beyond_horizon)
-    rows = _analysis_results(s1, s2, args, seed)
-    for res in {res.method: res for _, res in rows if res.capped}.values():
-        print(f"survcmp: warning: {res.method} quantile rank {res.rank} capped at "
-              f"b_eff {res.b - res.dropped} (B {res.b}, alpha {res.alpha:g}); "
-              "the interval has no nominal guarantee", file=sys.stderr)
+    rows = _analysis_rows(s1, s2, args, seed)
     if args.json:
         return _analysis_json(s1, s2, rows, seed)
     return _analysis_text(s1, s2, rows, seed)

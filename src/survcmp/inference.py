@@ -11,15 +11,15 @@ by the replicates of the pooled bootstrap and of studentized permutations
 (``resampling.py``).  Each calibration gives a test of p = 1/2 and the
 interval for p dual to it, clamped to [0, 1].  The win ratio
 w = p / (1 - p) increases with p, so w's test is p's test and w's
-interval is the image of p's under that map, with +inf for an endpoint
-at 1: it covers w exactly when p's covers p.  Two-sided resampling
-intervals and tests use the upper quantile of the absolute replicate
-values: the replicate location can sit noticeably below zero when the
-pooled survival curve keeps mass at the window end (the pooled centering
-value is (1 - S(k)^2) / 2, not 1/2), and the absolute-value quantile
-widens both sides accordingly; one-sided ones use the plain upper (or
-lower) tail.  :func:`analyze` builds every result, for the command line,
-the coverage study and the two interval functions alike.
+interval (``InferenceResult.ci_w``) is the image of p's under that map,
+with +inf for an endpoint at 1: it covers w exactly when p's covers p.
+Two-sided resampling intervals and tests use the upper quantile of the
+absolute replicate values: the replicate location can sit noticeably
+below zero when the pooled survival curve keeps mass at the window end
+(the pooled centering value is (1 - S(k)^2) / 2, not 1/2), and the
+absolute-value quantile widens both sides accordingly; one-sided ones use
+the plain upper (or lower) tail.  :func:`analyze` builds one result per
+method, for the library, the command line and the coverage study alike.
 """
 
 from __future__ import annotations
@@ -31,19 +31,18 @@ from statistics import NormalDist
 import numpy as np
 
 from ._engine import RowStatistics, identity_row, studentize
-from .resampling import ReplicateSet, ResamplingPlan, _order_statistic, replicate_set
+from .resampling import (DegenerateError, ReplicateSet, ResamplingPlan, _order_statistic,
+                         replicate_set)
 from .survival import PooledSample, Sample, pool
 
 __all__ = [
     "METHODS",
+    "DegenerateError",
     "Estimate",
     "InferenceResult",
     "mann_whitney_effect",
-    "studentized_p",
     "normal_quantile",
     "analyze",
-    "asymptotic_ci",
-    "resampling_ci",
 ]
 
 METHODS = ("asymptotic", "bootstrap", "permutation")
@@ -94,19 +93,18 @@ class Estimate:
 
 @dataclass(frozen=True)
 class InferenceResult:
-    """One method's interval and test for a chosen target.
+    """One method's test of p = 1/2 and the dual interval.
 
-    ``ci`` is p's interval clamped to [0, 1], or for w its image under
-    x -> x / (1 - x) in [0, inf].  ``statistic`` is the studentized
-    effect at the null p0 = 1/2 (w0 = 1), ``p_value`` its tail
-    probability under ``alternative``; both are the same for either
-    target.  ``b`` and ``dropped`` are 0 for the asymptotic method, and
-    so is ``rank``, the order statistic ceil((1 - alpha) (b_eff + 1)) of
-    a resampling method's critical value.
+    ``ci`` is p's interval clamped to [0, 1], and :attr:`ci_w` its image
+    under x -> x / (1 - x), w's interval.  ``statistic`` is the studentized
+    effect at the null p0 = 1/2 (w0 = 1), and ``p_value`` its tail
+    probability under ``alternative``; w's test is p's.  ``replicates`` is a
+    resampling method's replicate set (None for the asymptotic method), and
+    ``rank`` the order statistic ceil((1 - alpha) (b_eff + 1)) of its
+    critical value (0 for the asymptotic method).
     """
 
     method: str
-    target: str
     alternative: str
     estimate: Estimate
     statistic: float
@@ -114,13 +112,26 @@ class InferenceResult:
     p_value: float
     critical: float
     alpha: float
-    b: int = 0
-    dropped: int = 0
+    replicates: ReplicateSet | None = None
     rank: int = 0
 
     @property
     def sigma(self) -> float:
         return self.estimate.sigma
+
+    @property
+    def b(self) -> int:
+        """Replicates drawn, kept and dropped alike; 0 for the asymptotic method."""
+        return 0 if self.replicates is None else self.replicates.b_eff + self.dropped
+
+    @property
+    def dropped(self) -> int:
+        return 0 if self.replicates is None else self.replicates.dropped
+
+    @property
+    def ci_w(self) -> tuple[float, float]:
+        """w's interval: p's under x -> x / (1 - x), with +inf at 1."""
+        return tuple(np.inf if x >= 1.0 else x / (1.0 - x) for x in self.ci)
 
     @property
     def capped(self) -> bool:
@@ -174,20 +185,12 @@ def mann_whitney_effect(s1: Sample, s2: Sample) -> Estimate:
     return _observed(pool(s1, s2))
 
 
-def studentized_p(s1: Sample, s2: Sample, p0: float = 0.5) -> float:
-    """Studentized effect statistic sqrt(n1 n2 / n) (p_hat - p0) / sigma.
-
-    Raises a "degenerate variance" error when sigma_hat == 0 or a group
-    has no events.
-    """
-    return _studentized_p(_observed(pool(s1, s2)), p0)
-
-
-def _studentized_p(est: Estimate, p0: float) -> float:
+def _statistic(est: Estimate) -> float:
+    # the studentized effect at the null p0 = 1/2, undefined when degenerate
     if est.degenerate:
-        raise ValueError("degenerate variance")
+        raise DegenerateError("degenerate variance")
     # the replicates' studentization, so the observed row's T is theirs bit for bit
-    return float(studentize(est.p_hat, est.sigma2, True, est.n1, est.n2, p0))
+    return float(studentize(est.p_hat, est.sigma2, True, est.n1, est.n2, 0.5))
 
 
 def _normal_p_value(statistic: float, alternative: str) -> float:
@@ -199,51 +202,54 @@ def _normal_p_value(statistic: float, alternative: str) -> float:
     return math.erfc(abs(statistic) / math.sqrt(2))
 
 
-def _replicate_test(est: Estimate, reps: ReplicateSet, alpha: float,
-                    alternative: str) -> tuple[float, float, float, int]:
-    """Observed statistic, critical value, p-value and quantile rank from
-    the replicate tail that calibrates the alternative, read as an upper
-    tail."""
-    t_obs = _studentized_p(est, 0.5)
+def _replicate_test(statistic: float, reps: ReplicateSet, alpha: float,
+                    alternative: str) -> tuple[float, float, int]:
+    """Critical value, p-value and quantile rank from the replicate tail
+    that calibrates the alternative, read as an upper tail."""
     stats = reps.statistics
     if alternative == "greater":
-        tail, t = stats, t_obs
+        tail, t = stats, statistic
     elif alternative == "less":
-        tail, t = -stats, -t_obs
+        tail, t = -stats, -statistic
     else:
-        tail, t = np.abs(stats), abs(t_obs)
+        tail, t = np.abs(stats), abs(statistic)
     critical, rank = _order_statistic(tail, alpha)
-    return t_obs, critical, (1 + int((tail >= t).sum())) / (reps.b_eff + 1), rank
+    return critical, (1 + int((tail >= t).sum())) / (reps.b_eff + 1), rank
 
 
-def _interval(est: Estimate, target: str, alternative: str,
-              critical: float) -> tuple[float, float]:
-    """p's interval for the alternative, clamped to [0, 1], or for w its
-    image under x -> x / (1 - x), with +inf at 1."""
+def _interval(est: Estimate, alternative: str, critical: float) -> tuple[float, float]:
+    """p's interval for the alternative, clamped to [0, 1]."""
     halfwidth = critical * (est.sigma / _rate(est.n1, est.n2))
     lo = 0.0 if alternative == "less" else est.p_hat - halfwidth
     hi = 1.0 if alternative == "greater" else est.p_hat + halfwidth
-    ci = (min(max(lo, 0.0), 1.0), min(max(hi, 0.0), 1.0))
-    if target == "w":
-        return tuple(np.inf if x >= 1.0 else x / (1.0 - x) for x in ci)
-    return ci
+    return (min(max(lo, 0.0), 1.0), min(max(hi, 0.0), 1.0))
 
 
-def analyze(z: PooledSample, methods, targets, alpha: float, alternative: str, b: int,
-            seed: int, workers: int) -> list[tuple[ReplicateSet | None, list[InferenceResult]]]:
-    """Each of ``methods`` (see :data:`METHODS`) as its replicate set (None
-    for 'asymptotic') and one result per target, in order.
+def analyze(s1: Sample, s2: Sample, methods=METHODS, alpha: float = 0.05,
+            alternative: str = "two-sided", b: int = 1999, seed: int = 0,
+            workers: int = 1) -> list[InferenceResult]:
+    """One result per method of ``methods`` (see :data:`METHODS`), in order.
 
-    One observed estimate and one pool serve every method; a
-    resampling method draws ``replicate_set(z, ResamplingPlan(method, b,
-    seed, workers))``.  The targets, the alternative and alpha are
-    checked, and ``b`` and ``workers`` must be positive whichever methods
-    are asked for, before any computation; a degenerate estimate raises
-    "degenerate variance" before any replicate is drawn.
+    The two samples are pooled once, and one observed estimate and one
+    pool serve every method; a resampling method draws
+    ``replicate_set(z, ResamplingPlan(method, b, seed, workers))`` from the
+    pool.  Two-sided: p_hat -/+ c se, clamped to [0, 1], where c is the
+    normal quantile z_{alpha/2} or the upper-alpha quantile of the
+    absolute replicates, and the test compares |T| with c; one-sided
+    intervals and tests use the one-tailed quantile, and the intervals
+    extend to the range boundary.  A resampling p-value is the
+    (1 + count) / (b_eff + 1) exceedance rule on the matching tail.
+
+    The methods (distinct names from :data:`METHODS`), the alternative
+    and alpha are checked, and ``b`` and ``workers`` must be positive
+    whichever methods are asked for, before any computation.  A
+    degenerate estimate raises :class:`DegenerateError` ("degenerate
+    variance") before any replicate is drawn, and so does a replicate set
+    with no valid replicate ("no valid replicates").
     """
-    for target in targets:
-        if target not in ("p", "w"):
-            raise ValueError("target must be 'p' or 'w'")
+    methods = tuple(methods)
+    if not methods or len(set(methods)) < len(methods) or not set(methods) <= set(METHODS):
+        raise ValueError(f"methods must be distinct names from {METHODS}")
     if alternative not in _ALTERNATIVES:
         raise ValueError(f"alternative must be one of {_ALTERNATIVES}")
     if not 0.0 < alpha < 1.0:
@@ -252,59 +258,21 @@ def analyze(z: PooledSample, methods, targets, alpha: float, alternative: str, b
         raise ValueError("need at least one replicate")
     if workers < 1:
         raise ValueError("workers must be positive")
+    plans = {m: ResamplingPlan(m, b, seed, workers) for m in methods if m != "asymptotic"}
+    z = pool(s1, s2)
     est = _observed(z)
+    statistic = _statistic(est)
     out = []
     for method in methods:
         if method == "asymptotic":
-            reps, counts = None, {}
-            statistic = _studentized_p(est, 0.5)
+            reps, rank = None, 0
             critical = normal_quantile(alpha / 2 if alternative == "two-sided" else alpha)
             p_value = _normal_p_value(statistic, alternative)
         else:
-            plan = ResamplingPlan(method, b, seed, workers)
-            if est.degenerate:  # fail before drawing any replicate
-                raise ValueError("degenerate variance")
-            reps = replicate_set(z, plan)
-            statistic, critical, p_value, rank = _replicate_test(est, reps, alpha, alternative)
-            counts = {"b": b, "dropped": reps.dropped, "rank": rank}
-        # w = p / (1 - p) increases with p, so the targets share the test
-        # and w's interval is the image of p's
-        out.append((reps, [InferenceResult(
-            method=method, target=target, alternative=alternative, estimate=est,
-            statistic=statistic, ci=_interval(est, target, alternative, critical),
-            p_value=p_value, critical=critical, alpha=alpha, **counts)
-            for target in targets]))
+            reps = replicate_set(z, plans[method])
+            critical, p_value, rank = _replicate_test(statistic, reps, alpha, alternative)
+        out.append(InferenceResult(
+            method=method, alternative=alternative, estimate=est, statistic=statistic,
+            ci=_interval(est, alternative, critical), p_value=p_value, critical=critical,
+            alpha=alpha, replicates=reps, rank=rank))
     return out
-
-
-def asymptotic_ci(s1: Sample, s2: Sample, alpha: float = 0.05, target: str = "p",
-                  alternative: str = "two-sided") -> InferenceResult:
-    """Normal-quantile confidence interval and the dual test of p = 1/2.
-
-    Two-sided: p_hat -/+ z_{alpha/2} sigma_hat sqrt(n / (n1 n2)), clamped
-    to [0, 1]; one-sided intervals use z_alpha and extend to the
-    respective boundary.  The win-ratio interval is the image of p's
-    under x -> x / (1 - x), and its test is p's.
-    """
-    # b, seed and workers are unused by the asymptotic method
-    [(_, [result])] = analyze(pool(s1, s2), ("asymptotic",), (target,), alpha, alternative,
-                              1, 0, 1)
-    return result
-
-
-def resampling_ci(s1: Sample, s2: Sample, plan: ResamplingPlan,
-                  alpha: float = 0.05, alternative: str = "two-sided",
-                  target: str = "p") -> InferenceResult:
-    """Resampling confidence interval and the dual test of p = 1/2.
-
-    Two-sided: p_hat -/+ c se, clamped to [0, 1], with c the upper-alpha
-    quantile of the absolute replicates, and the test compares |T| with
-    c; one-sided intervals and tests use the one-tailed quantile, and the
-    intervals extend to the range boundary.  The p-value is the
-    (1 + count) / (b_eff + 1) exceedance rule on the matching tail.  The
-    win-ratio interval is the image of p's under x -> x / (1 - x), and
-    its test is p's.
-    """
-    [(_, [result])] = analyze(pool(s1, s2), (plan.scheme,), (target,), alpha, alternative,
-                              plan.b, plan.seed, plan.workers)
-    return result

@@ -4,9 +4,8 @@ Both schemes erase the group labels, re-form two groups of the original
 sizes from the pooled sample (with replacement for the bootstrap, by
 shuffling for permutations), and recompute the studentized statistic with
 the null value 1/2.  :func:`replicate_set` draws the replicates of one
-plan, and :func:`replicate_quantile` reads their conservative upper
-quantile; ``inference.analyze`` turns the replicates into tests and
-intervals.
+plan; ``inference.analyze`` reads their conservative upper quantile and
+turns them into tests and intervals.
 """
 
 from __future__ import annotations
@@ -20,10 +19,10 @@ from ._engine import (PooledSample, batch_statistics, bootstrap_indices, chunk_b
                       permutation_indices, studentize)
 
 __all__ = [
+    "DegenerateError",
     "ResamplingPlan",
     "ReplicateSet",
     "replicate_set",
-    "replicate_quantile",
 ]
 
 _SCHEMES = tuple(_rng.SCHEME_IDS)
@@ -31,6 +30,11 @@ _SCHEMES = tuple(_rng.SCHEME_IDS)
 # B x (n + 2) from which worker processes pay for their start-up (fresh
 # `analyze` processes, 2-vCPU x86); a smaller replicate set runs inline
 POOL_CELLS = 3_000_000
+
+
+class DegenerateError(ValueError):
+    """The studentized statistic has no value to calibrate: a degenerate
+    observed variance, or a replicate set with no valid replicate."""
 
 
 @dataclass(frozen=True)
@@ -120,22 +124,13 @@ def _run_chunks(z: PooledSample, plan: ResamplingPlan, chunks) -> list:
     return parts
 
 
-def replicate_quantile(r: ReplicateSet, alpha: float) -> float:
-    """Conservative upper-alpha quantile of the retained replicates.
-
-    Returns the ceil((1 - alpha) (b_eff + 1))-th order statistic, capped
-    at the largest replicate (``inference.InferenceResult.capped`` records
-    the cap).
-    """
-    return _order_statistic(r.statistics, alpha)[0]
-
-
 def _order_statistic(values: np.ndarray, alpha: float) -> tuple[float, int]:
     # the conservative upper-alpha quantile of values, and its rank
     # ceil((1 - alpha) (n + 1)) before the cap at n = values.size
+    # (``inference.InferenceResult.capped`` records the cap)
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
     if values.size == 0:
-        raise ValueError("no valid replicates")
+        raise DegenerateError("no valid replicates")
     rank = int(np.ceil((1.0 - alpha) * (values.size + 1)))
     return float(np.sort(values)[min(rank, values.size) - 1]), rank

@@ -32,8 +32,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import rng as _rng
-from .survival import pool, truncate
-from .inference import METHODS, analyze
+from .survival import truncate
+from .inference import METHODS, DegenerateError, analyze
 
 __all__ = [
     "SETUPS",
@@ -315,9 +315,10 @@ def coverage_study(config: ScenarioConfig) -> CoverageRow:
 
     Each replication draws both groups, applies the window, and builds
     the three two-sided intervals at the configured level; replications
-    where any method degenerates (no usable variance or no valid
-    replicates) are excluded from every denominator and counted, so a
-    cell where all are excluded has ``reps`` 0 and NaN coverages.  Up to
+    where any method degenerates (``DegenerateError``: no usable variance
+    or no valid replicates) are excluded from every denominator and
+    counted, so a cell where all are excluded has ``reps`` 0 and NaN
+    coverages.  Any other error propagates.  Up to
     ``config.workers`` processes tally contiguous ranges of replications.
     """
     cal = calibrate_censoring(config.setup, config.censoring)
@@ -342,13 +343,13 @@ def _coverage_range(config: ScenarioConfig, cal: CensoringCalibration, truth: fl
     for rep in reps:
         s1, s2, inner_seed = _generate(config, cal, rep)
         try:
-            methods = analyze(pool(s1, s2), METHODS, ("p",), config.alpha, "two-sided",
-                              config.b, inner_seed, 1)
-        except ValueError:
+            results = analyze(s1, s2, METHODS, config.alpha, "two-sided", config.b,
+                              inner_seed, 1)
+        except DegenerateError:
             excluded += 1
             continue
         used += 1
-        for slot, (_, [res]) in enumerate(methods):
+        for slot, res in enumerate(results):
             lo, hi = res.ci
             if lo <= truth <= hi:
                 hits[slot] += 1

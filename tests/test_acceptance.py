@@ -8,9 +8,8 @@ import numpy as np
 
 from survcmp.cli import main as cli_main
 from survcmp.datasets import load_tongue
-from survcmp.inference import asymptotic_ci, mann_whitney_effect, resampling_ci
+from survcmp.inference import DegenerateError, analyze, mann_whitney_effect
 from survcmp import resampling
-from survcmp.resampling import ResamplingPlan
 from survcmp.rng import stream
 from survcmp.simulate import (
     ScenarioConfig,
@@ -40,8 +39,8 @@ def test_criterion_01_point_estimate():
 
 def test_criterion_02_asymptotic_interval():
     s1, s2 = load_tongue()
-    two = asymptotic_ci(s1, s2)
-    lower = asymptotic_ci(s1, s2, alternative="greater").ci[0]
+    [two] = analyze(s1, s2, methods=("asymptotic",))
+    lower = analyze(s1, s2, methods=("asymptotic",), alternative="greater")[0].ci[0]
     d_lo = abs(two.ci[0] - 0.475)
     d_hi = abs(two.ci[1] - 0.755)
     d_one = abs(lower - 0.497)
@@ -54,8 +53,8 @@ def test_criterion_02_asymptotic_interval():
 def test_criterion_03_resampling_intervals():
     s1, s2 = load_tongue()
     t0 = time.perf_counter()
-    boot = resampling_ci(s1, s2, ResamplingPlan("bootstrap", 9999, 1)).ci
-    perm = resampling_ci(s1, s2, ResamplingPlan("permutation", 9999, 1)).ci
+    boot, perm = (res.ci for res in analyze(s1, s2, methods=("bootstrap", "permutation"),
+                                            b=9999, seed=1))
     elapsed = time.perf_counter() - t0
     ok = (abs(boot[0] - 0.457) <= 0.015 and abs(boot[1] - 0.772) <= 0.015
           and abs(perm[0] - 0.464) <= 0.015 and abs(perm[1] - 0.766) <= 0.015
@@ -113,9 +112,9 @@ def test_criterion_06_permutation_exactness():
         s1 = truncate((t[:8], ev[:8]), 5.0)
         s2 = truncate((t[8:], ev[8:]), 5.0)
         try:
-            res = resampling_ci(s1, s2, ResamplingPlan("permutation", 999, rep),
-                                alpha=0.05, alternative="greater")
-        except ValueError:
+            [res] = analyze(s1, s2, methods=("permutation",), alpha=0.05,
+                            alternative="greater", b=999, seed=rep)
+        except DegenerateError:
             continue
         valid += 1
         reject += res.reject

@@ -143,6 +143,15 @@ class TestAnalyze:
                        "(B 9, alpha 0.05); the interval has no nominal guarantee\n")
         rc, _, err = _run(capsys, argv + ["--b", "99"])
         assert (rc, err) == (0, "")
+        # one result per method, whatever the targets: each capped
+        # resampling method warns once, the asymptotic method never
+        rc, _, err = _run(capsys, ["analyze", "--method", "all", "--target", "both",
+                                   "--b", "9"])
+        assert rc == 0
+        assert err == "".join(
+            f"survcmp: warning: {method} quantile rank 10 capped at b_eff 9 "
+            "(B 9, alpha 0.05); the interval has no nominal guarantee\n"
+            for method in ("bootstrap", "permutation"))
 
     def test_table1_reads_no_seed(self, capsys, monkeypatch):
         # the table draws nothing, so a malformed SURVCMP_SEED is no error

@@ -1,5 +1,6 @@
 """The demos print what they printed when their golden output was recorded,
-and every public name of the package is used by a demo or the README.
+the README's library snippet runs, and every public name of the package is
+pinned and used by a demo or the README.
 
 ``coverage_cells.py`` is left out of the golden runs: it takes about ten
 times as long as the others, and criterion 07 runs the same coverage path.
@@ -38,12 +39,30 @@ def _names_from_survcmp(source: str) -> set[str]:
             for alias in node.names}
 
 
+def _library_snippet() -> str:
+    library = (ROOT / "README.md").read_text().split("## Library", 1)[1]
+    return re.search(r"```python\n(.*?)```", library, re.S).group(1)
+
+
+def test_readme_library_snippet_runs(capsys):
+    exec(compile(_library_snippet(), "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["asymptotic", "bootstrap", "permutation"]
+
+
+def test_public_surface_is_pinned():
+    # a new public name is a deliberate change to this list
+    assert survcmp.__all__ == [
+        "Sample", "pool", "mann_whitney_effect", "analyze", "ResamplingPlan", "ReplicateSet",
+        "replicate_set", "load_tongue", "ScenarioConfig", "coverage_study", "true_effect",
+        "__version__",
+    ]
+
+
 def test_public_names_are_used_by_demos_or_readme():
     used = set()
     for demo in (ROOT / "demos").glob("*.py"):
         used |= _names_from_survcmp(demo.read_text())
-    library = (ROOT / "README.md").read_text().split("## Library", 1)[1]
-    snippet = re.search(r"```python\n(.*?)```", library, re.S).group(1)
-    used |= _names_from_survcmp(snippet)
+    used |= _names_from_survcmp(_library_snippet())
     unused = set(survcmp.__all__) - used - {"__version__"}
     assert not unused, f"public names no demo or README snippet imports: {sorted(unused)}"

@@ -6,20 +6,18 @@ from numpy.testing import assert_allclose
 from scipy import special
 
 from survcmp import inference
+from survcmp._engine import studentize
 from survcmp.datasets import load_tongue
 from survcmp.inference import (
     METHODS,
+    DegenerateError,
     _normal_p_value,
     analyze,
-    asymptotic_ci,
     mann_whitney_effect,
     normal_quantile,
-    resampling_ci,
-    studentized_p,
 )
-from survcmp.resampling import ResamplingPlan
 from survcmp.simulate import horizon, survival_function
-from survcmp.survival import Sample, pool
+from survcmp.survival import Sample
 
 K = 10.0
 
@@ -36,6 +34,15 @@ def _random_pair(rng, lo=8, hi=30):
     s1 = _random_censored(rng, int(rng.integers(lo, hi)))
     s2 = _random_censored(rng, int(rng.integers(lo, hi)))
     return s1, s2
+
+
+def _asymptotic(s1, s2, **kwargs):
+    [res] = analyze(s1, s2, methods=("asymptotic",), **kwargs)
+    return res
+
+
+def _statistic(s1, s2):
+    return _asymptotic(s1, s2).statistic
 
 
 class TestNormalQuantile:
@@ -83,14 +90,14 @@ class TestStatistics:
     def test_null_statistic_sign(self):
         s1 = Sample([2.0, 4.0, 6.0, 8.0], [True] * 4, K)
         s2 = Sample([1.0, 3.0, 5.0, 7.0], [True] * 4, K)
-        assert studentized_p(s1, s2) > 0.0
-        assert studentized_p(s2, s1) < 0.0
+        assert _statistic(s1, s2) > 0.0
+        assert _statistic(s2, s1) < 0.0
 
     def test_degenerate_variance_rejected(self):
         s1 = Sample([1.0, 2.0], [False, False], K)
         s2 = Sample([1.5, 2.5], [False, False], K)
-        with pytest.raises(ValueError, match="degenerate variance"):
-            studentized_p(s1, s2)
+        with pytest.raises(DegenerateError, match="degenerate variance"):
+            _statistic(s1, s2)
 
     def test_group_without_events_rejected(self):
         # the variance is positive here (group 1's leftover mass weights
@@ -99,10 +106,8 @@ class TestStatistics:
         s1 = Sample([1.0, 2.0], [False, False], K)
         s2 = Sample([1.5, 2.5, 3.0], [True, True, False], K)
         assert mann_whitney_effect(s1, s2).sigma2 > 0.0
-        with pytest.raises(ValueError, match="degenerate variance"):
-            studentized_p(s1, s2)
-        with pytest.raises(ValueError, match="degenerate variance"):
-            asymptotic_ci(s1, s2)
+        with pytest.raises(DegenerateError, match="degenerate variance"):
+            _statistic(s1, s2)
 
 
 def _no_replicates(z, plan):
@@ -115,7 +120,25 @@ def test_alpha_checked_before_replicates(monkeypatch, scheme, alpha):
     monkeypatch.setattr(inference, "replicate_set", _no_replicates)
     s1, s2 = load_tongue()
     with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
-        resampling_ci(s1, s2, ResamplingPlan(scheme, 200_000, 1), alpha=alpha)
+        analyze(s1, s2, methods=(scheme,), alpha=alpha, b=200_000, seed=1)
+
+
+@pytest.mark.parametrize("methods", [(), ("bogus",), ("bootstrap", "bootstrap"),
+                                     ("asymptotic", "permutation", "asymptotic"),
+                                     ("asymptotic", "jackknife"), "permutation"],
+                         ids=["empty", "unknown", "repeated", "repeated-apart",
+                              "one-unknown", "bare-string"])
+def test_methods_checked_before_any_computation(monkeypatch, methods):
+    # empty, unknown and repeated methods, and a bare string, fail with one
+    # message that names every method, before the pool or a replicate set
+    monkeypatch.setattr(inference, "replicate_set", _no_replicates)
+    monkeypatch.setattr(inference, "pool", _no_replicates)
+    s1, s2 = load_tongue()
+    want = "methods must be distinct names from ('asymptotic', 'bootstrap', 'permutation')"
+    with pytest.raises(ValueError) as info:
+        analyze(s1, s2, methods=methods)
+    assert str(info.value) == want
+    assert type(info.value) is ValueError
 
 
 class TestErrorPrecedence:
@@ -125,15 +148,13 @@ class TestErrorPrecedence:
              "no events": (([1.0, 2.0], [False, False]), ([1.5, 2.5, 3.0], [True, True, False]))}
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    @pytest.mark.parametrize("target", ["p", "w"])
     @pytest.mark.parametrize("method", ["asymptotic", "bootstrap", "permutation"])
-    def test_message(self, method, target, case):
+    def test_message(self, monkeypatch, method, case):
+        # the degenerate estimate fails before any replicate is drawn
+        monkeypatch.setattr(inference, "replicate_set", _no_replicates)
         s1, s2 = (Sample(t, e, K) for t, e in self.CASES[case])
-        with pytest.raises(ValueError, match="degenerate variance"):
-            if method == "asymptotic":
-                asymptotic_ci(s1, s2, target=target)
-            else:
-                resampling_ci(s1, s2, ResamplingPlan(method, 99, 1), target=target)
+        with pytest.raises(DegenerateError, match="degenerate variance"):
+            analyze(s1, s2, methods=(method,), b=99, seed=1)
 
 
 class TestIntervals:
@@ -143,8 +164,8 @@ class TestIntervals:
         for _ in range(40):
             s1, s2 = _random_pair(rng)
             try:
-                res = asymptotic_ci(s1, s2)
-            except ValueError:
+                res = _asymptotic(s1, s2)
+            except DegenerateError:
                 continue
             est = mann_whitney_effect(s1, s2)
             n = est.n1 + est.n2
@@ -160,7 +181,7 @@ class TestIntervals:
     def test_clamped_to_unit_interval(self):
         s1 = Sample([5.0, 6.0, 7.0], [True] * 3, K)
         s2 = Sample([1.0, 1.5, 2.0, 6.5], [True] * 4, K)
-        res = asymptotic_ci(s1, s2)
+        res = _asymptotic(s1, s2)
         lo, hi = res.ci
         assert 0.0 <= lo <= hi <= 1.0
         se = res.sigma / np.sqrt(s1.n * s2.n / (s1.n + s2.n))
@@ -169,8 +190,8 @@ class TestIntervals:
 
     def test_one_sided_reaches_boundaries(self):
         s1, s2 = load_tongue()
-        greater = asymptotic_ci(s1, s2, alternative="greater")
-        less = asymptotic_ci(s1, s2, alternative="less")
+        greater = _asymptotic(s1, s2, alternative="greater")
+        less = _asymptotic(s1, s2, alternative="less")
         assert greater.ci[1] == 1.0
         assert less.ci[0] == 0.0
         assert greater.ci[0] > 0.0
@@ -178,11 +199,12 @@ class TestIntervals:
 
     def test_w_interval_transform(self):
         s1, s2 = load_tongue()
-        res_p = asymptotic_ci(s1, s2, target="p")
-        res_w = asymptotic_ci(s1, s2, target="w")
-        p_hat = res_p.estimate.p_hat
-        assert_allclose(res_w.estimate.w_hat, p_hat / (1.0 - p_hat), atol=1e-12)
-        assert res_w.ci[0] >= 0.0
+        res = _asymptotic(s1, s2)
+        p_hat = res.estimate.p_hat
+        assert_allclose(res.estimate.w_hat, p_hat / (1.0 - p_hat), atol=1e-12)
+        lo, hi = res.ci
+        assert_allclose(res.ci_w, (lo / (1.0 - lo), hi / (1.0 - hi)), rtol=1e-15)
+        assert 0.0 <= res.ci_w[0] < res.estimate.w_hat < res.ci_w[1] < np.inf
 
     def test_duality_with_test(self):
         # two-sided test at level alpha rejects exactly when p0 leaves the interval
@@ -191,12 +213,13 @@ class TestIntervals:
         while checked < 60:
             s1, s2 = _random_pair(rng, lo=10, hi=40)
             try:
-                res = asymptotic_ci(s1, s2, alpha=0.1)
-            except ValueError:
+                res = _asymptotic(s1, s2, alpha=0.1)
+            except DegenerateError:
                 continue
             lo, hi = res.ci
+            est = res.estimate
             for p0 in rng.uniform(0.05, 0.95, 4):
-                t = studentized_p(s1, s2, p0)
+                t = studentize(est.p_hat, est.sigma2, True, est.n1, est.n2, p0)
                 rejects = abs(t) > res.critical
                 outside = p0 < lo or p0 > hi
                 assert rejects == outside
@@ -211,7 +234,6 @@ def _w_image(ci):
 def test_w_is_the_image_of_p(alternative):
     # on tied, censored pairs (some near separation, so that clamped
     # endpoints occur), w's interval is p's mapped through x / (1 - x)
-    # and both targets share one test
     rng = np.random.default_rng(919)
     checked = 0
     for i in range(24):
@@ -219,13 +241,12 @@ def test_w_is_the_image_of_p(alternative):
         if i % 3 == 0:  # shift group 1 late: p_hat near 1
             s1 = Sample(np.minimum(s1.times + 4.0, K), s1.events, K)
         try:
-            rows = analyze(pool(s1, s2), METHODS, ("p", "w"), 0.1, alternative, 49, i, 1)
-        except ValueError:
+            results = analyze(s1, s2, METHODS, 0.1, alternative, 49, i, 1)
+        except DegenerateError:
             continue
-        for _, (p, w) in rows:
-            assert w.ci == _w_image(p.ci)
-            assert (w.statistic, w.p_value, w.critical, w.reject) == \
-                (p.statistic, p.p_value, p.critical, p.reject)
+        assert [res.method for res in results] == list(METHODS)
+        for res in results:
+            assert res.ci_w == _w_image(res.ci)
         checked += 1
     assert checked >= 16
 
@@ -233,23 +254,23 @@ def test_w_is_the_image_of_p(alternative):
 class TestTongueFrozen:
     def test_statistic_values(self):
         s1, s2 = load_tongue()
-        assert_allclose(studentized_p(s1, s2), 1.6266942271555058, atol=1e-12)
+        assert_allclose(_statistic(s1, s2), 1.6266942271555058, atol=1e-12)
 
     def test_two_sided_interval_and_p_value(self):
         s1, s2 = load_tongue()
-        res = asymptotic_ci(s1, s2)
+        res = _asymptotic(s1, s2)
         assert_allclose(res.ci[0], 0.47647292486265713, atol=1e-12)
         assert_allclose(res.ci[1], 0.7531990238200996, atol=1e-12)
         assert_allclose(res.p_value, 0.10380205543119805, atol=1e-12)
         assert res.method == "asymptotic"
-        assert res.b == 0
+        assert (res.b, res.dropped, res.rank, res.replicates) == (0, 0, 0, None)
 
     def test_one_sided_test_decision(self):
         # the decision must agree with the dual one-sided interval and with
         # the p-value; the reference lower bound 0.497 < 1/2 (criterion 02)
         # means the 5% test does not reject on this dataset
         s1, s2 = load_tongue()
-        res = asymptotic_ci(s1, s2, alternative="greater")
+        res = _asymptotic(s1, s2, alternative="greater")
         assert res.reject == (res.ci[0] > 0.5)
         assert res.reject == (res.p_value < res.alpha)
         assert not res.reject

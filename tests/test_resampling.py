@@ -13,11 +13,12 @@ from numpy.testing import assert_allclose, assert_array_equal
 from survcmp import resampling, survival
 from survcmp._engine import batch_context
 from survcmp.datasets import load_tongue
-from survcmp.inference import asymptotic_ci, mann_whitney_effect, resampling_ci
+from survcmp.inference import analyze, mann_whitney_effect
 from survcmp.resampling import (
+    DegenerateError,
     ReplicateSet,
     ResamplingPlan,
-    replicate_quantile,
+    _order_statistic,
     replicate_set,
 )
 from survcmp.rng import stream
@@ -76,35 +77,42 @@ class TestPool:
             assert_allclose(mann_whitney_effect(pooled, pooled).p_hat, 0.5, atol=1e-12)
 
 
+def _quantile(r: ReplicateSet, alpha: float) -> float:
+    # the conservative upper-alpha quantile that calibrates a test
+    return _order_statistic(r.statistics, alpha)[0]
+
+
 class TestReplicateQuantile:
     def test_small_set_takes_maximum(self):
         r = ReplicateSet(np.arange(1.0, 20.0), 0)
-        assert replicate_quantile(r, 0.05) == 19.0
+        assert _quantile(r, 0.05) == 19.0
 
     def test_symmetric_three_values(self):
         r = ReplicateSet(np.array([-1.0, 0.0, 1.0]), 0)
-        assert replicate_quantile(r, 0.5) == 0.0
+        assert _quantile(r, 0.5) == 0.0
 
     def test_rank_9500_of_9999(self):
         rng = np.random.default_rng(3)
         values = rng.permutation(np.arange(1.0, 10000.0))
         r = ReplicateSet(values, 0)
-        assert replicate_quantile(r, 0.05) == 9500.0
+        assert _quantile(r, 0.05) == 9500.0
 
     def test_capped_at_largest(self):
         r = ReplicateSet(np.array([0.0, 1.0, 2.0]), 0)
-        assert replicate_quantile(r, 1e-9) == 2.0
+        assert _quantile(r, 1e-9) == 2.0
+        # rank ceil((1 - alpha) (b_eff + 1)) = 4 is past b_eff = 3: capped
+        assert _order_statistic(r.statistics, 1e-9) == (2.0, 4)
 
     def test_bad_alpha_rejected(self):
         r = ReplicateSet(np.array([0.0]), 0)
         for bad in (0.0, 1.0, -0.5):
             with pytest.raises(ValueError, match="alpha"):
-                replicate_quantile(r, bad)
+                _quantile(r, bad)
 
     def test_empty_set_rejected(self):
         r = ReplicateSet(np.array([]), 7)
-        with pytest.raises(ValueError, match="no valid replicates"):
-            replicate_quantile(r, 0.05)
+        with pytest.raises(DegenerateError, match="no valid replicates"):
+            _quantile(r, 0.05)
 
 
 class TestReplicateSets:
@@ -187,8 +195,8 @@ class TestReplicateSets:
         r = replicate_set(z, ResamplingPlan("permutation", 50, 0))
         assert r.b_eff == 0
         assert r.dropped == 50
-        with pytest.raises(ValueError, match="no valid replicates"):
-            replicate_quantile(r, 0.05)
+        with pytest.raises(DegenerateError, match="no valid replicates"):
+            _quantile(r, 0.05)
 
     def test_single_replicate_helpers_finite(self):
         rng = np.random.default_rng(7)
@@ -232,15 +240,17 @@ class TestDistribution:
         s1 = truncate((t1, np.ones(100, bool)), 2.0)
         s2 = truncate((t2, np.ones(100, bool)), 2.0)
         r = replicate_set(pool(s1, s2), ResamplingPlan("bootstrap", 10_000, 17))
-        q = replicate_quantile(r, 0.025)
+        q = _quantile(r, 0.025)
         assert abs(q - 1.96) <= 0.15
 
     def test_minimum_p_value_when_observed_tops_replicates(self):
         s1 = Sample(np.arange(8.0, 18.0), np.ones(10, bool), 30.0)
         s2 = Sample(np.arange(1.0, 11.0), np.ones(10, bool), 30.0)
-        plan = ResamplingPlan("permutation", 99, 0)
-        r = replicate_set(pool(s1, s2), plan)
-        res = resampling_ci(s1, s2, plan, alternative="greater")
+        [res] = analyze(s1, s2, methods=("permutation",), alternative="greater", b=99,
+                        seed=0)
+        r = res.replicates
+        assert r.statistics.tobytes() == replicate_set(
+            pool(s1, s2), ResamplingPlan("permutation", 99, 0)).statistics.tobytes()
         assert res.statistic > float(r.statistics.max())
         assert res.p_value == 1.0 / (r.b_eff + 1)
 
@@ -253,11 +263,11 @@ class TestDistribution:
             t2 = draw_survival(3, 2, gen, 200)
             s1 = truncate((t1, np.ones(200, bool)), 2.0)
             s2 = truncate((t2, np.ones(200, bool)), 2.0)
-            a = asymptotic_ci(s1, s2).reject
-            b = resampling_ci(s1, s2, ResamplingPlan("bootstrap", 499, 1000 + rep)).reject
-            p = resampling_ci(s1, s2, ResamplingPlan("permutation", 499, 2000 + rep)).reject
-            boot_hits += a == b
-            perm_hits += a == p
+            asym, boot = analyze(s1, s2, methods=("asymptotic", "bootstrap"), b=499,
+                                 seed=1000 + rep)
+            [perm] = analyze(s1, s2, methods=("permutation",), b=499, seed=2000 + rep)
+            boot_hits += asym.reject == boot.reject
+            perm_hits += asym.reject == perm.reject
         assert boot_hits / runs >= 0.95
         assert perm_hits / runs >= 0.95
 
@@ -265,7 +275,7 @@ class TestDistribution:
 class TestFrozenTongue:
     def test_bootstrap_two_sided(self):
         s1, s2 = load_tongue()
-        res = resampling_ci(s1, s2, ResamplingPlan("bootstrap", 9999, 1))
+        [res] = analyze(s1, s2, methods=("bootstrap",), b=9999, seed=1)
         assert_allclose(res.critical, 2.1503758550154273, atol=1e-12)
         assert_allclose(res.ci[0], 0.46303085793503324, atol=1e-12)
         assert_allclose(res.ci[1], 0.7666410907477235, atol=1e-12)
@@ -277,7 +287,7 @@ class TestFrozenTongue:
 
     def test_permutation_two_sided(self):
         s1, s2 = load_tongue()
-        res = resampling_ci(s1, s2, ResamplingPlan("permutation", 9999, 1))
+        [res] = analyze(s1, s2, methods=("permutation",), b=9999, seed=1)
         assert_allclose(res.critical, 2.1248881906605797, atol=1e-12)
         assert_allclose(res.ci[0], 0.4648301516935124, atol=1e-12)
         assert_allclose(res.ci[1], 0.7648417969892444, atol=1e-12)
@@ -287,8 +297,8 @@ class TestFrozenTongue:
 
     def test_permutation_one_sided_lower_bound(self):
         s1, s2 = load_tongue()
-        res = resampling_ci(s1, s2, ResamplingPlan("permutation", 9999, 1),
-                            alternative="greater")
+        [res] = analyze(s1, s2, methods=("permutation",), alternative="greater", b=9999,
+                        seed=1)
         assert_allclose(res.critical, 1.5789901774367752, atol=1e-12)
         assert_allclose(res.ci[0], 0.5033676525913904, atol=1e-12)
         assert res.ci[1] == 1.0

@@ -8,6 +8,8 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import integrate, special, stats
 
+from survcmp import _engine, resampling
+from survcmp.resampling import DegenerateError
 from survcmp.rng import stream
 from survcmp.simulate import (
     CENSORING_BANDS,
@@ -286,6 +288,25 @@ class TestCoverageStudy:
         cfg4 = ScenarioConfig(setup=1, censoring="moderate", n1=10, n2=10,
                               reps=40, b=99, seed=3, workers=4)
         assert coverage_study(cfg1) == coverage_study(cfg4)
+
+    @pytest.mark.parametrize("error", [ValueError, DegenerateError])
+    def test_only_degeneracy_excludes_a_replication(self, monkeypatch, error):
+        # a degenerate statistic excludes the replication; any other fault,
+        # here a ValueError from the engine, stops the study rather than
+        # reading as NaN coverages
+        def broken(*args, **kwargs):
+            raise error("operands could not be broadcast together")
+
+        for module in (_engine, resampling):
+            monkeypatch.setattr(module, "batch_statistics", broken)
+        cfg = ScenarioConfig(setup=3, censoring="none", n1=5, n2=5, reps=3, b=9, seed=0)
+        if error is DegenerateError:
+            row = coverage_study(cfg)
+            assert (row.reps, row.excluded) == (0, 3)
+            assert math.isnan(row.cov_permutation)
+        else:
+            with pytest.raises(ValueError, match="broadcast"):
+                coverage_study(cfg)
 
     def test_null_scenario_permutation_band(self):
         # both groups share one law, so nominal 95% coverage should hold
