@@ -7,19 +7,22 @@ that row.
 
 One studentized statistic, sqrt(n1 n2 / n) (p_hat - p0) / sigma_hat, is
 calibrated three ways (:data:`METHODS`): by the standard normal law, and
-by the replicates of the pooled bootstrap and of studentized permutations
-(``resampling.py``).  Each calibration gives a test of p = 1/2 and the
-interval for p dual to it, clamped to [0, 1].  The win ratio
-w = p / (1 - p) increases with p, so w's test is p's test and w's
-interval (``InferenceResult.ci_w``) is the image of p's under that map,
-with +inf for an endpoint at 1: it covers w exactly when p's covers p.
-Two-sided resampling intervals and tests use the upper quantile of the
-absolute replicate values: the replicate location can sit noticeably
-below zero when the pooled survival curve keeps mass at the window end
-(the pooled centering value is (1 - S(k)^2) / 2, not 1/2), and the
-absolute-value quantile widens both sides accordingly; one-sided ones use
-the plain upper (or lower) tail.  :func:`analyze` builds one result per
-method, for the library, the command line and the coverage study alike.
+by the pooled-bootstrap and studentized-permutation replicates that
+``resampling.py`` draws.  This module is the one place where it becomes
+a test of p = 1/2 and the dual interval for p, clamped to [0, 1]; w's
+test is p's, and w's interval (``InferenceResult.ci_w``) is the image of
+p's under w = p / (1 - p), with +inf at 1, so it covers w exactly when
+p's covers p.  The alternative is read once (:func:`_tail`): T, -T or |T|
+puts its evidence in the upper tail, for the statistic and the
+replicates alike, and :func:`_replicate_test` is the one replicate
+calibration.  Two-sided resampling so uses the upper quantile of the
+absolute replicates: their location can sit noticeably below zero when
+the pooled curve keeps mass at the window end (the pooled centering
+value is (1 - S(k)^2) / 2, not 1/2), and the absolute-value quantile
+widens both sides accordingly.  :class:`DegenerateError` is the one error
+for a statistic with nothing to calibrate.  :func:`analyze` builds one
+result per method, for the library, the command line and the coverage
+study alike.
 """
 
 from __future__ import annotations
@@ -30,9 +33,9 @@ from statistics import NormalDist
 
 import numpy as np
 
-from ._engine import RowStatistics, identity_row, studentize
-from .resampling import (DegenerateError, ReplicateSet, ResamplingPlan, _order_statistic,
-                         replicate_set)
+from . import rng as _rng
+from ._engine import identity_row, studentize
+from .resampling import ReplicateSet, ResamplingPlan, replicate_set
 from .survival import PooledSample, Sample, pool
 
 __all__ = [
@@ -50,6 +53,11 @@ METHODS = ("asymptotic", "bootstrap", "permutation")
 _ALTERNATIVES = ("two-sided", "greater", "less")
 
 _STANDARD_NORMAL = NormalDist()
+
+
+class DegenerateError(ValueError):
+    """The studentized statistic has no value to calibrate: a degenerate
+    observed variance, or a replicate set with no valid replicate."""
 
 
 @dataclass(frozen=True)
@@ -80,15 +88,6 @@ class Estimate:
     @property
     def w_infinite(self) -> bool:
         return np.isinf(self.w_hat)
-
-    @classmethod
-    def from_row(cls, row: RowStatistics, n1: int, n2: int) -> Estimate:
-        """The estimate in the first row of an engine result."""
-        p = float(row.p[0])
-        return cls(p_hat=p, w_hat=np.inf if p >= 1.0 else p / (1.0 - p),
-                   sigma2=float(row.sigma2[0]), sigma2_12=float(row.sigma2_12[0]),
-                   sigma2_21=float(row.sigma2_21[0]), n1=n1, n2=n2,
-                   degenerate=not row.valid[0])
 
 
 @dataclass(frozen=True)
@@ -141,11 +140,17 @@ class InferenceResult:
 
     @property
     def reject(self) -> bool:
-        if self.alternative == "greater":
-            return self.statistic > self.critical
-        if self.alternative == "less":
-            return self.statistic < -self.critical
-        return abs(self.statistic) > self.critical
+        return _tail(self.statistic, self.alternative) > self.critical
+
+
+def _tail(x, alternative: str):
+    """x, -x or |x|: a statistic, or an array of replicates, read so that the
+    alternative's evidence lies in the upper tail."""
+    if alternative == "greater":
+        return x
+    if alternative == "less":
+        return -x
+    return abs(x)
 
 
 def normal_quantile(alpha: float) -> float:
@@ -161,14 +166,14 @@ def normal_quantile(alpha: float) -> float:
     return -_STANDARD_NORMAL.inv_cdf(alpha)
 
 
-def _rate(n1: int, n2: int) -> float:
-    # sqrt(n1 n2 / n), the scaling of the studentized statistic
-    return float(np.sqrt(n1 * n2 / (n1 + n2)))
-
-
 def _observed(z: PooledSample) -> Estimate:
     # the engine's identity row on the pool, from which its replicate sets draw
-    return Estimate.from_row(identity_row(z), z.n1, z.n2)
+    row = identity_row(z)
+    p = float(row.p[0])
+    return Estimate(p_hat=p, w_hat=np.inf if p >= 1.0 else p / (1.0 - p),
+                    sigma2=float(row.sigma2[0]), sigma2_12=float(row.sigma2_12[0]),
+                    sigma2_21=float(row.sigma2_21[0]), n1=z.n1, n2=z.n2,
+                    degenerate=not row.valid[0])
 
 
 def mann_whitney_effect(s1: Sample, s2: Sample) -> Estimate:
@@ -185,41 +190,28 @@ def mann_whitney_effect(s1: Sample, s2: Sample) -> Estimate:
     return _observed(pool(s1, s2))
 
 
-def _statistic(est: Estimate) -> float:
-    # the studentized effect at the null p0 = 1/2, undefined when degenerate
-    if est.degenerate:
-        raise DegenerateError("degenerate variance")
-    # the replicates' studentization, so the observed row's T is theirs bit for bit
-    return float(studentize(est.p_hat, est.sigma2, True, est.n1, est.n2, 0.5))
-
-
 def _normal_p_value(statistic: float, alternative: str) -> float:
-    # P(Z > x) = erfc(x / sqrt 2) / 2, accurate far into either tail
-    if alternative == "greater":
-        return 0.5 * math.erfc(statistic / math.sqrt(2))
-    if alternative == "less":
-        return 0.5 * math.erfc(-statistic / math.sqrt(2))
-    return math.erfc(abs(statistic) / math.sqrt(2))
+    # P(Z > x) = erfc(x / sqrt 2) / 2 on the tail, accurate far into it,
+    # doubled for two-sided
+    sides = 2 if alternative == "two-sided" else 1
+    return sides / 2 * math.erfc(_tail(statistic, alternative) / math.sqrt(2))
 
 
-def _replicate_test(statistic: float, reps: ReplicateSet, alpha: float,
-                    alternative: str) -> tuple[float, float, int]:
-    """Critical value, p-value and quantile rank from the replicate tail
-    that calibrates the alternative, read as an upper tail."""
-    stats = reps.statistics
-    if alternative == "greater":
-        tail, t = stats, statistic
-    elif alternative == "less":
-        tail, t = -stats, -statistic
-    else:
-        tail, t = np.abs(stats), abs(statistic)
-    critical, rank = _order_statistic(tail, alpha)
-    return critical, (1 + int((tail >= t).sum())) / (reps.b_eff + 1), rank
+def _replicate_test(tails: np.ndarray, t: float, alpha: float) -> tuple[float, float, int]:
+    """From the replicates' tail values and the observed tail ``t``: the
+    order statistic of rank ceil((1 - alpha) (b_eff + 1)), capped at b_eff
+    (``InferenceResult.capped``), the p-value (1 + #{tails >= t}) / (b_eff + 1),
+    and the rank."""
+    if tails.size == 0:
+        raise DegenerateError("no valid replicates")
+    rank = int(np.ceil((1.0 - alpha) * (tails.size + 1)))
+    critical = float(np.sort(tails)[min(rank, tails.size) - 1])
+    return critical, (1 + int((tails >= t).sum())) / (tails.size + 1), rank
 
 
 def _interval(est: Estimate, alternative: str, critical: float) -> tuple[float, float]:
     """p's interval for the alternative, clamped to [0, 1]."""
-    halfwidth = critical * (est.sigma / _rate(est.n1, est.n2))
+    halfwidth = critical * (est.sigma / math.sqrt(est.n1 * est.n2 / (est.n1 + est.n2)))
     lo = 0.0 if alternative == "less" else est.p_hat - halfwidth
     hi = 1.0 if alternative == "greater" else est.p_hat + halfwidth
     return (min(max(lo, 0.0), 1.0), min(max(hi, 0.0), 1.0))
@@ -241,11 +233,12 @@ def analyze(s1: Sample, s2: Sample, methods=METHODS, alpha: float = 0.05,
     (1 + count) / (b_eff + 1) exceedance rule on the matching tail.
 
     The methods (distinct names from :data:`METHODS`), the alternative
-    and alpha are checked, and ``b`` and ``workers`` must be positive
-    whichever methods are asked for, before any computation.  A
-    degenerate estimate raises :class:`DegenerateError` ("degenerate
-    variance") before any replicate is drawn, and so does a replicate set
-    with no valid replicate ("no valid replicates").
+    and alpha are checked, ``b`` and ``workers`` must be positive integers
+    and ``seed`` an integer in [0, 2**64) whichever methods are asked for,
+    before any computation.  A degenerate estimate raises
+    :class:`DegenerateError` ("degenerate variance") before any replicate
+    is drawn, and so does a replicate set with no valid replicate ("no
+    valid replicates").
     """
     methods = tuple(methods)
     if not methods or len(set(methods)) < len(methods) or not set(methods) <= set(METHODS):
@@ -254,14 +247,19 @@ def analyze(s1: Sample, s2: Sample, methods=METHODS, alpha: float = 0.05,
         raise ValueError(f"alternative must be one of {_ALTERNATIVES}")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    if b < 1:
+    if _rng.check_int("b", b) < 1:
         raise ValueError("need at least one replicate")
-    if workers < 1:
+    if _rng.check_int("workers", workers) < 1:
         raise ValueError("workers must be positive")
+    _rng.check_seed(seed)
     plans = {m: ResamplingPlan(m, b, seed, workers) for m in methods if m != "asymptotic"}
     z = pool(s1, s2)
     est = _observed(z)
-    statistic = _statistic(est)
+    if est.degenerate:
+        raise DegenerateError("degenerate variance")
+    # the studentized effect at p0 = 1/2 by the replicates' studentization,
+    # so the observed row's T is theirs bit for bit
+    statistic = float(studentize(est.p_hat, est.sigma2, True, est.n1, est.n2, 0.5))
     out = []
     for method in methods:
         if method == "asymptotic":
@@ -270,7 +268,8 @@ def analyze(s1: Sample, s2: Sample, methods=METHODS, alpha: float = 0.05,
             p_value = _normal_p_value(statistic, alternative)
         else:
             reps = replicate_set(z, plans[method])
-            critical, p_value, rank = _replicate_test(statistic, reps, alpha, alternative)
+            critical, p_value, rank = _replicate_test(
+                _tail(reps.statistics, alternative), _tail(statistic, alternative), alpha)
         out.append(InferenceResult(
             method=method, alternative=alternative, estimate=est, statistic=statistic,
             ci=_interval(est, alternative, critical), p_value=p_value, critical=critical,

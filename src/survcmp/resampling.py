@@ -4,8 +4,8 @@ Both schemes erase the group labels, re-form two groups of the original
 sizes from the pooled sample (with replacement for the bootstrap, by
 shuffling for permutations), and recompute the studentized statistic with
 the null value 1/2.  :func:`replicate_set` draws the replicates of one
-plan; ``inference.analyze`` reads their conservative upper quantile and
-turns them into tests and intervals.
+plan, and that is all this module does: ``inference.py`` reads their
+quantile and exceedance count and turns them into tests and intervals.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from ._engine import (PooledSample, batch_statistics, bootstrap_indices, chunk_b
                       permutation_indices, studentize)
 
 __all__ = [
-    "DegenerateError",
     "ResamplingPlan",
     "ReplicateSet",
     "replicate_set",
@@ -30,11 +29,6 @@ _SCHEMES = tuple(_rng.SCHEME_IDS)
 # B x (n + 2) from which worker processes pay for their start-up (fresh
 # `analyze` processes, 2-vCPU x86); a smaller replicate set runs inline
 POOL_CELLS = 3_000_000
-
-
-class DegenerateError(ValueError):
-    """The studentized statistic has no value to calibrate: a degenerate
-    observed variance, or a replicate set with no valid replicate."""
 
 
 @dataclass(frozen=True)
@@ -54,9 +48,9 @@ class ResamplingPlan:
     def __post_init__(self):
         if self.scheme not in _SCHEMES:
             raise ValueError(f"scheme must be one of {_SCHEMES}")
-        if self.b < 1:
+        if _rng.check_int("b", self.b) < 1:
             raise ValueError("need at least one replicate")
-        if self.workers < 1:
+        if _rng.check_int("workers", self.workers) < 1:
             raise ValueError("workers must be positive")
         _rng.check_seed(self.seed)
 
@@ -122,15 +116,3 @@ def _run_chunks(z: PooledSample, plan: ResamplingPlan, chunks) -> list:
         parts.append((studentize(rows.p, rows.sigma2, rows.valid, z.n1, z.n2, 0.5),
                       rows.valid))
     return parts
-
-
-def _order_statistic(values: np.ndarray, alpha: float) -> tuple[float, int]:
-    # the conservative upper-alpha quantile of values, and its rank
-    # ceil((1 - alpha) (n + 1)) before the cap at n = values.size
-    # (``inference.InferenceResult.capped`` records the cap)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
-    if values.size == 0:
-        raise DegenerateError("no valid replicates")
-    rank = int(np.ceil((1.0 - alpha) * (values.size + 1)))
-    return float(np.sort(values)[min(rank, values.size) - 1]), rank

@@ -16,7 +16,8 @@ import threading
 
 import numpy as np
 
-__all__ = ["BLOCK", "SCHEME_IDS", "check_seed", "stream", "blocks", "fan_out", "derive_seed"]
+__all__ = ["BLOCK", "SCHEME_IDS", "check_int", "check_seed", "stream", "blocks", "fan_out",
+           "derive_seed"]
 
 # replicates per generator block; fixed so that worker splits cannot move
 # a replicate to a different stream
@@ -28,9 +29,17 @@ SCHEME_IDS = {"bootstrap": 1, "permutation": 2}
 DATA_TAG = 101
 
 
+def check_int(name: str, value) -> int:
+    """The value, once it is checked to be a Python or numpy integer, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer")
+    return value
+
+
 def check_seed(seed: int) -> int:
-    """The seed, once it is checked to fit in 64 unsigned bits."""
-    if not 0 <= seed < 2**64:
+    """The seed, once it is checked to be an integer that fits in 64
+    unsigned bits."""
+    if not 0 <= check_int("seed", seed) < 2**64:
         raise ValueError("seed must fit in 64 unsigned bits")
     return seed
 

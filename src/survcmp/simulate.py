@@ -260,17 +260,17 @@ class ScenarioConfig:
     workers: int = 1
 
     def __post_init__(self):
-        _scenario(self.setup)  # raises on an unknown setup
+        _scenario(_rng.check_int("setup", self.setup))  # raises on an unknown setup
         if self.censoring not in _LEVEL_IDS:
             raise ValueError("censoring level must be 'strong', 'moderate' or 'none'")
-        if self.n1 < 1 or self.n2 < 1:
+        if _rng.check_int("n1", self.n1) < 1 or _rng.check_int("n2", self.n2) < 1:
             raise ValueError("group sizes must be positive")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
-        if self.reps < 1 or self.b < 1:
+        if _rng.check_int("reps", self.reps) < 1 or _rng.check_int("b", self.b) < 1:
             raise ValueError("reps and b must be positive")
         _rng.check_seed(self.seed)
-        if self.workers < 1:
+        if _rng.check_int("workers", self.workers) < 1:
             raise ValueError("workers must be positive")
 
 

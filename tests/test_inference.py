@@ -16,7 +16,9 @@ from survcmp.inference import (
     mann_whitney_effect,
     normal_quantile,
 )
-from survcmp.simulate import horizon, survival_function
+from survcmp.resampling import ResamplingPlan
+from survcmp.rng import check_seed
+from survcmp.simulate import ScenarioConfig, horizon, survival_function
 from survcmp.survival import Sample
 
 K = 10.0
@@ -114,7 +116,7 @@ def _no_replicates(z, plan):
     raise AssertionError("replicates drawn before the options were checked")
 
 
-@pytest.mark.parametrize("alpha", [0.0, 1.5])
+@pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 1.5])
 @pytest.mark.parametrize("scheme", ["bootstrap", "permutation"])
 def test_alpha_checked_before_replicates(monkeypatch, scheme, alpha):
     monkeypatch.setattr(inference, "replicate_set", _no_replicates)
@@ -139,6 +141,48 @@ def test_methods_checked_before_any_computation(monkeypatch, methods):
         analyze(s1, s2, methods=methods)
     assert str(info.value) == want
     assert type(info.value) is ValueError
+
+
+_S1, _S2 = load_tongue()
+
+# (call, message) for an integer setting that is not a Python or numpy
+# integer, and for the seed rule, which holds whichever methods are asked for
+_INTEGER_CASES = {
+    "seed -1": (lambda: analyze(_S1, _S2, ("asymptotic",), seed=-1),
+                "seed must fit in 64 unsigned bits"),
+    "seed 2**64": (lambda: analyze(_S1, _S2, ("asymptotic",), seed=2**64),
+                   "seed must fit in 64 unsigned bits"),
+    "seed 1.5": (lambda: analyze(_S1, _S2, seed=1.5), "seed must be an integer"),
+    "b float": (lambda: analyze(_S1, _S2, b=100.0), "b must be an integer"),
+    "b bool": (lambda: analyze(_S1, _S2, b=True), "b must be an integer"),
+    "workers float": (lambda: analyze(_S1, _S2, workers=2.0), "workers must be an integer"),
+    "plan b bool": (lambda: ResamplingPlan("bootstrap", True, 0), "b must be an integer"),
+    "plan workers float": (lambda: ResamplingPlan("permutation", 9, 0, workers=2.0),
+                           "workers must be an integer"),
+    "check_seed bool": (lambda: check_seed(True), "seed must be an integer"),
+    "config n1 float": (lambda: ScenarioConfig(setup=3, censoring="none", n1=5.0, n2=5,
+                                               reps=2, b=9), "n1 must be an integer"),
+    "config reps bool": (lambda: ScenarioConfig(setup=3, censoring="none", n1=5, n2=5,
+                                                reps=True, b=9), "reps must be an integer"),
+}
+
+
+@pytest.mark.parametrize("case", list(_INTEGER_CASES))
+def test_integer_settings_checked_before_any_computation(monkeypatch, case):
+    monkeypatch.setattr(inference, "pool", _no_replicates)
+    monkeypatch.setattr(inference, "replicate_set", _no_replicates)
+    call, message = _INTEGER_CASES[case]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_numpy_integer_settings_accepted():
+    [res] = analyze(_S1, _S2, ("bootstrap",), b=np.int64(19), seed=np.uint64(2**64 - 1),
+                    workers=np.int32(1))
+    assert res.b == 19
+    assert ResamplingPlan("permutation", np.int16(9), np.int64(3)).b == 9
+    assert ScenarioConfig(setup=np.int64(3), censoring="none", n1=np.int32(5), n2=5).n1 == 5
 
 
 class TestErrorPrecedence:
@@ -249,6 +293,31 @@ def test_w_is_the_image_of_p(alternative):
             assert res.ci_w == _w_image(res.ci)
         checked += 1
     assert checked >= 16
+
+
+@pytest.mark.parametrize("b", [19, 99, 999])
+def test_p_value_agrees_with_decision(b):
+    # the decision reads an order statistic or a normal quantile, the
+    # p-value an exceedance count or erfc; wherever the quantile is not
+    # capped, p_value <= alpha exactly when the test rejects
+    rng = np.random.default_rng(4242 + b)
+    outcomes, checked = set(), 0
+    for i in range(8):
+        s1, s2 = (Sample(rng.integers(1, 9, n).astype(float), rng.random(n) < 0.7, K)
+                  for n in rng.integers(6, 20, 2))  # tied and censored
+        for alternative in ("two-sided", "greater", "less"):
+            for alpha in (0.01, 0.05, 0.1, 0.2, 0.5):
+                try:
+                    results = analyze(s1, s2, METHODS, alpha, alternative, b, i)
+                except DegenerateError:
+                    continue
+                for res in results:
+                    if not res.capped:
+                        assert (res.p_value <= alpha) == res.reject, (res.method, alpha)
+                        outcomes.add(res.reject)
+                        checked += 1
+    assert outcomes == {False, True}
+    assert checked >= 250
 
 
 class TestTongueFrozen:

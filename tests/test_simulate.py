@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy import integrate, special, stats
 
 from survcmp import _engine, resampling
-from survcmp.resampling import DegenerateError
+from survcmp.inference import DegenerateError
 from survcmp.rng import stream
 from survcmp.simulate import (
     CENSORING_BANDS,
