@@ -19,7 +19,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace as _replace
+from dataclasses import fields, replace as _replace
 from time import monotonic
 
 from .datasets import ingest_csv, tongue_path
@@ -232,12 +232,13 @@ def _run_simulate(args) -> str:
         return sim.proportions_text(cells, pre_censoring=args.pre_censoring)
     _refuse(args, ("pre_censoring",), "only the table uses", "drop it or add --table1")
     seed = _resolve_seed(args.seed)
+    # the flags named after the config's fields, the seed resolved apart
+    flags = {f.name: getattr(args, f.name) for f in fields(sim.ScenarioConfig)
+             if f.name != "seed" and getattr(args, f.name) is not None}
     if args.full_study:
         _refuse(args, ("setup", "censoring", "n1", "n2", "config"),
                 "the full study fixes", "drop them or --full-study")
-        overrides = {key: getattr(args, key) for key in ("reps", "b", "alpha", "workers")
-                     if getattr(args, key) is not None}
-        configs = [_replace(c, **overrides) for c in sim.full_study_configs(base_seed=seed)]
+        configs = [_replace(c, **flags) for c in sim.full_study_configs(base_seed=seed)]
         rows, start = [], monotonic()
         for i, cfg in enumerate(configs, start=1):
             rows.append(sim.coverage_study(cfg))
@@ -245,11 +246,7 @@ def _run_simulate(args) -> str:
             print(f"cell {i}/{len(configs)} done, {elapsed:.1f} s elapsed, ETA "
                   f"{elapsed / i * (len(configs) - i):.1f} s", file=sys.stderr)
         return sim.coverage_tsv(rows) if args.tsv else sim.coverage_text(rows)
-    kwargs = sim.parse_config_file(args.config) if args.config else {}
-    for key in ("setup", "censoring", "n1", "n2", "reps", "b", "alpha", "workers"):
-        value = getattr(args, key)
-        if value is not None:
-            kwargs[key] = value
+    kwargs = {**(sim.parse_config_file(args.config) if args.config else {}), **flags}
     if args.seed is not None or "seed" not in kwargs:
         kwargs["seed"] = seed
     missing = [key for key in ("setup", "censoring", "n1", "n2") if key not in kwargs]

@@ -92,15 +92,14 @@ def replicate_set(z: PooledSample, plan: ResamplingPlan) -> ReplicateSet:
     per_call = chunk_blocks(z)
     chunks = [todo[i:i + per_call] for i in range(0, len(todo), per_call)]
     workers = plan.workers if plan.b * (z.n + 2) >= POOL_CELLS else 1
-    parts = [part for run in _rng.fan_out(_run_chunks, chunks, workers, z, plan)
-             for part in run]
-    stats = np.concatenate([s for s, _ in parts])
-    valid = np.concatenate([v for _, v in parts])
-    return ReplicateSet(statistics=stats[valid], dropped=int((~valid).sum()))
+    stats = np.concatenate([part for run in _rng.fan_out(_run_chunks, chunks, workers, z, plan)
+                            for part in run])
+    kept = stats[~np.isnan(stats)]  # NaN marks exactly the invalid rows
+    return ReplicateSet(statistics=kept, dropped=stats.size - kept.size)
 
 
 def _run_chunks(z: PooledSample, plan: ResamplingPlan, chunks) -> list:
-    """(Studentized replicates, validity) per chunk, one engine call each."""
+    """Studentized replicates per chunk, NaN where invalid, one engine call each."""
     scheme_id = _rng.SCHEME_IDS[plan.scheme]
     permutation = plan.scheme == "permutation"
     parts = []
@@ -113,6 +112,5 @@ def _run_chunks(z: PooledSample, plan: ResamplingPlan, chunks) -> list:
             else:
                 block[...] = bootstrap_indices(rng, size, z.n)
         rows = batch_statistics(z, idx, permutation=permutation)
-        parts.append((studentize(rows.p, rows.sigma2, rows.valid, z.n1, z.n2, 0.5),
-                      rows.valid))
+        parts.append(studentize(rows.p, rows.sigma2, rows.valid, z.n1, z.n2, 0.5))
     return parts

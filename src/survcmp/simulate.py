@@ -10,24 +10,26 @@ true effect is 1/2 to within 3e-7:
 3. identical Weibull with scale 1 and shape 1.5 in both groups, window 2,
    where the true effect is exactly 1/2.
 
-Each law is a sampler and a survival function.  The true effect that the
-coverage study scores its intervals against comes from the two survival
-functions alone, as one Stieltjes sum on a fixed grid; it is exact to
-about 1e-10.
+Each law is a sampler and a survival function; setup 3 holds one law
+object in both groups.  The true effect that the coverage study scores
+its intervals against comes from the two survival functions alone, as one
+Stieltjes sum on a fixed grid; it is exact to about 1e-10.
 
-Censoring is exponential with rates calibrated by bisection so the
-simulated censoring fraction hits the midpoint of the configured band.
-The coverage study replicates data generation, computes the asymptotic,
-bootstrap and permutation two-sided intervals and reports how often each
-contains the true effect.
+Censoring is exponential, drawn after the law's times (:func:`_observe`),
+with rates calibrated by bisection so the simulated censoring fraction
+hits the midpoint of the configured band.  A :class:`ScenarioConfig`
+describes one cell.  The coverage study replicates its data, computes the
+asymptotic, bootstrap and permutation two-sided intervals and reports how
+often each contains the true effect in a :class:`CoverageRow`, which
+carries the config.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -103,7 +105,7 @@ def _lognormal() -> _Law:
 SETUPS: dict[int, tuple[_Law, _Law, float]] = {
     1: (_exponential(0.5), _expmix(1.0 / 3.0, 1.0 / 1.27, 1.0 / 2.5), 1.6024),
     2: (_weibull(1.65, 0.9), _lognormal(), 1.7646),
-    3: (_weibull(1.0, 1.5), _weibull(1.0, 1.5), 2.0),
+    3: (*[_weibull(1.0, 1.5)] * 2, 2.0),  # one law object in both groups
 }
 
 CENSORING_BANDS = {"strong": (40.97, 43.6), "moderate": (21.19, 26.39)}
@@ -120,9 +122,16 @@ _PROP_DRAWS = 10_000
 
 def _scenario(setup: int) -> tuple[_Law, _Law, float]:
     """The one check of a setup tag: (group 1 law, group 2 law, window end)."""
-    if setup not in SETUPS:
+    if _rng.check_int("setup", setup) not in SETUPS:
         raise ValueError("setup must be 1, 2 or 3")
     return SETUPS[setup]
+
+
+def _level_id(level: str) -> int:
+    """The one check of a censoring level: the id that tags its internal streams."""
+    if level not in _LEVEL_IDS:
+        raise ValueError("censoring level must be 'strong', 'moderate' or 'none'")
+    return _LEVEL_IDS[level]
 
 
 def _law(setup: int, group: int) -> _Law:
@@ -145,7 +154,19 @@ def survival_function(setup: int, group: int):
     return _law(setup, group).survival
 
 
-@lru_cache(maxsize=None)
+def _observe(law: _Law, gen: np.random.Generator, size: int,
+             rate: float) -> tuple[np.ndarray, np.ndarray]:
+    """``size`` (recorded times, event flags): the law's times, then exponential
+    censoring at ``rate``; rate 0 censors nothing and draws nothing more."""
+    latent = law.draw(gen, size)
+    if rate == 0:
+        return latent, np.ones(size, dtype=bool)
+    c = _exp1(gen, size) / rate
+    return np.minimum(latent, c), latent <= c
+
+
+# typed: a cached setup 1 must not answer for True, nor a cached 2 for 2.0
+@lru_cache(maxsize=None, typed=True)
 def true_effect(setup: int) -> float:
     """True effect p = P(T1 > T2) + P(T1 = T2) / 2 of the window-truncated laws.
 
@@ -174,7 +195,7 @@ class CensoringCalibration:
     achieved2: float
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def calibrate_censoring(setup: int, level: str) -> CensoringCalibration:
     """Bisect exponential censoring rates onto the band midpoint.
 
@@ -183,20 +204,19 @@ def calibrate_censoring(setup: int, level: str) -> CensoringCalibration:
     uniforms are reused across bisection steps, making the censored
     fraction monotone in the rate; their exponential transform and the
     truncated survival times are computed once per group, and each step
-    only rescales and compares.  Scenario 3 shares one rate across its
-    identical groups.
+    only rescales and compares.  Identical laws (one law object in both
+    groups, as in setup 3) share group 1's rate.
     """
-    k = horizon(setup)
+    law1, law2, k = _scenario(setup)
+    level_id = _level_id(level)
     if level == "none":
         return CensoringCalibration(0.0, 0.0, 0.0, 0.0)
-    if level not in CENSORING_BANDS:
-        raise ValueError("censoring level must be 'strong', 'moderate' or 'none'")
     lo_band, hi_band = CENSORING_BANDS[level]
     target = 0.5 * (lo_band + hi_band) / 100.0
 
-    def solve(group):
-        gen = _rng.stream(0, _CAL_TAG, setup, _LEVEL_IDS[level], group)
-        reached = np.minimum(draw_survival(setup, group, gen, _CAL_DRAWS), k)
+    def solve(group, law):
+        gen = _rng.stream(0, _CAL_TAG, setup, level_id, group)
+        reached = np.minimum(law.draw(gen, _CAL_DRAWS), k)
         exp1 = _exp1(gen, _CAL_DRAWS)
 
         def fraction(rate):
@@ -214,11 +234,8 @@ def calibrate_censoring(setup: int, level: str) -> CensoringCalibration:
         rate = 0.5 * (lo + hi)
         return rate, 100.0 * fraction(rate)
 
-    rate1, achieved1 = solve(1)
-    if setup == 3:
-        rate2, achieved2 = rate1, achieved1
-    else:
-        rate2, achieved2 = solve(2)
+    rate1, achieved1 = solve(1, law1)
+    rate2, achieved2 = (rate1, achieved1) if law2 is law1 else solve(2, law2)
     return CensoringCalibration(rate1, rate2, achieved1, achieved2)
 
 
@@ -232,15 +249,11 @@ def truncation_proportions(setup: int, level: str,
     instead (identical when the level is 'none').
     """
     cal = calibrate_censoring(setup, level)
-    rates = (cal.rate1, cal.rate2)
-    k = horizon(setup)
+    law1, law2, k = _scenario(setup)
     out = []
-    for group in (1, 2):
+    for group, law, rate in ((1, law1, cal.rate1), (2, law2, cal.rate2)):
         gen = _rng.stream(0, _PROP_TAG, setup, _LEVEL_IDS[level], group)
-        times = draw_survival(setup, group, gen, _PROP_DRAWS)
-        if not pre_censoring and rates[group - 1] > 0:
-            c = _exp1(gen, _PROP_DRAWS) / rates[group - 1]
-            times = np.minimum(times, c)
+        times, _ = _observe(law, gen, _PROP_DRAWS, 0.0 if pre_censoring else rate)
         out.append(100.0 * float(np.mean(times > k)))
     return out[0], out[1]
 
@@ -257,12 +270,11 @@ class ScenarioConfig:
     reps: int = 1000
     b: int = 1999
     seed: int = 0
-    workers: int = 1
+    workers: int = field(default=1, compare=False)  # changes no result, so equality ignores it
 
     def __post_init__(self):
-        _scenario(_rng.check_int("setup", self.setup))  # raises on an unknown setup
-        if self.censoring not in _LEVEL_IDS:
-            raise ValueError("censoring level must be 'strong', 'moderate' or 'none'")
+        _scenario(self.setup)
+        _level_id(self.censoring)
         if _rng.check_int("n1", self.n1) < 1 or _rng.check_int("n2", self.n2) < 1:
             raise ValueError("group sizes must be positive")
         if not 0.0 < self.alpha < 1.0:
@@ -276,38 +288,26 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class CoverageRow:
-    """Coverage percentages for one scenario cell."""
+    """Coverage percentages of one cell, with the config that produced them:
+    ``reps`` replications entered them and ``excluded`` degenerate ones did
+    not, ``config.reps`` in all."""
 
-    setup: int
-    censoring: str
-    n1: int
-    n2: int
+    config: ScenarioConfig
     cov_asymptotic: float
     cov_bootstrap: float
     cov_permutation: float
     reps: int
     excluded: int
-    b: int
-    alpha: float
-    seed: int
     calibration: CensoringCalibration
 
 
 def _generate(config: ScenarioConfig, cal: CensoringCalibration, rep: int):
     # a recorded time past the window is an event at its end (``truncate``)
     gen = _rng.stream(config.seed, _rng.DATA_TAG, rep)
-    samples = []
-    for group, size, rate in ((1, config.n1, cal.rate1), (2, config.n2, cal.rate2)):
-        latent = draw_survival(config.setup, group, gen, size)
-        if rate > 0:
-            c = _exp1(gen, size) / rate
-            observed = np.minimum(latent, c)
-            events = latent <= c
-        else:
-            observed = latent
-            events = np.ones(size, dtype=bool)
-        samples.append(truncate((observed, events), horizon(config.setup)))
-    return samples[0], samples[1], _rng.derive_seed(gen)
+    law1, law2, k = _scenario(config.setup)
+    s1 = truncate(_observe(law1, gen, config.n1, cal.rate1), k)
+    s2 = truncate(_observe(law2, gen, config.n2, cal.rate2), k)
+    return s1, s2, _rng.derive_seed(gen)
 
 
 def coverage_study(config: ScenarioConfig) -> CoverageRow:
@@ -327,19 +327,13 @@ def coverage_study(config: ScenarioConfig) -> CoverageRow:
                            config, cal, truth)
     hits, used, excluded = (sum(column) for column in zip(*tallies))
     pct = 100.0 * hits / used if used else np.full(3, np.nan)
-    return CoverageRow(
-        setup=config.setup, censoring=config.censoring, n1=config.n1, n2=config.n2,
-        cov_asymptotic=float(pct[0]), cov_bootstrap=float(pct[1]),
-        cov_permutation=float(pct[2]), reps=used, excluded=excluded,
-        b=config.b, alpha=config.alpha, seed=config.seed, calibration=cal,
-    )
+    return CoverageRow(config, *map(float, pct), used, excluded, cal)
 
 
 def _coverage_range(config: ScenarioConfig, cal: CensoringCalibration, truth: float, reps):
     """(Hits per method, used, excluded) over the replications in ``reps``."""
     hits = np.zeros(3, dtype=int)
-    used = 0
-    excluded = 0
+    used = excluded = 0
     for rep in reps:
         s1, s2, inner_seed = _generate(config, cal, rep)
         try:
@@ -362,7 +356,8 @@ _COVER_COLS = ("setup", "censoring", "n1", "n2", "asymptotic", "bootstrap",
 
 def _row_cells(row: CoverageRow) -> list[str]:
     # a cell with no usable replication has no coverage: "-"
-    return [str(row.setup), row.censoring, str(row.n1), str(row.n2),
+    cfg = row.config
+    return [str(cfg.setup), cfg.censoring, str(cfg.n1), str(cfg.n2),
             *("-" if math.isnan(cov) else f"{cov:.2f}"
               for cov in (row.cov_asymptotic, row.cov_bootstrap, row.cov_permutation)),
             str(row.reps), str(row.excluded)]
@@ -376,12 +371,12 @@ def coverage_text(rows) -> str:
     notes = []
     seen = set()
     for r in rows:
-        key = (r.setup, r.censoring)
-        if key in seen or r.censoring == "none":
+        key = (r.config.setup, r.config.censoring)
+        if key in seen or r.config.censoring == "none":
             continue
         seen.add(key)
         c = r.calibration
-        notes.append(f"censoring setup {r.setup} {r.censoring}: "
+        notes.append(f"censoring setup {key[0]} {key[1]}: "
                      f"rates {c.rate1:.6g}/{c.rate2:.6g} "
                      f"achieved {c.achieved1:.2f}%/{c.achieved2:.2f}%")
     return "\n".join(lines + notes) + "\n"
@@ -405,9 +400,9 @@ def proportions_text(cells, pre_censoring: bool = False) -> str:
 
 
 def parse_config_file(path) -> dict:
-    """key=value scenario file -> keyword dict for ScenarioConfig."""
-    numeric = {"setup": int, "n1": int, "n2": int, "reps": int, "b": int,
-               "seed": int, "workers": int, "alpha": float}
+    """key=value scenario file -> keyword dict for ScenarioConfig, whose
+    fields give the keys and their types."""
+    kinds = get_type_hints(ScenarioConfig)
     out: dict = {}
     with open(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -418,15 +413,12 @@ def parse_config_file(path) -> dict:
                 raise ValueError(f"line {line_no}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if key == "censoring":
-                out[key] = value
-            elif key in numeric:
-                try:
-                    out[key] = numeric[key](value)
-                except ValueError:
-                    raise ValueError(f"line {line_no}: bad value for {key}: {value!r}") from None
-            else:
+            if key not in kinds:
                 raise ValueError(f"line {line_no}: unknown key {key!r}")
+            try:
+                out[key] = kinds[key](value)
+            except ValueError:
+                raise ValueError(f"line {line_no}: bad value for {key}: {value!r}") from None
     return out
 
 

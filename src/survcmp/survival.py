@@ -40,6 +40,16 @@ def _beyond_horizon(times: np.ndarray, events: np.ndarray, k: float,
     return np.where(over, k, times), np.where(over, policy == "event", events)
 
 
+def _event_flags(events) -> np.ndarray:
+    """Event indicators as a bool array: bools as given, numbers only if each is 0 or 1."""
+    events = np.asarray(events)
+    if events.dtype != bool:
+        if events.dtype.kind not in "iuf" or not np.all((events == 0) | (events == 1)):
+            raise ValueError("events must be booleans or 0/1")
+        events = events == 1
+    return events
+
+
 class Sample:
     """One group's observations, truncated to the window [0, k].
 
@@ -52,7 +62,7 @@ class Sample:
     def __init__(self, times, events, k):
         # copies, so that freezing them below leaves the caller's arrays writable
         times = np.array(times, dtype=float)
-        events = np.array(events, dtype=bool)
+        events = np.array(_event_flags(events))
         if times.ndim != 1 or events.shape != times.shape:
             raise ValueError("times and events must be 1-d arrays of equal length")
         if times.size == 0:
@@ -96,8 +106,9 @@ def truncate(raw, k) -> Sample:
     ------
     ValueError
         If there are no observations ("empty sample"), k is not a positive
-        finite number ("invalid horizon"), or a time is not positive and
-        finite (raised by :class:`Sample`).
+        finite number ("invalid horizon"), an event flag is neither a
+        boolean nor 0/1, or a time is not positive and finite (raised by
+        :class:`Sample`).
     """
     kf = float(k)
     if not np.isfinite(kf) or kf <= 0:
@@ -105,7 +116,7 @@ def truncate(raw, k) -> Sample:
     if len(raw) == 0:
         raise ValueError("empty sample")
     times = np.asarray(raw[0], dtype=float)
-    events = np.asarray(raw[1], dtype=bool)
+    events = _event_flags(raw[1])
     return Sample(*_beyond_horizon(times, events, kf, "event"), kf)
 
 

@@ -12,7 +12,9 @@ statistic engine on the full grid of pooled times (its slots from
 builds the pool's event grid with two ``np.unique`` calls and a
 ``searchsorted``, ``reference_ingest_csv`` reads a CSV one row at a time,
 and ``reference_calibrate_censoring`` rebuilds the censoring times from
-the uniforms at every bisection step.  The plug-in
+the uniforms at every bisection step, and
+``reference_truncation_proportions`` counts each group's recorded times
+beyond the window from its own draws.  The plug-in
 variance in ``survcmp._engine`` is a reassociated single sum over one
 group's event times; the forms here evaluate the same quantity the direct
 way: a covariance kernel per group, its four-limit average at any pair of
@@ -33,8 +35,8 @@ from survcmp import rng as _rng
 from survcmp._engine import (PooledSample, batch_statistics, bootstrap_indices,
                              permutation_indices, studentize)
 from survcmp.datasets import _label_key
-from survcmp.simulate import (_CAL_TAG, CENSORING_BANDS, CensoringCalibration,
-                              ScenarioConfig, draw_survival, horizon)
+from survcmp.simulate import (_CAL_TAG, _PROP_TAG, CENSORING_BANDS, CensoringCalibration,
+                              ScenarioConfig, calibrate_censoring, draw_survival, horizon)
 from survcmp.survival import HORIZON_POLICIES, Sample
 
 
@@ -579,6 +581,25 @@ def reference_calibrate_censoring(setup: int, level: str,
     else:
         rate2, achieved2 = solve(2)
     return CensoringCalibration(rate1, rate2, achieved1, achieved2)
+
+
+def reference_truncation_proportions(setup: int, level: str, pre_censoring: bool = False,
+                                     draws: int = 10_000) -> tuple[float, float]:
+    """``survcmp.simulate.truncation_proportions`` as its own loop over the
+    groups: the law's draws, then (unless ``pre_censoring`` or the level is
+    'none') exponential censoring at the calibrated rate, then the share of
+    recorded times beyond k, in percent."""
+    cal = calibrate_censoring(setup, level)
+    k = horizon(setup)
+    level_id = {"strong": 1, "moderate": 2, "none": 0}[level]
+    out = []
+    for group, rate in ((1, cal.rate1), (2, cal.rate2)):
+        gen = _rng.stream(0, _PROP_TAG, setup, level_id, group)
+        recorded = draw_survival(setup, group, gen, draws)
+        if not pre_censoring and rate > 0:
+            recorded = np.minimum(recorded, -np.log1p(-gen.random(draws)) / rate)
+        out.append(100.0 * (np.count_nonzero(recorded > k) / draws))
+    return out[0], out[1]
 
 
 def reference_generate(config: ScenarioConfig, cal: CensoringCalibration, rep: int):

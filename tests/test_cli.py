@@ -445,9 +445,7 @@ class TestSimulate:
 
         def study(config):
             clock[0] += 2.5
-            return simulate.CoverageRow(config.setup, config.censoring, config.n1, config.n2,
-                                        90.0, 91.5, 92.25, config.reps, 0, config.b,
-                                        config.alpha, config.seed, calibration)
+            return simulate.CoverageRow(config, 90.0, 91.5, 92.25, config.reps, 0, calibration)
 
         monkeypatch.setattr(simulate, "coverage_study", study)
         monkeypatch.setattr(cli, "monotonic", lambda: clock[0])

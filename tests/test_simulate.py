@@ -33,7 +33,8 @@ from survcmp.simulate import (
 
 from survcmp.simulate import _generate
 
-from oracles import reference_calibrate_censoring, reference_generate
+from oracles import (reference_calibrate_censoring, reference_generate,
+                     reference_truncation_proportions)
 
 N_BIG = 1_000_000
 
@@ -137,6 +138,23 @@ class TestSetupTag:
             with pytest.raises(ValueError, match=match):
                 call()
 
+    def test_setup_tag_must_be_an_integer(self):
+        # True and 2.0 used to pass as 1 and 2, also through the caches
+        # that an earlier call with the integer tag had filled
+        true_effect(1)
+        calibrate_censoring(2, "strong")
+        cases = [
+            lambda: true_effect(True),
+            lambda: calibrate_censoring(2.0, "strong"),
+            lambda: truncation_proportions(2.0, "none"),
+            lambda: draw_survival(True, 1, stream(0, 50, 7), 3),
+            lambda: horizon(3.0),
+        ]
+        for call in cases:
+            with pytest.raises(ValueError, match="setup must be an integer"):
+                call()
+        assert true_effect(np.int64(3)) == true_effect(3)
+
 
 class TestCalibration:
     def test_achieved_fractions_inside_bands(self):
@@ -147,6 +165,7 @@ class TestCalibration:
                 assert lo <= cal.achieved2 <= hi
 
     def test_setup3_shares_one_rate(self):
+        assert SETUPS[3][0] is SETUPS[3][1]
         for level in ("strong", "moderate"):
             cal = calibrate_censoring(3, level)
             assert cal.rate1 == cal.rate2
@@ -198,6 +217,14 @@ class TestTruncationProportions:
         strong1, _ = truncation_proportions(2, "strong")
         assert strong1 < none1
 
+    def test_equals_own_loop_reference_bitwise(self):
+        for setup in (1, 2, 3):
+            for level in ("strong", "moderate", "none"):
+                for pre in (False, True):
+                    got = truncation_proportions(setup, level, pre_censoring=pre)
+                    want = reference_truncation_proportions(setup, level, pre_censoring=pre)
+                    assert got == want, (setup, level, pre)
+
     def test_pre_censoring_variant_ignores_censoring(self):
         a = truncation_proportions(2, "strong", pre_censoring=True)
         b = truncation_proportions(2, "none", pre_censoring=True)
@@ -231,13 +258,14 @@ class TestConfigFile:
         path = tmp_path / "cell.cfg"
         path.write_text(
             "# one cell\nsetup = 2\ncensoring=moderate\nn1 = 10\nn2=20\n"
-            "reps=50\nb=99\nseed=4\n\n"
+            "reps=50\nb=99\nseed=4\nalpha=0.1\nworkers=2\n\n"
         )
         parsed = parse_config_file(path)
         assert parsed == {
             "setup": 2, "censoring": "moderate", "n1": 10, "n2": 20,
-            "reps": 50, "b": 99, "seed": 4,
+            "reps": 50, "b": 99, "seed": 4, "alpha": 0.1, "workers": 2,
         }
+        assert [type(parsed[key]) for key in ("setup", "censoring", "alpha")] == [int, str, float]
         ScenarioConfig(**parsed)
 
     def test_error_lines_are_numbered(self, tmp_path):
@@ -278,6 +306,7 @@ class TestCoverageStudy:
         row1 = coverage_study(cfg)
         row2 = coverage_study(cfg)
         assert row1 == row2
+        assert row1.config is cfg
         assert row1.reps + row1.excluded == cfg.reps
         for cov in (row1.cov_asymptotic, row1.cov_bootstrap, row1.cov_permutation):
             assert 0.0 <= cov <= 100.0

@@ -76,6 +76,17 @@ class TestSample:
         assert_array_equal(s.times, [1.0, 2.0, 3.0])
         assert_array_equal(s.events, [True, False, True])
 
+    @pytest.mark.parametrize("build", [lambda t, e: Sample(t, e, 5.0),
+                                       lambda t, e: truncate((t, e), 5.0)])
+    @pytest.mark.parametrize("bad", [["0", "1", "0"], [0.0, np.nan, 1.0], [0.0, 0.5, 1.0],
+                                     [0, 2, 1], [None, True, False]])
+    def test_event_flags_are_booleans_or_0_1(self, build, bad):
+        # a string, NaN, 0.5 or 2 used to read as an event
+        with pytest.raises(ValueError, match="events must be booleans or 0/1"):
+            build([1.0, 2.0, 3.0], bad)
+        for flags in ([0, 1, 0], [0.0, 1.0, 0.0], np.array([0, 1, 0], np.uint8)):
+            assert build([1.0, 2.0, 3.0], flags).events.tolist() == [False, True, False]
+
 
 class TestKaplanMeier:
     def test_hand_example_with_ties(self):

@@ -40,10 +40,10 @@ Operations:
   operation of the ``large-n-asymptotic`` workload.
 
 Both sides must return equal results in every round (the coverage row's
-fields, or the JSON report), or the script stops with an assertion error.
-So where the two checkouts' win-ratio results differ (as across the
-change that made w's interval the image of p's), time ``--target p``, or
-``--op cell``, which reads p alone.
+TSV line and its censoring calibration, or the JSON report), or the
+script stops with an assertion error.  So where the two checkouts'
+win-ratio results differ (as across the change that made w's interval the
+image of p's), time ``--target p``, or ``--op cell``, which reads p alone.
 It prints each side's median and quartiles in milliseconds, the ratio of
 the medians and the rounds that the change wins.
 """
@@ -51,7 +51,6 @@ the medians and the rounds that the change wins.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import gc
 import importlib.util
 import io
@@ -79,9 +78,12 @@ def load(root: Path, name: str):
 
 
 def cell_op(package, seed: int, n1: int, n2: int):
+    # the row's TSV and calibration, which read alike whatever the row's layout
+    sim = package.simulate
+
     def run(i: int) -> str:
-        config = package.simulate.ScenarioConfig(seed=(seed << 24) + i, n1=n1, n2=n2, **CELL)
-        return repr(dataclasses.asdict(package.simulate.coverage_study(config)))
+        row = sim.coverage_study(sim.ScenarioConfig(seed=(seed << 24) + i, n1=n1, n2=n2, **CELL))
+        return sim.coverage_tsv([row]) + repr(row.calibration)
     return run
 
 
