@@ -22,25 +22,23 @@ import sys
 from dataclasses import fields, replace as _replace
 from time import monotonic
 
-from .datasets import ingest_csv, tongue_path
-from .inference import METHODS, analyze
+from .datasets import TONGUE_K, ingest_csv, tongue_path
+from .inference import ALTERNATIVES, METHODS, analyze
 from .rng import check_seed
 from .survival import HORIZON_POLICIES
 from . import simulate as sim
 
 __all__ = ["main", "build_parser"]
 
-_DEFAULT_SEED = 0
 
-
-def _resolve_seed(flag_value, fallback=_DEFAULT_SEED):
-    # precedence: explicit flag, then SURVCMP_SEED, then the fixed default;
+def _resolve_seed(flag_value):
+    # precedence: explicit flag, then SURVCMP_SEED, then the fixed default 0;
     # checked here for every method, including those that draw nothing
     seed = flag_value
     if seed is None:
         env = os.environ.get("SURVCMP_SEED")
         if env is None:
-            return fallback
+            return 0
         try:
             seed = int(env)
         except ValueError:
@@ -53,7 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
     """The ``survcmp`` argument parser, built once per process and shared.
 
     Parsing leaves the parser unchanged, so every :func:`main` call reuses
-    it; callers must not add arguments to it.
+    it; callers must not add arguments to it.  Choices and defaults are read
+    from the library's tables.
     """
     parser = argparse.ArgumentParser(
         prog="survcmp",
@@ -67,17 +66,17 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--group-col", default="type")
     an.add_argument("--event-value", default="1", help="status code meaning event")
     an.add_argument("--censored-value", default="0", help="status code meaning censored")
-    an.add_argument("--k", type=float, help="window end (default 200 for the bundled data)")
+    an.add_argument("--k", type=float,
+                    help=f"window end (default {TONGUE_K:g} for the bundled data)")
     an.add_argument("--beyond-horizon", choices=HORIZON_POLICIES, default="censor",
                     help="treat rows with time > K as censored at K or as events at K")
-    an.add_argument("--alpha", type=float, default=0.05)
+    an.add_argument("--alpha", type=float)
     an.add_argument("--method", choices=METHODS + ("all",), default="all")
-    an.add_argument("--alternative", choices=("two-sided", "greater", "less"),
-                    default="two-sided")
+    an.add_argument("--alternative", choices=ALTERNATIVES)
     an.add_argument("--target", choices=("p", "w", "both"), default="p")
-    an.add_argument("--b", type=int, default=1999, help="resampling replicates")
+    an.add_argument("--b", type=int, help="resampling replicates")
     an.add_argument("--seed", type=int)
-    an.add_argument("--workers", type=int, default=1,
+    an.add_argument("--workers", type=int,
                     help="processes that take contiguous runs of a replicate set's "
                          "engine calls (results do not depend on it)")
     an.add_argument("--out", help="write the report here instead of stdout")
@@ -87,12 +86,14 @@ def build_parser() -> argparse.ArgumentParser:
                          "(needs --method bootstrap or permutation)")
 
     si = sub.add_parser("simulate", help="run Monte-Carlo coverage cells")
-    si.add_argument("--setup", type=int, choices=(1, 2, 3))
-    si.add_argument("--censoring", choices=("strong", "moderate", "none"))
+    si.add_argument("--setup", type=int, choices=tuple(sim.SETUPS))
+    si.add_argument("--censoring", choices=tuple(sim.CENSORING_LEVELS))
     si.add_argument("--n1", type=int)
     si.add_argument("--n2", type=int)
-    si.add_argument("--reps", type=int, help="outer replications (default 1000)")
-    si.add_argument("--b", type=int, help="resampling replicates (default 1999)")
+    si.add_argument("--reps", type=int,
+                    help=f"outer replications (default {sim.ScenarioConfig.reps})")
+    si.add_argument("--b", type=int,
+                    help=f"resampling replicates (default {sim.ScenarioConfig.b})")
     si.add_argument("--alpha", type=float)
     si.add_argument("--seed", type=int)
     si.add_argument("--workers", type=int,
@@ -119,8 +120,10 @@ def _json_num(x):
 def _analysis_rows(s1, s2, args, seed):
     """(Row name, target, interval, result) per method and target, in order."""
     methods = METHODS if args.method == "all" else (args.method,)
-    results = analyze(s1, s2, methods, args.alpha, args.alternative, args.b, seed,
-                      args.workers)
+    # only the settings given, so that analyze's own defaults hold for the rest
+    given = {key: getattr(args, key) for key in ("alpha", "alternative", "b", "workers")
+             if getattr(args, key) is not None}
+    results = analyze(s1, s2, methods, seed=seed, **given)
     if args.dump_replicates:  # one resampling method only
         with open(args.dump_replicates, "w") as fh:
             results[0].replicates.export(fh)
@@ -191,14 +194,10 @@ def _analysis_text(s1, s2, rows, seed) -> str:
 
 
 def _run_analyze(args) -> str:
-    if args.input is None:
-        path = tongue_path()
-        k = 200.0 if args.k is None else args.k
-    else:
-        path = args.input
-        if args.k is None:
-            raise ValueError("--k is required with --input")
-        k = args.k
+    if args.input is not None and args.k is None:
+        raise ValueError("--k is required with --input")
+    path = tongue_path() if args.input is None else args.input
+    k = TONGUE_K if args.k is None else args.k
     seed = _resolve_seed(args.seed)
     if args.dump_replicates:  # checked before any work, as --out is in main
         if args.method not in ("bootstrap", "permutation"):
@@ -226,8 +225,8 @@ def _run_simulate(args) -> str:
     if args.table1:
         _refuse(args, ("n1", "n2", "reps", "b", "alpha", "seed", "workers", "config", "tsv",
                        "full_study"), "the table ignores", "drop them or --table1")
-        setups = (args.setup,) if args.setup else (1, 2, 3)
-        levels = (args.censoring,) if args.censoring else ("strong", "moderate", "none")
+        setups = (args.setup,) if args.setup else sim.SETUPS
+        levels = (args.censoring,) if args.censoring else sim.CENSORING_LEVELS
         cells = [(s, lv) for s in setups for lv in levels]
         return sim.proportions_text(cells, pre_censoring=args.pre_censoring)
     _refuse(args, ("pre_censoring",), "only the table uses", "drop it or add --table1")

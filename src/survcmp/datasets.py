@@ -16,7 +16,9 @@ import numpy as np
 
 from .survival import HORIZON_POLICIES, Sample, _beyond_horizon
 
-__all__ = ["tongue_path", "ingest_csv", "load_tongue"]
+__all__ = ["TONGUE_K", "tongue_path", "ingest_csv", "load_tongue"]
+
+TONGUE_K = 200.0  # the bundled data's window end, in weeks
 
 
 def tongue_path():
@@ -171,7 +173,7 @@ def _label_key(label: str):
     return (0, value, label) if value == value else (1, 0.0, label)
 
 
-def load_tongue(k: float = 200.0, beyond_horizon: str = "censor") -> tuple[Sample, Sample]:
+def load_tongue(k: float = TONGUE_K, beyond_horizon: str = "censor") -> tuple[Sample, Sample]:
     """The bundled dataset as (aneuploid, diploid) Samples on [0, k]."""
     with resources.as_file(tongue_path()) as path:
         return ingest_csv(path, k=k, beyond_horizon=beyond_horizon)

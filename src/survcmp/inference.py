@@ -28,6 +28,7 @@ study alike.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -40,6 +41,7 @@ from .survival import PooledSample, Sample, pool
 
 __all__ = [
     "METHODS",
+    "ALTERNATIVES",
     "DegenerateError",
     "Estimate",
     "InferenceResult",
@@ -50,7 +52,7 @@ __all__ = [
 
 METHODS = ("asymptotic", "bootstrap", "permutation")
 
-_ALTERNATIVES = ("two-sided", "greater", "less")
+ALTERNATIVES = ("two-sided", "greater", "less")
 
 _STANDARD_NORMAL = NormalDist()
 
@@ -130,7 +132,7 @@ class InferenceResult:
     @property
     def ci_w(self) -> tuple[float, float]:
         """w's interval: p's under x -> x / (1 - x), with +inf at 1."""
-        return tuple(np.inf if x >= 1.0 else x / (1.0 - x) for x in self.ci)
+        return tuple(map(_win_ratio, self.ci))
 
     @property
     def capped(self) -> bool:
@@ -141,6 +143,18 @@ class InferenceResult:
     @property
     def reject(self) -> bool:
         return _tail(self.statistic, self.alternative) > self.critical
+
+
+def _win_ratio(p: float) -> float:
+    """w = p / (1 - p), with +inf at p = 1."""
+    return np.inf if p >= 1.0 else p / (1.0 - p)
+
+
+def _check_alpha(alpha) -> float:
+    """The one check of a level: a real number (not a bool) in (0, 1)."""
+    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must be in (0, 1)")
+    return alpha
 
 
 def _tail(x, alternative: str):
@@ -161,16 +175,14 @@ def normal_quantile(alpha: float) -> float:
     double-precision inverse for alpha from 1e-300 to 1 - 1e-15, a few
     units in the last place.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
-    return -_STANDARD_NORMAL.inv_cdf(alpha)
+    return -_STANDARD_NORMAL.inv_cdf(_check_alpha(alpha))
 
 
 def _observed(z: PooledSample) -> Estimate:
     # the engine's identity row on the pool, from which its replicate sets draw
     row = identity_row(z)
     p = float(row.p[0])
-    return Estimate(p_hat=p, w_hat=np.inf if p >= 1.0 else p / (1.0 - p),
+    return Estimate(p_hat=p, w_hat=_win_ratio(p),
                     sigma2=float(row.sigma2[0]), sigma2_12=float(row.sigma2_12[0]),
                     sigma2_21=float(row.sigma2_21[0]), n1=z.n1, n2=z.n2,
                     degenerate=not row.valid[0])
@@ -241,12 +253,13 @@ def analyze(s1: Sample, s2: Sample, methods=METHODS, alpha: float = 0.05,
     valid replicates").
     """
     methods = tuple(methods)
-    if not methods or len(set(methods)) < len(methods) or not set(methods) <= set(METHODS):
+    # no set is built, so an unhashable name meets this error too
+    if not methods or any(not isinstance(m, str) or m not in METHODS or methods.count(m) > 1
+                          for m in methods):
         raise ValueError(f"methods must be distinct names from {METHODS}")
-    if alternative not in _ALTERNATIVES:
-        raise ValueError(f"alternative must be one of {_ALTERNATIVES}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
+    if alternative not in ALTERNATIVES:
+        raise ValueError(f"alternative must be one of {ALTERNATIVES}")
+    _check_alpha(alpha)
     if _rng.check_int("b", b) < 1:
         raise ValueError("need at least one replicate")
     if _rng.check_int("workers", workers) < 1:

@@ -35,16 +35,15 @@ import numpy as np
 
 from . import rng as _rng
 from .survival import truncate
-from .inference import METHODS, DegenerateError, analyze
+from .inference import METHODS, DegenerateError, _check_alpha, analyze
 
 __all__ = [
     "SETUPS",
     "CENSORING_BANDS",
+    "CENSORING_LEVELS",
     "ScenarioConfig",
     "CensoringCalibration",
     "CoverageRow",
-    "draw_survival",
-    "survival_function",
     "true_effect",
     "calibrate_censoring",
     "truncation_proportions",
@@ -109,8 +108,8 @@ SETUPS: dict[int, tuple[_Law, _Law, float]] = {
 }
 
 CENSORING_BANDS = {"strong": (40.97, 43.6), "moderate": (21.19, 26.39)}
-# censoring levels and the ids that tag their internal streams
-_LEVEL_IDS = {"strong": 1, "moderate": 2, "none": 0}
+# censoring levels, in table order, and the ids that tag their internal streams
+CENSORING_LEVELS = {"strong": 1, "moderate": 2, "none": 0}
 
 # internal stream tags (data generation uses rng.DATA_TAG)
 _CAL_TAG = 301
@@ -129,29 +128,10 @@ def _scenario(setup: int) -> tuple[_Law, _Law, float]:
 
 def _level_id(level: str) -> int:
     """The one check of a censoring level: the id that tags its internal streams."""
-    if level not in _LEVEL_IDS:
+    # a string first, so that an unhashable level never reaches the dict
+    if not isinstance(level, str) or level not in CENSORING_LEVELS:
         raise ValueError("censoring level must be 'strong', 'moderate' or 'none'")
-    return _LEVEL_IDS[level]
-
-
-def _law(setup: int, group: int) -> _Law:
-    if group not in (1, 2):
-        raise ValueError("group must be 1 or 2")
-    return _scenario(setup)[group - 1]
-
-
-def horizon(setup: int) -> float:
-    return _scenario(setup)[2]
-
-
-def draw_survival(setup: int, group: int, rng: np.random.Generator, size: int) -> np.ndarray:
-    """``size`` uncensored survival times from the scenario law."""
-    return _law(setup, group).draw(rng, size)
-
-
-def survival_function(setup: int, group: int):
-    """The group's survival function S(t), vectorized, untruncated."""
-    return _law(setup, group).survival
+    return CENSORING_LEVELS[level]
 
 
 def _observe(law: _Law, gen: np.random.Generator, size: int,
@@ -165,8 +145,6 @@ def _observe(law: _Law, gen: np.random.Generator, size: int,
     return np.minimum(latent, c), latent <= c
 
 
-# typed: a cached setup 1 must not answer for True, nor a cached 2 for 2.0
-@lru_cache(maxsize=None, typed=True)
 def true_effect(setup: int) -> float:
     """True effect p = P(T1 > T2) + P(T1 = T2) / 2 of the window-truncated laws.
 
@@ -178,7 +156,12 @@ def true_effect(setup: int) -> float:
     identical laws it telescopes to (1 - S(K)^2) / 2, so p is 1/2 up to
     rounding.
     """
-    law1, law2, k = _scenario(setup)
+    return _true_effect(*_scenario(setup))
+
+
+# cached behind the public call's checks, so no unchecked tag is hashed or cached
+@lru_cache(maxsize=None)
+def _true_effect(law1: _Law, law2: _Law, k: float) -> float:
     t = np.linspace(0.0, k, 2**16 + 1)
     s1, s2 = law1.survival(t), law2.survival(t)
     return float(0.5 * np.sum((s1[:-1] + s1[1:]) * (s2[:-1] - s2[1:]))
@@ -195,7 +178,6 @@ class CensoringCalibration:
     achieved2: float
 
 
-@lru_cache(maxsize=None, typed=True)
 def calibrate_censoring(setup: int, level: str) -> CensoringCalibration:
     """Bisect exponential censoring rates onto the band midpoint.
 
@@ -207,8 +189,13 @@ def calibrate_censoring(setup: int, level: str) -> CensoringCalibration:
     only rescales and compares.  Identical laws (one law object in both
     groups, as in setup 3) share group 1's rate.
     """
-    law1, law2, k = _scenario(setup)
-    level_id = _level_id(level)
+    return _calibrate(*_scenario(setup), setup, level, _level_id(level))
+
+
+# cached behind the public call's checks, as _true_effect is
+@lru_cache(maxsize=None)
+def _calibrate(law1: _Law, law2: _Law, k: float, setup: int, level: str,
+               level_id: int) -> CensoringCalibration:
     if level == "none":
         return CensoringCalibration(0.0, 0.0, 0.0, 0.0)
     lo_band, hi_band = CENSORING_BANDS[level]
@@ -252,7 +239,7 @@ def truncation_proportions(setup: int, level: str,
     law1, law2, k = _scenario(setup)
     out = []
     for group, law, rate in ((1, law1, cal.rate1), (2, law2, cal.rate2)):
-        gen = _rng.stream(0, _PROP_TAG, setup, _LEVEL_IDS[level], group)
+        gen = _rng.stream(0, _PROP_TAG, setup, CENSORING_LEVELS[level], group)
         times, _ = _observe(law, gen, _PROP_DRAWS, 0.0 if pre_censoring else rate)
         out.append(100.0 * float(np.mean(times > k)))
     return out[0], out[1]
@@ -277,8 +264,7 @@ class ScenarioConfig:
         _level_id(self.censoring)
         if _rng.check_int("n1", self.n1) < 1 or _rng.check_int("n2", self.n2) < 1:
             raise ValueError("group sizes must be positive")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must be in (0, 1)")
+        _check_alpha(self.alpha)
         if _rng.check_int("reps", self.reps) < 1 or _rng.check_int("b", self.b) < 1:
             raise ValueError("reps and b must be positive")
         _rng.check_seed(self.seed)
@@ -415,6 +401,8 @@ def parse_config_file(path) -> dict:
             key, value = key.strip(), value.strip()
             if key not in kinds:
                 raise ValueError(f"line {line_no}: unknown key {key!r}")
+            if key in out:
+                raise ValueError(f"line {line_no}: repeated key {key!r}")
             try:
                 out[key] = kinds[key](value)
             except ValueError:
@@ -432,11 +420,11 @@ def full_study_configs(base_seed: int = 0) -> list[ScenarioConfig]:
     sizes += [(m, 2 * m) for m in (10, 15, 20, 25, 30)]
     configs = []
     cell = 0
-    for setup in (1, 2, 3):
+    for setup in SETUPS:
         for n1, n2 in sizes:
-            for level in _LEVEL_IDS:
+            for level in CENSORING_LEVELS:
                 configs.append(ScenarioConfig(
                     setup=setup, censoring=level, n1=n1, n2=n2,
-                    reps=10_000, b=1999, seed=base_seed + cell))
+                    reps=10_000, seed=base_seed + cell))
                 cell += 1
     return configs

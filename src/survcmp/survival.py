@@ -121,7 +121,8 @@ def truncate(raw, k) -> Sample:
 
 
 def km_curve(sample: Sample) -> tuple[np.ndarray, np.ndarray]:
-    """Kaplan-Meier curve of one sample: (event times, S-hat at each).
+    """Kaplan-Meier curve of one sample: (event times, S-hat at each), from
+    the statistic engine's counts on the sample alone.
 
     The event times are the distinct times with at least one event, in
     increasing order.  Tied events at a time u contribute a single factor
@@ -140,12 +141,7 @@ def km_curve(sample: Sample) -> tuple[np.ndarray, np.ndarray]:
     >>> km_curve(Sample([4.0, 5.0], [False, False], 10.0))[0].size
     0
     """
-    order = np.argsort(sample.times, kind="stable")
-    t = sample.times[order]
-    # first position of each distinct time in the sorted order
-    start = np.flatnonzero(np.concatenate(([True], t[1:] != t[:-1])))
-    dn = np.add.reduceat(sample.events[order].astype(np.int64), start)
-    # at risk at a distinct time: subjects at or after its first occurrence
-    y = sample.n - start
-    hit = dn > 0
-    return t[start[hit]], np.cumprod(1.0 - dn[hit] / y[hit])
+    z = batch_context(sample.times, sample.events, sample.n, 0, sample.k)
+    # the grid's first and last columns hold no event
+    return (np.unique(sample.times[sample.events]),
+            np.cumprod(1.0 - z.pool_deaths[1:-1] / z.pool_at_risk[1:-1]))

@@ -35,8 +35,8 @@ from survcmp import rng as _rng
 from survcmp._engine import (PooledSample, batch_statistics, bootstrap_indices,
                              permutation_indices, studentize)
 from survcmp.datasets import _label_key
-from survcmp.simulate import (_CAL_TAG, _PROP_TAG, CENSORING_BANDS, CensoringCalibration,
-                              ScenarioConfig, calibrate_censoring, draw_survival, horizon)
+from survcmp.simulate import (_CAL_TAG, _PROP_TAG, CENSORING_BANDS, SETUPS,
+                              CensoringCalibration, ScenarioConfig, calibrate_censoring)
 from survcmp.survival import HORIZON_POLICIES, Sample
 
 
@@ -557,12 +557,12 @@ def reference_calibrate_censoring(setup: int, level: str,
         return CensoringCalibration(0.0, 0.0, 0.0, 0.0)
     lo_band, hi_band = CENSORING_BANDS[level]
     target = 0.5 * (lo_band + hi_band) / 100.0
-    k = horizon(setup)
+    k = SETUPS[setup][2]
     level_id = 1 if level == "strong" else 2
 
     def solve(group):
         gen = _rng.stream(0, _CAL_TAG, setup, level_id, group)
-        times = draw_survival(setup, group, gen, draws)
+        times = SETUPS[setup][group - 1].draw(gen, draws)
         unit = gen.random(draws)
         lo, hi = 1e-6, 1e3
         assert _censored_fraction(times, unit, lo, k) < target < _censored_fraction(times, unit, hi, k)
@@ -590,12 +590,12 @@ def reference_truncation_proportions(setup: int, level: str, pre_censoring: bool
     'none') exponential censoring at the calibrated rate, then the share of
     recorded times beyond k, in percent."""
     cal = calibrate_censoring(setup, level)
-    k = horizon(setup)
+    k = SETUPS[setup][2]
     level_id = {"strong": 1, "moderate": 2, "none": 0}[level]
     out = []
     for group, rate in ((1, cal.rate1), (2, cal.rate2)):
         gen = _rng.stream(0, _PROP_TAG, setup, level_id, group)
-        recorded = draw_survival(setup, group, gen, draws)
+        recorded = SETUPS[setup][group - 1].draw(gen, draws)
         if not pre_censoring and rate > 0:
             recorded = np.minimum(recorded, -np.log1p(-gen.random(draws)) / rate)
         out.append(100.0 * (np.count_nonzero(recorded > k) / draws))
@@ -606,11 +606,11 @@ def reference_generate(config: ScenarioConfig, cal: CensoringCalibration, rep: i
     """``survcmp.simulate._generate`` truncating the latent times at k
     before censoring them, inline: a recorded time at k is an event, also
     when the censoring time equals k."""
-    k = horizon(config.setup)
+    k = SETUPS[config.setup][2]
     gen = _rng.stream(config.seed, _rng.DATA_TAG, rep)
     samples = []
     for group, size, rate in ((1, config.n1, cal.rate1), (2, config.n2, cal.rate2)):
-        latent = draw_survival(config.setup, group, gen, size)
+        latent = SETUPS[config.setup][group - 1].draw(gen, size)
         truncated = np.minimum(latent, k)
         if rate > 0:
             c = -np.log1p(-gen.random(size)) / rate

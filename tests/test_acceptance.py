@@ -12,9 +12,9 @@ from survcmp.inference import DegenerateError, analyze, mann_whitney_effect
 from survcmp import resampling
 from survcmp.rng import stream
 from survcmp.simulate import (
+    SETUPS,
     ScenarioConfig,
     coverage_study,
-    draw_survival,
     truncation_proportions,
 )
 from survcmp.survival import Sample, truncate
@@ -160,8 +160,8 @@ def test_criterion_09_variance_consistency():
     sig2, vn = [], []
     for rep in range(5000):
         gen = stream(900, 7, rep)
-        t1 = draw_survival(3, 1, gen, 200)
-        t2 = draw_survival(3, 2, gen, 200)
+        t1 = SETUPS[3][0].draw(gen, 200)
+        t2 = SETUPS[3][1].draw(gen, 200)
         s1 = truncate((t1, np.ones(200, bool)), 2.0)
         s2 = truncate((t2, np.ones(200, bool)), 2.0)
         sig2.append(mann_whitney_effect(s1, s2).sigma2)

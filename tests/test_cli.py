@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, output formats, seed handling."""
 
+import argparse
 import csv
 import dataclasses
 import json
@@ -13,6 +14,7 @@ import pytest
 
 from survcmp import cli, inference, resampling, simulate
 from survcmp.cli import main
+from survcmp.datasets import load_tongue
 
 
 @pytest.fixture(autouse=True)
@@ -504,6 +506,50 @@ class TestSimulate:
                   "--n1", "10", "--n2", "10"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+class TestSingleSource:
+    """The parser keeps no copy of a choice list or default of the library."""
+
+    @staticmethod
+    def _action(command, flag):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        return next(a for a in sub.choices[command]._actions if flag in a.option_strings)
+
+    def test_choices_are_the_library_tables(self):
+        assert self._action("simulate", "--setup").choices == tuple(simulate.SETUPS)
+        assert (self._action("simulate", "--censoring").choices
+                == tuple(simulate.CENSORING_LEVELS))
+        assert self._action("analyze", "--alternative").choices == inference.ALTERNATIVES
+        assert self._action("analyze", "--method").choices == inference.METHODS + ("all",)
+
+    def test_settings_left_unset_take_the_library_defaults(self):
+        for flag in ("--alpha", "--alternative", "--b", "--workers"):
+            assert self._action("analyze", flag).default is None, flag
+        for f in dataclasses.fields(simulate.ScenarioConfig):
+            assert self._action("simulate", "--" + f.name).default is None, f.name
+        for flag in ("--reps", "--b"):
+            name = flag.removeprefix("--")
+            assert (f"(default {getattr(simulate.ScenarioConfig, name)})"
+                    in self._action("simulate", flag).help)
+
+    def test_analyze_json_equals_the_library_with_its_defaults(self, capsys):
+        rc, out, _ = _run(capsys, ["analyze", "--json"])
+        assert rc == 0
+        s1, s2 = load_tongue()
+        rows = [(res.method, "p", res.ci, res) for res in inference.analyze(s1, s2)]
+        assert out == cli._analysis_json(s1, s2, rows, 0)
+
+    def test_simulate_cell_equals_the_library_with_its_defaults(self, capsys):
+        # a small cell: no alpha, seed or workers flag
+        rc, out, _ = _run(capsys, ["simulate", "--setup", "2", "--censoring", "strong",
+                                   "--n1", "8", "--n2", "10", "--reps", "5", "--b", "19",
+                                   "--tsv"])
+        assert rc == 0
+        config = simulate.ScenarioConfig(setup=2, censoring="strong", n1=8, n2=10, reps=5,
+                                         b=19)
+        assert out == simulate.coverage_tsv([simulate.coverage_study(config)])
 
 
 # Blocks scipy before survcmp is imported (an import of it then raises

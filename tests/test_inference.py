@@ -18,7 +18,7 @@ from survcmp.inference import (
 )
 from survcmp.resampling import ResamplingPlan
 from survcmp.rng import check_seed
-from survcmp.simulate import ScenarioConfig, horizon, survival_function
+from survcmp.simulate import SETUPS, ScenarioConfig
 from survcmp.survival import Sample
 
 K = 10.0
@@ -83,8 +83,8 @@ class TestAgainstScipy:
                         rtol=rtol, atol=0.0)
 
     def test_lognormal_survival_matches_ndtr(self):
-        t = np.concatenate([np.logspace(-300, 0, 1000), np.linspace(0.0, horizon(2), 10001)[1:]])
-        assert_allclose(survival_function(2, 2)(t), special.ndtr(-np.log(t)),
+        t = np.concatenate([np.logspace(-300, 0, 1000), np.linspace(0.0, SETUPS[2][2], 10001)[1:]])
+        assert_allclose(SETUPS[2][1].survival(t), special.ndtr(-np.log(t)),
                         rtol=1e-15, atol=0.0)
 
 
@@ -116,7 +116,8 @@ def _no_replicates(z, plan):
     raise AssertionError("replicates drawn before the options were checked")
 
 
-@pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 1.5])
+# a non-number used to fail with a bare TypeError from the comparison
+@pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 1.5, "0.1", None, True, float("nan")])
 @pytest.mark.parametrize("scheme", ["bootstrap", "permutation"])
 def test_alpha_checked_before_replicates(monkeypatch, scheme, alpha):
     monkeypatch.setattr(inference, "replicate_set", _no_replicates)
@@ -127,12 +128,14 @@ def test_alpha_checked_before_replicates(monkeypatch, scheme, alpha):
 
 @pytest.mark.parametrize("methods", [(), ("bogus",), ("bootstrap", "bootstrap"),
                                      ("asymptotic", "permutation", "asymptotic"),
-                                     ("asymptotic", "jackknife"), "permutation"],
+                                     ("asymptotic", "jackknife"), "permutation",
+                                     [["asymptotic"]]],
                          ids=["empty", "unknown", "repeated", "repeated-apart",
-                              "one-unknown", "bare-string"])
+                              "one-unknown", "bare-string", "unhashable"])
 def test_methods_checked_before_any_computation(monkeypatch, methods):
-    # empty, unknown and repeated methods, and a bare string, fail with one
-    # message that names every method, before the pool or a replicate set
+    # empty, unknown and repeated methods, a bare string and an unhashable
+    # name fail with one message that names every method, before the pool
+    # or a replicate set
     monkeypatch.setattr(inference, "replicate_set", _no_replicates)
     monkeypatch.setattr(inference, "pool", _no_replicates)
     s1, s2 = load_tongue()

@@ -14,7 +14,7 @@ from survcmp.datasets import load_tongue
 from survcmp.inference import DegenerateError, _replicate_test, analyze, mann_whitney_effect
 from survcmp.resampling import ReplicateSet, ResamplingPlan, replicate_set
 from survcmp.rng import stream
-from survcmp.simulate import draw_survival
+from survcmp.simulate import SETUPS
 from survcmp.survival import Sample, pool, truncate
 
 from oracles import bootstrap_replicate, permutation_replicate, split
@@ -196,8 +196,8 @@ class TestReplicateSets:
     def test_dropped_fraction_small_at_n10(self):
         # heavy-censoring scenario at the smallest supported group size
         gen = stream(99, 8, 0)
-        lat1 = draw_survival(1, 1, gen, 10)
-        lat2 = draw_survival(1, 2, gen, 10)
+        lat1 = SETUPS[1][0].draw(gen, 10)
+        lat2 = SETUPS[1][1].draw(gen, 10)
         cens = gen.exponential(1.0 / 1.4646785916807836, 20)
         t = np.minimum(np.concatenate([lat1, lat2]), cens)
         ev = np.concatenate([lat1, lat2]) <= cens
@@ -222,8 +222,8 @@ class TestDistribution:
         # same continuous law in both groups, large n: the conditional
         # 97.5% point of the replicate law sits near 1.96
         gen = stream(55, 8, 1)
-        t1 = draw_survival(3, 1, gen, 100)
-        t2 = draw_survival(3, 2, gen, 100)
+        t1 = SETUPS[3][0].draw(gen, 100)
+        t2 = SETUPS[3][1].draw(gen, 100)
         s1 = truncate((t1, np.ones(100, bool)), 2.0)
         s2 = truncate((t2, np.ones(100, bool)), 2.0)
         r = replicate_set(pool(s1, s2), ResamplingPlan("bootstrap", 10_000, 17))
@@ -246,8 +246,8 @@ class TestDistribution:
         boot_hits = perm_hits = 0
         for rep in range(runs):
             gen = stream(77, 9, rep)
-            t1 = draw_survival(3, 1, gen, 200)
-            t2 = draw_survival(3, 2, gen, 200)
+            t1 = SETUPS[3][0].draw(gen, 200)
+            t2 = SETUPS[3][1].draw(gen, 200)
             s1 = truncate((t1, np.ones(200, bool)), 2.0)
             s2 = truncate((t2, np.ones(200, bool)), 2.0)
             asym, boot = analyze(s1, s2, methods=("asymptotic", "bootstrap"), b=499,

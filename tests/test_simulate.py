@@ -21,12 +21,9 @@ from survcmp.simulate import (
     coverage_study,
     coverage_text,
     coverage_tsv,
-    draw_survival,
     full_study_configs,
-    horizon,
     parse_config_file,
     proportions_text,
-    survival_function,
     true_effect,
     truncation_proportions,
 )
@@ -41,34 +38,34 @@ N_BIG = 1_000_000
 
 class TestDraws:
     def test_setup1_group1_exponential_mean(self):
-        x = draw_survival(1, 1, stream(0, 50, 1), N_BIG)
+        x = SETUPS[1][0].draw(stream(0, 50, 1), N_BIG)
         assert abs(x.mean() - 0.5) <= 0.002
 
     def test_setup1_group2_mixture_mean(self):
-        x = draw_survival(1, 2, stream(0, 50, 2), N_BIG)
+        x = SETUPS[1][1].draw(stream(0, 50, 2), N_BIG)
         expected = (1.0 / 1.27) / 3.0 + (2.0 / 3.0) * 0.4
         assert abs(x.mean() - expected) <= 0.002
 
     def test_setup2_group1_weibull_mean(self):
-        x = draw_survival(2, 1, stream(0, 50, 3), N_BIG)
+        x = SETUPS[2][0].draw(stream(0, 50, 3), N_BIG)
         expected = 1.65 * special.gamma(1.0 + 1.0 / 0.9)
         assert abs(x.mean() - expected) <= 0.01
 
     def test_setup2_group2_lognormal_median(self):
-        x = draw_survival(2, 2, stream(0, 50, 4), N_BIG)
+        x = SETUPS[2][1].draw(stream(0, 50, 4), N_BIG)
         assert abs(np.median(x) - 1.0) <= 0.01
 
     def test_setup3_groups_share_law_and_stream(self):
-        a = draw_survival(3, 1, stream(0, 50, 5), 1000)
-        b = draw_survival(3, 2, stream(0, 50, 5), 1000)
+        a = SETUPS[3][0].draw(stream(0, 50, 5), 1000)
+        b = SETUPS[3][1].draw(stream(0, 50, 5), 1000)
         assert_array_equal(a, b)
 
     def test_draws_match_distribution_functions(self):
         # empirical tail probabilities against the closed-form curves
         for setup in (1, 2, 3):
             for group in (1, 2):
-                x = draw_survival(setup, group, stream(0, 51, 10 * setup + group), 200_000)
-                sf = survival_function(setup, group)
+                x = SETUPS[setup][group - 1].draw(stream(0, 51, 10 * setup + group), 200_000)
+                sf = SETUPS[setup][group - 1].survival
                 for t in (0.3, 0.8, 1.4):
                     assert abs((x > t).mean() - sf(t)) <= 0.005
 
@@ -98,7 +95,7 @@ class TestTrueEffect:
     def _quad_effect(setup):
         # P(T1 > T2) on [0, K] plus the tie of two times that both reach K
         law1, law2 = SCIPY_LAWS[setup]
-        k = horizon(setup)
+        k = SETUPS[setup][2]
         head, _ = integrate.quad(lambda t: law1.sf(t) * law2.pdf(t), 0.0, k, limit=200,
                                  epsabs=1e-14, epsrel=1e-13)
         return head + 0.5 * law1.sf(k) * law2.sf(k)
@@ -114,7 +111,7 @@ class TestTrueEffect:
         t = np.concatenate([np.logspace(-8, 0, 200), np.linspace(0.0, 3.0, 301)[1:]])
         for setup, laws in SCIPY_LAWS.items():
             for group, law in enumerate(laws, start=1):
-                assert_allclose(survival_function(setup, group)(t), law.sf(t), rtol=1e-13)
+                assert_allclose(SETUPS[setup][group - 1].survival(t), law.sf(t), rtol=1e-13)
 
     def test_all_setups_sit_at_the_null(self):
         for setup in (1, 2, 3):
@@ -122,20 +119,18 @@ class TestTrueEffect:
 
 
 class TestSetupTag:
-    def test_unknown_setup_or_group_is_a_clear_error(self):
-        bad_setup = "setup must be 1, 2 or 3"
+    def test_unknown_setup_is_a_clear_error(self):
         cases = [
-            (lambda: horizon(0), bad_setup),
-            (lambda: true_effect(7), bad_setup),
-            (lambda: calibrate_censoring(7, "none"), bad_setup),
-            (lambda: calibrate_censoring(7, "strong"), bad_setup),
-            (lambda: truncation_proportions(7, "strong"), bad_setup),
-            (lambda: draw_survival(4, 1, stream(0, 50, 7), 3), bad_setup),
-            (lambda: survival_function(0, 2), bad_setup),
-            (lambda: draw_survival(1, 3, stream(0, 50, 7), 3), "group must be 1 or 2"),
+            lambda: ScenarioConfig(setup=0, censoring="none", n1=5, n2=5),
+            lambda: true_effect(7),
+            lambda: calibrate_censoring(7, "none"),
+            lambda: calibrate_censoring(7, "strong"),
+            lambda: truncation_proportions(7, "strong"),
+            lambda: truncation_proportions(4, "none"),
+            lambda: true_effect(0),
         ]
-        for call, match in cases:
-            with pytest.raises(ValueError, match=match):
+        for call in cases:
+            with pytest.raises(ValueError, match="setup must be 1, 2 or 3"):
                 call()
 
     def test_setup_tag_must_be_an_integer(self):
@@ -147,8 +142,9 @@ class TestSetupTag:
             lambda: true_effect(True),
             lambda: calibrate_censoring(2.0, "strong"),
             lambda: truncation_proportions(2.0, "none"),
-            lambda: draw_survival(True, 1, stream(0, 50, 7), 3),
-            lambda: horizon(3.0),
+            lambda: ScenarioConfig(setup=True, censoring="none", n1=5, n2=5),
+            lambda: ScenarioConfig(setup=3.0, censoring="none", n1=5, n2=5),
+            lambda: true_effect([1]),  # checked before the cache hashes it
         ]
         for call in cases:
             with pytest.raises(ValueError, match="setup must be an integer"):
@@ -157,6 +153,12 @@ class TestSetupTag:
 
 
 class TestCalibration:
+    def test_unknown_level_is_a_clear_error(self):
+        # a list used to raise "unhashable type" from the cache
+        for level in ("weak", ["strong"]):
+            with pytest.raises(ValueError, match="censoring level must be"):
+                calibrate_censoring(1, level)
+
     def test_achieved_fractions_inside_bands(self):
         for setup in (1, 2, 3):
             for level, (lo, hi) in CENSORING_BANDS.items():
@@ -241,8 +243,12 @@ class TestScenarioConfig:
         bad = [
             (dict(base, setup=4), "setup must be 1, 2 or 3"),
             (dict(base, censoring="weak"), "censoring level"),
+            (dict(base, censoring=["strong"]), "censoring level"),
             (dict(base, n1=0), "group sizes"),
             (dict(base, alpha=1.5), "alpha"),
+            # non-numbers used to fail with a bare TypeError from the comparison
+            *((dict(base, alpha=alpha), r"alpha must be in \(0, 1\)")
+              for alpha in ("0.1", None, True, math.nan)),
             (dict(base, reps=0), "reps and b"),
             (dict(base, b=0), "reps and b"),
             (dict(base, seed=-1), "seed"),
@@ -281,6 +287,13 @@ class TestConfigFile:
             with pytest.raises(ValueError, match=match):
                 parse_config_file(path)
 
+    def test_repeated_key_is_refused(self, tmp_path):
+        # the last of two values used to win without a word
+        path = tmp_path / "twice.cfg"
+        path.write_text("setup=1\nn1=5\nsetup=2\n")
+        with pytest.raises(ValueError, match="line 3: repeated key 'setup'"):
+            parse_config_file(path)
+
 
 class TestGenerate:
     def test_equals_truncate_first_reference_bitwise(self):
@@ -294,7 +307,7 @@ class TestGenerate:
                     want = reference_generate(config, cal, rep)
                     assert got[2] == want[2]
                     for a, b in zip(got[:2], want[:2]):
-                        assert a.k == b.k == horizon(setup)
+                        assert a.k == b.k == SETUPS[setup][2]
                         assert a.times.tobytes() == b.times.tobytes(), (setup, level, rep)
                         assert_array_equal(a.events, b.events)
 
