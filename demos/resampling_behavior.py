@@ -5,14 +5,7 @@ import io
 
 import numpy as np
 
-from survcmp import (
-    ReplicateSet,
-    ResamplingPlan,
-    analyze,
-    load_tongue,
-    pool,
-    replicate_set,
-)
+from survcmp import ReplicateSet, analyze, load_tongue
 
 s1, s2 = load_tongue()
 # the one-sided results carry their replicate sets and upper critical values
@@ -34,12 +27,11 @@ for res in results:
     print(f"  one-sided p-value = (1 + {exceed}) / {r.b_eff + 1} "
           f"= {(1 + exceed) / (r.b_eff + 1):.4f}")
 
-# worker counts schedule the same replicate blocks, so results never move
-z = pool(s1, s2)
-plan1 = ResamplingPlan("permutation", 600, seed=7, workers=1)
-plan4 = ResamplingPlan("permutation", 600, seed=7, workers=4)
-a = replicate_set(z, plan1).statistics
-b = replicate_set(z, plan4).statistics
+# worker counts schedule the same replicate blocks, so results never move;
+# B = 40,000 is large enough on these 80 patients that workers=4 starts
+# worker processes (a small set runs inline whatever workers says)
+a, b = (analyze(s1, s2, methods=("permutation",), b=40_000, seed=7,
+                workers=workers)[0].replicates.statistics for workers in (1, 4))
 print(f"\nworkers 1 vs 4 identical: {np.array_equal(a, b)}")
 
 # a replicate set exports as one plain number per line

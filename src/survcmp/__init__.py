@@ -10,9 +10,8 @@ small command-line front end wraps both.  The names below are the ones
 the demos and the README use; everything else lives in the submodules.
 """
 
-from .survival import Sample, pool
-from .inference import analyze, mann_whitney_effect
-from .resampling import ReplicateSet, ResamplingPlan, replicate_set
+from .survival import Sample
+from .inference import ReplicateSet, analyze, mann_whitney_effect
 from .datasets import load_tongue
 from .simulate import ScenarioConfig, coverage_study, true_effect
 
@@ -20,12 +19,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Sample",
-    "pool",
     "mann_whitney_effect",
     "analyze",
-    "ResamplingPlan",
     "ReplicateSet",
-    "replicate_set",
     "load_tongue",
     "ScenarioConfig",
     "coverage_study",

@@ -132,9 +132,13 @@ jump masses and the tail sums; the other three (scratch values, dH and S)
 are kept by the thread's :class:`_Workspace`.  At 15/15 (17-32 columns) a
 B = 999 set is one call, and a 200/200 pool takes one block per call; on
 the machine above a ten-replication coverage cell ran 11-16 % faster at
-32,768 than at 16,384.  A forked worker of :func:`~survcmp.rng.fan_out`
-starts from a copy of the workspace and a spawned one from none; no result
-depends on it.
+32,768 than at 16,384.  :func:`replicate_statistics` draws a replicate set
+in those calls, replicate i from the stream of block i // 256 whatever the
+calls' sizes.  From :data:`POOL_CELLS` (B x (n + 2)) on, up to ``workers``
+processes of :func:`~survcmp.rng.fan_out` take contiguous runs of the
+calls, so no worker count moves a bit; a smaller set runs inline, where
+worker start-up costs more than it saves.  A forked worker starts from a
+copy of the workspace and a spawned one from none; no result depends on it.
 """
 
 from __future__ import annotations
@@ -147,15 +151,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .rng import BLOCK
+from . import rng as _rng
 
-__all__ = ["CHUNK_CELLS", "SLAB", "PooledSample", "RowStatistics", "batch_context",
-           "batch_statistics", "bootstrap_indices", "chunk_blocks", "identity_row",
-           "permutation_indices", "studentize"]
+__all__ = ["PooledSample", "RowStatistics", "batch_context", "batch_statistics",
+           "identity_row", "replicate_statistics", "studentize"]
 
 # rows x (n + 2) one engine call may span; a budget that keeps a call's
 # arrays in a few MB (see "Chunks" above)
 CHUNK_CELLS = 32768
+# B x (n + 2) from which worker processes pay for their start-up (fresh
+# `analyze` processes, 2-vCPU x86); a smaller replicate set runs inline
+POOL_CELLS = 3_000_000
 # values per column slab from which the column recurrences run one vector
 # operation per column instead of ufunc.accumulate (see "The layout")
 SLAB = 256
@@ -269,7 +275,7 @@ def permutation_indices(rng: np.random.Generator, r: int, n: int, out=None) -> n
 
 def chunk_blocks(z: PooledSample) -> int:
     """Whole 256-row blocks per engine call: rows x (n + 2) <= CHUNK_CELLS, at least one."""
-    return max(1, CHUNK_CELLS // (BLOCK * (z.n + 2)))
+    return max(1, CHUNK_CELLS // (_rng.BLOCK * (z.n + 2)))
 
 
 class _Workspace(threading.local):
@@ -461,3 +467,35 @@ def identity_row(z: PooledSample) -> RowStatistics:
     """
     idx = np.arange(z.n, dtype=np.int64)[None, :]
     return batch_statistics(z, idx, permutation=True)
+
+
+def replicate_statistics(z: PooledSample, scheme: str, b: int, seed: int,
+                         workers: int = 1) -> np.ndarray:
+    """The b studentized replicates at p0 = 1/2 of a scheme of
+    :data:`~survcmp.rng.SCHEME_IDS`, NaN where a row is invalid, the same
+    bits for any ``workers`` (see "Chunks" above)."""
+    todo = _rng.blocks(b)
+    per_call = chunk_blocks(z)
+    chunks = [todo[i:i + per_call] for i in range(0, len(todo), per_call)]
+    workers = workers if b * (z.n + 2) >= POOL_CELLS else 1
+    return np.concatenate([part for run in _rng.fan_out(_run_chunks, chunks, workers,
+                                                        z, scheme, seed)
+                           for part in run])
+
+
+def _run_chunks(z: PooledSample, scheme: str, seed: int, chunks) -> list:
+    """Studentized replicates per chunk, NaN where invalid, one engine call each."""
+    scheme_id = _rng.SCHEME_IDS[scheme]
+    permutation = scheme == "permutation"
+    parts = []
+    for chunk in chunks:
+        idx = np.empty((sum(size for _, size in chunk), z.n), np.int64)
+        for (index, size), start in zip(chunk, range(0, len(idx), _rng.BLOCK)):
+            rng, block = _rng.stream(seed, scheme_id, index), idx[start:start + size]
+            if permutation:  # shuffled in place, in the block's slice
+                permutation_indices(rng, size, z.n, out=block)
+            else:
+                block[...] = bootstrap_indices(rng, size, z.n)
+        rows = batch_statistics(z, idx, permutation=permutation)
+        parts.append(studentize(rows.p, rows.sigma2, rows.valid, z.n1, z.n2, 0.5))
+    return parts

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import inspect
 import json
 import math
 import os
@@ -31,14 +32,19 @@ from . import simulate as sim
 __all__ = ["main", "build_parser"]
 
 
-def _resolve_seed(flag_value):
-    # precedence: explicit flag, then SURVCMP_SEED, then the fixed default 0;
+def _defaults(fn) -> dict:
+    """A library function's parameter defaults by name, read from its signature."""
+    return {name: p.default for name, p in inspect.signature(fn).parameters.items()}
+
+
+def _resolve_seed(flag_value, default: int):
+    # precedence: explicit flag, then SURVCMP_SEED, then the library default;
     # checked here for every method, including those that draw nothing
     seed = flag_value
     if seed is None:
         env = os.environ.get("SURVCMP_SEED")
         if env is None:
-            return 0
+            return default
         try:
             seed = int(env)
         except ValueError:
@@ -60,15 +66,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     an = sub.add_parser("analyze", help="estimate the effect from a CSV file")
+    csv_defaults = _defaults(ingest_csv)
     an.add_argument("--input", help="CSV file (default: bundled tongue-cancer data)")
-    an.add_argument("--time-col", default="time")
-    an.add_argument("--status-col", default="delta")
-    an.add_argument("--group-col", default="type")
-    an.add_argument("--event-value", default="1", help="status code meaning event")
-    an.add_argument("--censored-value", default="0", help="status code meaning censored")
+    an.add_argument("--time-col", default=csv_defaults["time_col"])
+    an.add_argument("--status-col", default=csv_defaults["status_col"])
+    an.add_argument("--group-col", default=csv_defaults["group_col"])
+    an.add_argument("--event-value", default=csv_defaults["event_value"],
+                    help="status code meaning event")
+    an.add_argument("--censored-value", default=csv_defaults["censored_value"],
+                    help="status code meaning censored")
     an.add_argument("--k", type=float,
                     help=f"window end (default {TONGUE_K:g} for the bundled data)")
-    an.add_argument("--beyond-horizon", choices=HORIZON_POLICIES, default="censor",
+    an.add_argument("--beyond-horizon", choices=HORIZON_POLICIES,
+                    default=csv_defaults["beyond_horizon"],
                     help="treat rows with time > K as censored at K or as events at K")
     an.add_argument("--alpha", type=float)
     an.add_argument("--method", choices=METHODS + ("all",), default="all")
@@ -198,7 +208,7 @@ def _run_analyze(args) -> str:
         raise ValueError("--k is required with --input")
     path = tongue_path() if args.input is None else args.input
     k = TONGUE_K if args.k is None else args.k
-    seed = _resolve_seed(args.seed)
+    seed = _resolve_seed(args.seed, _defaults(analyze)["seed"])
     if args.dump_replicates:  # checked before any work, as --out is in main
         if args.method not in ("bootstrap", "permutation"):
             raise ValueError("--dump-replicates needs --method bootstrap or permutation")
@@ -230,7 +240,7 @@ def _run_simulate(args) -> str:
         cells = [(s, lv) for s in setups for lv in levels]
         return sim.proportions_text(cells, pre_censoring=args.pre_censoring)
     _refuse(args, ("pre_censoring",), "only the table uses", "drop it or add --table1")
-    seed = _resolve_seed(args.seed)
+    seed = _resolve_seed(args.seed, sim.ScenarioConfig.seed)
     # the flags named after the config's fields, the seed resolved apart
     flags = {f.name: getattr(args, f.name) for f in fields(sim.ScenarioConfig)
              if f.name != "seed" and getattr(args, f.name) is not None}

@@ -9,6 +9,7 @@ censoring.
 from __future__ import annotations
 
 import csv
+import inspect
 from importlib import resources
 from itertools import islice
 
@@ -173,7 +174,12 @@ def _label_key(label: str):
     return (0, value, label) if value == value else (1, 0.0, label)
 
 
-def load_tongue(k: float = TONGUE_K, beyond_horizon: str = "censor") -> tuple[Sample, Sample]:
+# ingest_csv's policy, so that the bundled data's default is the reader's
+_BEYOND_HORIZON = inspect.signature(ingest_csv).parameters["beyond_horizon"].default
+
+
+def load_tongue(k: float = TONGUE_K,
+                beyond_horizon: str = _BEYOND_HORIZON) -> tuple[Sample, Sample]:
     """The bundled dataset as (aneuploid, diploid) Samples on [0, k]."""
     with resources.as_file(tongue_path()) as path:
         return ingest_csv(path, k=k, beyond_horizon=beyond_horizon)

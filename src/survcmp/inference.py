@@ -7,22 +7,22 @@ that row.
 
 One studentized statistic, sqrt(n1 n2 / n) (p_hat - p0) / sigma_hat, is
 calibrated three ways (:data:`METHODS`): by the standard normal law, and
-by the pooled-bootstrap and studentized-permutation replicates that
-``resampling.py`` draws.  This module is the one place where it becomes
-a test of p = 1/2 and the dual interval for p, clamped to [0, 1]; w's
-test is p's, and w's interval (``InferenceResult.ci_w``) is the image of
-p's under w = p / (1 - p), with +inf at 1, so it covers w exactly when
-p's covers p.  The alternative is read once (:func:`_tail`): T, -T or |T|
-puts its evidence in the upper tail, for the statistic and the
-replicates alike, and :func:`_replicate_test` is the one replicate
-calibration.  Two-sided resampling so uses the upper quantile of the
-absolute replicates: their location can sit noticeably below zero when
-the pooled curve keeps mass at the window end (the pooled centering
-value is (1 - S(k)^2) / 2, not 1/2), and the absolute-value quantile
-widens both sides accordingly.  :class:`DegenerateError` is the one error
-for a statistic with nothing to calibrate.  :func:`analyze` builds one
-result per method, for the library, the command line and the coverage
-study alike.
+by the pooled-bootstrap and studentized-permutation replicates that the
+engine draws and a :class:`ReplicateSet` keeps.  This module is the one
+place where it becomes a test of p = 1/2 and the dual interval for p,
+clamped to [0, 1]; w's test is p's, and w's interval
+(``InferenceResult.ci_w``) is the image of p's under w = p / (1 - p),
+with +inf at 1, so it covers w exactly when p's covers p.  The
+alternative is read once (:func:`_tail`): T, -T or |T| puts its evidence
+in the upper tail, for the statistic and the replicates alike, and
+:func:`_replicate_test` is the one replicate calibration.  Two-sided
+resampling so uses the upper quantile of the absolute replicates: their
+location can sit noticeably below zero when the pooled curve keeps mass
+at the window end (the pooled centering value is (1 - S(k)^2) / 2, not
+1/2), and the absolute-value quantile widens both sides accordingly.
+:class:`DegenerateError` is the one error for a statistic with nothing
+to calibrate.  :func:`analyze` builds one result per method, for the
+library, the command line and the coverage study alike.
 """
 
 from __future__ import annotations
@@ -35,8 +35,7 @@ from statistics import NormalDist
 import numpy as np
 
 from . import rng as _rng
-from ._engine import identity_row, studentize
-from .resampling import ReplicateSet, ResamplingPlan, replicate_set
+from ._engine import identity_row, replicate_statistics, studentize
 from .survival import PooledSample, Sample, pool
 
 __all__ = [
@@ -45,6 +44,7 @@ __all__ = [
     "DegenerateError",
     "Estimate",
     "InferenceResult",
+    "ReplicateSet",
     "mann_whitney_effect",
     "normal_quantile",
     "analyze",
@@ -90,6 +90,29 @@ class Estimate:
     @property
     def w_infinite(self) -> bool:
         return np.isinf(self.w_hat)
+
+
+@dataclass(frozen=True)
+class ReplicateSet:
+    """Retained replicate statistics plus the count of dropped ones."""
+
+    statistics: np.ndarray
+    dropped: int
+
+    def __post_init__(self):
+        # a frozen copy, so that the caller's array stays writable
+        statistics = np.array(self.statistics, dtype=float)
+        statistics.setflags(write=False)
+        object.__setattr__(self, "statistics", statistics)
+
+    @property
+    def b_eff(self) -> int:
+        return int(self.statistics.size)
+
+    def export(self, fh) -> None:
+        """Write one replicate value per line (full precision)."""
+        for value in self.statistics:
+            fh.write(f"{float(value)!r}\n")
 
 
 @dataclass(frozen=True)
@@ -236,13 +259,14 @@ def analyze(s1: Sample, s2: Sample, methods=METHODS, alpha: float = 0.05,
 
     The two samples are pooled once, and one observed estimate and one
     pool serve every method; a resampling method draws
-    ``replicate_set(z, ResamplingPlan(method, b, seed, workers))`` from the
-    pool.  Two-sided: p_hat -/+ c se, clamped to [0, 1], where c is the
-    normal quantile z_{alpha/2} or the upper-alpha quantile of the
-    absolute replicates, and the test compares |T| with c; one-sided
-    intervals and tests use the one-tailed quantile, and the intervals
-    extend to the range boundary.  A resampling p-value is the
-    (1 + count) / (b_eff + 1) exceedance rule on the matching tail.
+    ``replicate_statistics(z, method, b, seed, workers)`` from the pool and
+    keeps its valid replicates, counting the rest as dropped.  Two-sided:
+    p_hat -/+ c se, clamped to [0, 1], where c is the normal quantile
+    z_{alpha/2} or the upper-alpha quantile of the absolute replicates,
+    and the test compares |T| with c; one-sided intervals and tests use
+    the one-tailed quantile, and the intervals extend to the range
+    boundary.  A resampling p-value is the (1 + count) / (b_eff + 1)
+    exceedance rule on the matching tail.
 
     The methods (distinct names from :data:`METHODS`), the alternative
     and alpha are checked, ``b`` and ``workers`` must be positive integers
@@ -265,7 +289,6 @@ def analyze(s1: Sample, s2: Sample, methods=METHODS, alpha: float = 0.05,
     if _rng.check_int("workers", workers) < 1:
         raise ValueError("workers must be positive")
     _rng.check_seed(seed)
-    plans = {m: ResamplingPlan(m, b, seed, workers) for m in methods if m != "asymptotic"}
     z = pool(s1, s2)
     est = _observed(z)
     if est.degenerate:
@@ -280,7 +303,9 @@ def analyze(s1: Sample, s2: Sample, methods=METHODS, alpha: float = 0.05,
             critical = normal_quantile(alpha / 2 if alternative == "two-sided" else alpha)
             p_value = _normal_p_value(statistic, alternative)
         else:
-            reps = replicate_set(z, plans[method])
+            stats = replicate_statistics(z, method, b, seed, workers)
+            kept = stats[~np.isnan(stats)]  # NaN marks exactly the invalid rows
+            reps = ReplicateSet(kept, stats.size - kept.size)
             critical, p_value, rank = _replicate_test(
                 _tail(reps.statistics, alternative), _tail(statistic, alternative), alpha)
         out.append(InferenceResult(

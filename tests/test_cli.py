@@ -3,6 +3,7 @@
 import argparse
 import csv
 import dataclasses
+import inspect
 import json
 import multiprocessing
 import os
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from survcmp import cli, inference, resampling, simulate
+from survcmp import _engine, cli, datasets, inference, simulate
 from survcmp.cli import main
 from survcmp.datasets import load_tongue
 
@@ -20,6 +21,10 @@ from survcmp.datasets import load_tongue
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
     monkeypatch.delenv("SURVCMP_SEED", raising=False)
+
+
+def _default(fn, name):
+    return inspect.signature(fn).parameters[name].default
 
 
 def _run(capsys, argv):
@@ -53,7 +58,7 @@ class TestAnalyze:
         assert payload["methods"][1]["b"] == 99
 
     def test_json_byte_identical_across_workers(self, capsys, monkeypatch):
-        monkeypatch.setattr(resampling, "POOL_CELLS", 0)  # workers fork even for small sets
+        monkeypatch.setattr(_engine, "POOL_CELLS", 0)  # workers fork even for small sets
         argv = ["analyze", "--json", "--b", "600", "--seed", "3"]
         _, out1, _ = _run(capsys, argv + ["--workers", "1"])
         _, out4, _ = _run(capsys, argv + ["--workers", "4"])
@@ -84,13 +89,13 @@ class TestAnalyze:
 
     def test_target_both_builds_one_replicate_set_per_method(self, capsys, monkeypatch):
         schemes = []
-        original = inference.replicate_set
+        original = inference.replicate_statistics
 
-        def counting(z, plan):
-            schemes.append(plan.scheme)
-            return original(z, plan)
+        def counting(z, scheme, *args):
+            schemes.append(scheme)
+            return original(z, scheme, *args)
 
-        monkeypatch.setattr(inference, "replicate_set", counting)
+        monkeypatch.setattr(inference, "replicate_statistics", counting)
         rc, _, _ = _run(capsys, ["analyze", "--method", "all", "--target", "both",
                                  "--b", "99", "--json"])
         assert rc == 0
@@ -217,7 +222,7 @@ class TestAnalyze:
             raise AssertionError("work began before --dump-replicates was checked")
 
         monkeypatch.setattr(cli, "ingest_csv", never)
-        monkeypatch.setattr(inference, "replicate_set", never)
+        monkeypatch.setattr(inference, "replicate_statistics", never)
         target = tmp_path / where
         rc, out, got = _run(capsys, ["analyze", "--method", method,
                                      "--dump-replicates", str(target)])
@@ -269,10 +274,10 @@ class TestAnalyze:
     @pytest.mark.parametrize("method", ["asymptotic", "bootstrap", "permutation", "all"])
     def test_bad_alpha_exits_1_before_replicates(self, capsys, monkeypatch, method):
         # alpha / 2 = 0.75 once passed the normal quantile's own check
-        def no_replicates(z, plan):
+        def no_replicates(*args):
             raise AssertionError("replicates drawn before alpha was checked")
 
-        monkeypatch.setattr(inference, "replicate_set", no_replicates)
+        monkeypatch.setattr(inference, "replicate_statistics", no_replicates)
         rc, out, err = _run(capsys, ["analyze", "--method", method, "--alpha", "1.5",
                                      "--b", "200000"])
         assert (rc, out, err) == (1, "", "survcmp: alpha must be in (0, 1)\n")
@@ -539,7 +544,33 @@ class TestSingleSource:
         assert rc == 0
         s1, s2 = load_tongue()
         rows = [(res.method, "p", res.ci, res) for res in inference.analyze(s1, s2)]
-        assert out == cli._analysis_json(s1, s2, rows, 0)
+        assert out == cli._analysis_json(s1, s2, rows, _default(inference.analyze, "seed"))
+
+    def test_csv_defaults_are_the_readers(self):
+        for name in ("time_col", "status_col", "group_col", "event_value", "censored_value",
+                     "beyond_horizon"):
+            flag = "--" + name.replace("_", "-")
+            assert self._action("analyze", flag).default == _default(datasets.ingest_csv, name)
+        assert (_default(datasets.load_tongue, "beyond_horizon")
+                == _default(datasets.ingest_csv, "beyond_horizon"))
+
+    def test_unset_seed_is_the_library_default(self, capsys, monkeypatch):
+        # no --seed flag, and _clean_env has removed SURVCMP_SEED
+        argv = ["analyze", "--json", "--method", "asymptotic"]
+        rc, out, _ = _run(capsys, argv)
+        assert rc == 0 and json.loads(out)["seed"] == _default(inference.analyze, "seed")
+        # each command reads its library's default rather than a copy of it
+        names = [n for n, p in inspect.signature(inference.analyze).parameters.items()
+                 if p.default is not p.empty]
+        monkeypatch.setattr(inference.analyze, "__defaults__", tuple(
+            7 if n == "seed" else d for n, d in zip(names, inference.analyze.__defaults__)))
+        rc, out, _ = _run(capsys, argv)
+        assert rc == 0 and json.loads(out)["seed"] == 7
+        monkeypatch.setattr(simulate.ScenarioConfig, "seed", 7)
+        argv = ["simulate", "--setup", "3", "--censoring", "none", "--n1", "6", "--n2", "6",
+                "--reps", "3", "--b", "9", "--tsv"]
+        rc, out, _ = _run(capsys, argv)
+        assert rc == 0 and out == _run(capsys, argv + ["--seed", "7"])[1]
 
     def test_simulate_cell_equals_the_library_with_its_defaults(self, capsys):
         # a small cell: no alpha, seed or workers flag

@@ -54,15 +54,13 @@ def test_readme_library_snippet_runs(capsys):
 def test_public_surface_is_pinned():
     # a new public name is a deliberate change to this list
     assert survcmp.__all__ == [
-        "Sample", "pool", "mann_whitney_effect", "analyze", "ResamplingPlan", "ReplicateSet",
-        "replicate_set", "load_tongue", "ScenarioConfig", "coverage_study", "true_effect",
-        "__version__",
+        "Sample", "mann_whitney_effect", "analyze", "ReplicateSet", "load_tongue",
+        "ScenarioConfig", "coverage_study", "true_effect", "__version__",
     ]
 
 
 # the package's modules, each importing package modules only from earlier ones
-LAYERS = ["rng", "_engine", "survival", "resampling", "inference", "datasets", "simulate",
-          "cli"]
+LAYERS = ["rng", "_engine", "survival", "inference", "datasets", "simulate", "cli"]
 
 
 def _imports(tree: ast.Module):

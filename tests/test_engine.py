@@ -19,13 +19,12 @@ from survcmp._engine import (
     chunk_blocks,
     identity_row,
     permutation_indices,
+    replicate_statistics,
     studentize,
 )
 from survcmp import _engine
 from survcmp.datasets import load_tongue
 from survcmp.inference import DegenerateError, analyze, mann_whitney_effect
-from survcmp import resampling
-from survcmp.resampling import ResamplingPlan, replicate_set
 from survcmp.rng import BLOCK, SCHEME_IDS, blocks, stream
 from survcmp.survival import Sample, pool, truncate
 
@@ -69,7 +68,7 @@ def _reference_set(z, scheme, b, seed):
                  z, draw(stream(seed, SCHEME_IDS[scheme], index), size, z.n1 + z.n2))
              for index, size in blocks(b)]
     p, _, _, sigma2, valid = (np.concatenate(c) for c in zip(*parts))
-    return studentize(p, sigma2, valid, z.n1, z.n2, 0.5)[valid], int((~valid).sum())
+    return studentize(p, sigma2, valid, z.n1, z.n2, 0.5)
 
 
 def _assert_same_rows(got, want):
@@ -247,13 +246,11 @@ class TestStructure:
         # 600 replicates make two full blocks and a partial one, all in one
         # engine call on this narrow pool; two workers fork even for this
         # small a set
-        monkeypatch.setattr(resampling, "POOL_CELLS", 0)
+        monkeypatch.setattr(_engine, "POOL_CELLS", 0)
         z = _pooled(np.random.default_rng(9006), 12, 9)
         assert chunk_blocks(z) >= 3
-        reps = replicate_set(z, ResamplingPlan(scheme=scheme, b=600, seed=17, workers=workers))
-        want, dropped = _reference_set(z, scheme, 600, 17)
-        assert_array_equal(reps.statistics, want)
-        assert reps.dropped == dropped
+        reps = replicate_statistics(z, scheme, 600, 17, workers)
+        assert_array_equal(reps, _reference_set(z, scheme, 600, 17))
 
     @pytest.mark.parametrize("scheme", ["bootstrap", "permutation"])
     def test_wide_pool_processes_over_chunks(self, scheme, monkeypatch):
@@ -261,32 +258,29 @@ class TestStructure:
         # so B = 600 spans three calls; one worker runs them inline, two and
         # three take runs of (2, 1) and (1, 1, 1) calls in processes, even
         # for this small a set
-        monkeypatch.setattr(resampling, "POOL_CELLS", 0)
+        monkeypatch.setattr(_engine, "POOL_CELLS", 0)
         z = _wide(200, 200, 9009)
         assert chunk_blocks(z) == 1
-        sets = [replicate_set(z, ResamplingPlan(scheme, 600, 23, workers))
-                for workers in (1, 2, 3)]
+        sets = [replicate_statistics(z, scheme, 600, 23, workers) for workers in (1, 2, 3)]
         assert multiprocessing.active_children() == []
-        want, dropped = _reference_set(z, scheme, 600, 23)
+        want = _reference_set(z, scheme, 600, 23)
         for reps in sets:
-            assert reps.statistics.tobytes() == want.tobytes()
-            assert reps.dropped == dropped
+            assert reps.tobytes() == want.tobytes()
 
     def test_concurrent_sets_never_share_a_workspace(self, monkeypatch):
         # sets on two pools from more threads than cores, the wide ones on
         # three threads of their own, with the interpreter switching threads
         # often; a workspace lent twice at once would mix two calls' arrays
-        monkeypatch.setattr(resampling, "POOL_CELLS", 0)  # wide sets spawn workers
-        jobs = [(_wide(200, 200, 9013), ResamplingPlan("permutation", 600, 5, workers=3)),
-                (_pooled(np.random.default_rng(9014), 15, 15),
-                 ResamplingPlan("bootstrap", 999, 6))]
-        want = [replicate_set(z, plan).statistics.tobytes() for z, plan in jobs]
+        monkeypatch.setattr(_engine, "POOL_CELLS", 0)  # wide sets spawn workers
+        jobs = [(_wide(200, 200, 9013), "permutation", 600, 5, 3),
+                (_pooled(np.random.default_rng(9014), 15, 15), "bootstrap", 999, 6, 1)]
+        want = [replicate_statistics(*job).tobytes() for job in jobs]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=4) as pool_:
-                futures = [pool_.submit(replicate_set, z, plan) for z, plan in jobs * 3]
-                got = [f.result(timeout=120).statistics.tobytes() for f in futures]
+                futures = [pool_.submit(replicate_statistics, *job) for job in jobs * 3]
+                got = [f.result(timeout=120).tobytes() for f in futures]
         finally:
             sys.setswitchinterval(interval)
         assert got == want * 3
@@ -295,16 +289,16 @@ class TestStructure:
         # a 200/200 set lays out one 256-row block per call, beyond the
         # budget; the thread's first call on a 15/15 pool drops those arrays
         work = _engine._work
-        replicate_set(_wide(200, 200, 9015), ResamplingPlan("bootstrap", 600, 7))
+        replicate_statistics(_wide(200, 200, 9015), "bootstrap", 600, 7)
         wide = min(buf.size for buf in work._memory.values())
         narrow = _pooled(np.random.default_rng(9016), 15, 15)
-        replicate_set(narrow, ResamplingPlan("permutation", 999, 8))
+        replicate_statistics(narrow, "permutation", 999, 8)
         assert max(buf.size for buf in work._memory.values()) < wide
         # a set in another thread fits that thread's workspace, not this one
         before, memory = dict(vars(work)), dict(work._memory)
 
         def elsewhere():
-            replicate_set(narrow, ResamplingPlan("bootstrap", 999, 9))
+            replicate_statistics(narrow, "bootstrap", 999, 9)
             return _engine._work._memory
 
         with ThreadPoolExecutor(max_workers=1) as pool_:
@@ -322,12 +316,12 @@ class TestStructure:
         pools = sorted((_pooled(np.random.default_rng(seed), 15, 15) for seed in (9027, 9028)),
                        key=lambda z: -z.width)
         assert pools[0].width > pools[1].width
-        replicate_set(pools[0], ResamplingPlan("bootstrap", 999, 16))
+        replicate_statistics(pools[0], "bootstrap", 999, 16)
         grids = dict(work._memory)
         assert len(grids) == 3
         for z in pools[::-1]:
             for scheme in ("permutation", "bootstrap"):
-                replicate_set(z, ResamplingPlan(scheme, 999, 17))
+                replicate_statistics(z, scheme, 999, 17)
                 assert work._memory.keys() == grids.keys()
                 assert all(work._memory[name] is buf for name, buf in grids.items())
 
@@ -405,7 +399,7 @@ class TestCodeTables:
     def test_tables_kept_for_current_group_sizes_only(self):
         # one radix at a time, kept across the identity row's formula call
         narrow = _pooled(np.random.default_rng(9024), 15, 15)
-        replicate_set(narrow, ResamplingPlan("bootstrap", 999, 14))
+        replicate_statistics(narrow, "bootstrap", 999, 14)
         identity_row(narrow)
         info = _engine._km_tables.cache_info()
         assert info.currsize == 1
@@ -414,8 +408,8 @@ class TestCodeTables:
         assert tables.shape == (2, 16 * 16) and not tables.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             tables[1, 0] = 1.0
-        replicate_set(_pooled(np.random.default_rng(9025), 12, 20),
-                      ResamplingPlan("permutation", 300, 15))
+        replicate_statistics(_pooled(np.random.default_rng(9025), 12, 20), "permutation",
+                             300, 15)
         info = _engine._km_tables.cache_info()
         tables = _engine._km_tables(21)
         assert _engine._km_tables.cache_info().hits == info.hits + 1

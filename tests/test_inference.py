@@ -16,7 +16,6 @@ from survcmp.inference import (
     mann_whitney_effect,
     normal_quantile,
 )
-from survcmp.resampling import ResamplingPlan
 from survcmp.rng import check_seed
 from survcmp.simulate import SETUPS, ScenarioConfig
 from survcmp.survival import Sample
@@ -112,7 +111,7 @@ class TestStatistics:
             _statistic(s1, s2)
 
 
-def _no_replicates(z, plan):
+def _no_replicates(*args):
     raise AssertionError("replicates drawn before the options were checked")
 
 
@@ -120,7 +119,7 @@ def _no_replicates(z, plan):
 @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 1.5, "0.1", None, True, float("nan")])
 @pytest.mark.parametrize("scheme", ["bootstrap", "permutation"])
 def test_alpha_checked_before_replicates(monkeypatch, scheme, alpha):
-    monkeypatch.setattr(inference, "replicate_set", _no_replicates)
+    monkeypatch.setattr(inference, "replicate_statistics", _no_replicates)
     s1, s2 = load_tongue()
     with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
         analyze(s1, s2, methods=(scheme,), alpha=alpha, b=200_000, seed=1)
@@ -136,7 +135,7 @@ def test_methods_checked_before_any_computation(monkeypatch, methods):
     # empty, unknown and repeated methods, a bare string and an unhashable
     # name fail with one message that names every method, before the pool
     # or a replicate set
-    monkeypatch.setattr(inference, "replicate_set", _no_replicates)
+    monkeypatch.setattr(inference, "replicate_statistics", _no_replicates)
     monkeypatch.setattr(inference, "pool", _no_replicates)
     s1, s2 = load_tongue()
     want = "methods must be distinct names from ('asymptotic', 'bootstrap', 'permutation')"
@@ -149,7 +148,8 @@ def test_methods_checked_before_any_computation(monkeypatch, methods):
 _S1, _S2 = load_tongue()
 
 # (call, message) for an integer setting that is not a Python or numpy
-# integer, and for the seed rule, which holds whichever methods are asked for
+# integer, and for the rules of seed, b and workers, which hold whichever
+# methods are asked for
 _INTEGER_CASES = {
     "seed -1": (lambda: analyze(_S1, _S2, ("asymptotic",), seed=-1),
                 "seed must fit in 64 unsigned bits"),
@@ -159,9 +159,11 @@ _INTEGER_CASES = {
     "b float": (lambda: analyze(_S1, _S2, b=100.0), "b must be an integer"),
     "b bool": (lambda: analyze(_S1, _S2, b=True), "b must be an integer"),
     "workers float": (lambda: analyze(_S1, _S2, workers=2.0), "workers must be an integer"),
-    "plan b bool": (lambda: ResamplingPlan("bootstrap", True, 0), "b must be an integer"),
-    "plan workers float": (lambda: ResamplingPlan("permutation", 9, 0, workers=2.0),
-                           "workers must be an integer"),
+    "workers bool": (lambda: analyze(_S1, _S2, ("permutation",), workers=True),
+                     "workers must be an integer"),
+    "b 0": (lambda: analyze(_S1, _S2, ("asymptotic",), b=0), "need at least one replicate"),
+    "workers 0": (lambda: analyze(_S1, _S2, ("bootstrap",), workers=0),
+                  "workers must be positive"),
     "check_seed bool": (lambda: check_seed(True), "seed must be an integer"),
     "config n1 float": (lambda: ScenarioConfig(setup=3, censoring="none", n1=5.0, n2=5,
                                                reps=2, b=9), "n1 must be an integer"),
@@ -173,7 +175,7 @@ _INTEGER_CASES = {
 @pytest.mark.parametrize("case", list(_INTEGER_CASES))
 def test_integer_settings_checked_before_any_computation(monkeypatch, case):
     monkeypatch.setattr(inference, "pool", _no_replicates)
-    monkeypatch.setattr(inference, "replicate_set", _no_replicates)
+    monkeypatch.setattr(inference, "replicate_statistics", _no_replicates)
     call, message = _INTEGER_CASES[case]
     with pytest.raises(ValueError) as info:
         call()
@@ -184,7 +186,8 @@ def test_numpy_integer_settings_accepted():
     [res] = analyze(_S1, _S2, ("bootstrap",), b=np.int64(19), seed=np.uint64(2**64 - 1),
                     workers=np.int32(1))
     assert res.b == 19
-    assert ResamplingPlan("permutation", np.int16(9), np.int64(3)).b == 9
+    [res] = analyze(_S1, _S2, ("permutation",), b=np.int16(9), seed=np.int64(3))
+    assert res.b == 9
     assert ScenarioConfig(setup=np.int64(3), censoring="none", n1=np.int32(5), n2=5).n1 == 5
 
 
@@ -198,7 +201,7 @@ class TestErrorPrecedence:
     @pytest.mark.parametrize("method", ["asymptotic", "bootstrap", "permutation"])
     def test_message(self, monkeypatch, method, case):
         # the degenerate estimate fails before any replicate is drawn
-        monkeypatch.setattr(inference, "replicate_set", _no_replicates)
+        monkeypatch.setattr(inference, "replicate_statistics", _no_replicates)
         s1, s2 = (Sample(t, e, K) for t, e in self.CASES[case])
         with pytest.raises(DegenerateError, match="degenerate variance"):
             analyze(s1, s2, methods=(method,), b=99, seed=1)

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from survcmp import resampling, survival
-from survcmp._engine import batch_context
+from survcmp import _engine, survival
+from survcmp._engine import batch_context, replicate_statistics
 from survcmp.datasets import load_tongue
-from survcmp.inference import DegenerateError, _replicate_test, analyze, mann_whitney_effect
-from survcmp.resampling import ReplicateSet, ResamplingPlan, replicate_set
+from survcmp.inference import (DegenerateError, ReplicateSet, _replicate_test, analyze,
+                               mann_whitney_effect)
 from survcmp.rng import stream
 from survcmp.simulate import SETUPS
 from survcmp.survival import Sample, pool, truncate
@@ -74,6 +74,11 @@ def _quantile(r: ReplicateSet, alpha: float) -> float:
     return _replicate_test(r.statistics, 0.0, alpha)[0]
 
 
+def _kept(stats: np.ndarray) -> ReplicateSet:
+    # what analyze keeps of an engine set: the valid replicates, the rest dropped
+    return ReplicateSet(stats[~np.isnan(stats)], int(np.isnan(stats).sum()))
+
+
 class TestReplicateQuantile:
     def test_small_set_takes_maximum(self):
         r = ReplicateSet(np.arange(1.0, 20.0), 0)
@@ -104,45 +109,58 @@ class TestReplicateQuantile:
 
 class TestReplicateSets:
     def test_worker_count_never_changes_results(self, monkeypatch):
-        monkeypatch.setattr(resampling, "POOL_CELLS", 0)  # workers fork even for small sets
+        monkeypatch.setattr(_engine, "POOL_CELLS", 0)  # workers fork even for small sets
         rng = np.random.default_rng(4)
         s1 = _random_censored(rng, 15)
         s2 = _random_censored(rng, 12)
         z = pool(s1, s2)
         for scheme in ("bootstrap", "permutation"):
-            base = replicate_set(z, ResamplingPlan(scheme, 600, 42, workers=1))
+            base = replicate_statistics(z, scheme, 600, 42, workers=1)
             for workers in (2, 4):
-                other = replicate_set(z, ResamplingPlan(scheme, 600, 42, workers=workers))
-                assert_array_equal(base.statistics, other.statistics)
-                assert base.dropped == other.dropped
+                other = replicate_statistics(z, scheme, 600, 42, workers=workers)
+                assert base.tobytes() == other.tobytes()  # NaN marks a dropped replicate
 
     def test_small_set_starts_no_process(self, monkeypatch):
         # the bundled data at the default B: 1999 x (80 + 2) cells, far
         # below the size from which worker processes pay
         z = pool(*load_tongue())
-        plan = ResamplingPlan("permutation", 1999, 8, workers=1)
-        assert plan.b * (z.n + 2) < resampling.POOL_CELLS
-        want = replicate_set(z, plan)
+        assert 1999 * (z.n + 2) < _engine.POOL_CELLS
+        want = replicate_statistics(z, "permutation", 1999, 8, workers=1)
 
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker process was started")
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-        got = replicate_set(z, ResamplingPlan("permutation", 1999, 8, workers=2))
-        assert got.statistics.tobytes() == want.statistics.tobytes()
-        assert got.dropped == want.dropped
-        monkeypatch.setattr(resampling, "POOL_CELLS", 0)  # the same set pools
+        got = replicate_statistics(z, "permutation", 1999, 8, workers=2)
+        assert got.tobytes() == want.tobytes()
+        monkeypatch.setattr(_engine, "POOL_CELLS", 0)  # the same set pools
         with pytest.raises(AssertionError, match="worker process"):
-            replicate_set(z, ResamplingPlan("permutation", 1999, 8, workers=2))
+            replicate_statistics(z, "permutation", 1999, 8, workers=2)
+
+    def test_large_set_starts_processes_through_analyze(self, monkeypatch):
+        # the bundled data at B = 40,000: 40,000 x (80 + 2) cells pass the
+        # real threshold, so two workers start a process pool
+        s1, s2 = load_tongue()
+        assert 40_000 * (s1.n + s2.n + 2) >= _engine.POOL_CELLS
+
+        class Started(Exception):
+            pass
+
+        def no_pool(*args, **kwargs):
+            raise Started
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        with pytest.raises(Started):
+            analyze(s1, s2, methods=("permutation",), b=40_000, seed=8, workers=2)
 
     def test_replicates_deterministic_in_seed(self):
         rng = np.random.default_rng(5)
         z = pool(_random_censored(rng, 8), _random_censored(rng, 8))
-        a = replicate_set(z, ResamplingPlan("bootstrap", 300, 9))
-        b = replicate_set(z, ResamplingPlan("bootstrap", 300, 9))
-        assert_array_equal(a.statistics, b.statistics)
-        c = replicate_set(z, ResamplingPlan("bootstrap", 300, 10))
-        assert not np.array_equal(a.statistics, c.statistics)
+        a = replicate_statistics(z, "bootstrap", 300, 9)
+        b = replicate_statistics(z, "bootstrap", 300, 9)
+        assert_array_equal(a, b)
+        c = replicate_statistics(z, "bootstrap", 300, 10)
+        assert not np.array_equal(a, c)
 
     def test_label_free_canonical_pool(self):
         # permutation replicates depend on the pooled multiset only; after
@@ -155,31 +173,29 @@ class TestReplicateSets:
             order = np.lexsort((za.events, za.times))
             return batch_context(za.times[order], za.events[order], za.n1, za.n2, za.k)
 
-        plan = ResamplingPlan("permutation", 400, 13)
-        a = replicate_set(canonical(pool(s1, s2)), plan)
-        b = replicate_set(canonical(pool(s2, s1)), plan)
-        assert_array_equal(a.statistics, b.statistics)
+        a = replicate_statistics(canonical(pool(s1, s2)), "permutation", 400, 13)
+        b = replicate_statistics(canonical(pool(s2, s1)), "permutation", 400, 13)
+        assert_array_equal(a, b)
 
     def test_one_context_per_pool_same_bytes_as_fresh_pools(self, monkeypatch):
         rng = np.random.default_rng(23)
         s1, s2 = _random_censored(rng, 12), _random_censored(rng, 9)
-        plans = [ResamplingPlan("bootstrap", 600, 5), ResamplingPlan("permutation", 600, 5)]
-        fresh = [replicate_set(pool(s1, s2), plan) for plan in plans]
+        schemes = ("bootstrap", "permutation")
+        fresh = [replicate_statistics(pool(s1, s2), scheme, 600, 5) for scheme in schemes]
         built = []
         original = survival.batch_context
         monkeypatch.setattr(survival, "batch_context",
                             lambda *args: built.append(1) or original(*args))
         z = pool(s1, s2)
-        shared = [replicate_set(z, plan) for plan in plans]
+        shared = [replicate_statistics(z, scheme, 600, 5) for scheme in schemes]
         assert len(built) == 1
         for got, want in zip(shared, fresh):
-            assert got.statistics.tobytes() == want.statistics.tobytes()
-            assert got.dropped == want.dropped
+            assert got.tobytes() == want.tobytes()
 
     def test_all_censored_pool_drops_everything(self):
         times = np.linspace(1.0, 4.0, 8)
         z = batch_context(times, np.zeros(8, bool), 4, 4, K)
-        r = replicate_set(z, ResamplingPlan("permutation", 50, 0))
+        r = _kept(replicate_statistics(z, "permutation", 50, 0))
         assert r.b_eff == 0
         assert r.dropped == 50
         with pytest.raises(DegenerateError, match="no valid replicates"):
@@ -205,7 +221,7 @@ class TestReplicateSets:
         s2 = truncate((t[10:], ev[10:]), 1.6024)
         z = pool(s1, s2)
         for scheme in ("bootstrap", "permutation"):
-            r = replicate_set(z, ResamplingPlan(scheme, 2000, 3))
+            r = _kept(replicate_statistics(z, scheme, 2000, 3))
             assert r.dropped / 2000 < 0.05
 
     def test_export_one_value_per_line(self):
@@ -226,7 +242,7 @@ class TestDistribution:
         t2 = SETUPS[3][1].draw(gen, 100)
         s1 = truncate((t1, np.ones(100, bool)), 2.0)
         s2 = truncate((t2, np.ones(100, bool)), 2.0)
-        r = replicate_set(pool(s1, s2), ResamplingPlan("bootstrap", 10_000, 17))
+        r = _kept(replicate_statistics(pool(s1, s2), "bootstrap", 10_000, 17))
         q = _quantile(r, 0.025)
         assert abs(q - 1.96) <= 0.15
 
@@ -236,8 +252,8 @@ class TestDistribution:
         [res] = analyze(s1, s2, methods=("permutation",), alternative="greater", b=99,
                         seed=0)
         r = res.replicates
-        assert r.statistics.tobytes() == replicate_set(
-            pool(s1, s2), ResamplingPlan("permutation", 99, 0)).statistics.tobytes()
+        assert r.statistics.tobytes() == _kept(replicate_statistics(
+            pool(s1, s2), "permutation", 99, 0)).statistics.tobytes()
         assert res.statistic > float(r.statistics.max())
         assert res.p_value == 1.0 / (r.b_eff + 1)
 
@@ -295,24 +311,8 @@ class TestFrozenTongue:
 
 
 class TestPlanValidation:
-    def test_scheme_checked(self):
-        with pytest.raises(ValueError, match="scheme"):
-            ResamplingPlan("jackknife", 10, 0)
-
-    def test_replicate_count_checked(self):
-        with pytest.raises(ValueError, match="at least one replicate"):
-            ResamplingPlan("bootstrap", 0, 0)
-
-    def test_seed_range_checked(self):
-        with pytest.raises(ValueError, match="seed"):
-            ResamplingPlan("bootstrap", 10, -1)
-        with pytest.raises(ValueError, match="seed"):
-            ResamplingPlan("bootstrap", 10, 2**64)
-
-    def test_workers_checked(self):
-        with pytest.raises(ValueError, match="workers"):
-            ResamplingPlan("bootstrap", 10, 0, workers=0)
-
+    # the settings a replicate set is drawn with are checked by analyze
+    # (tests/test_inference.py); what is left here is the set's record
     def test_b_eff_property(self):
         r = ReplicateSet(np.array([1.0, 2.0]), 3)
         assert r.b_eff == 2

@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import integrate, special, stats
 
-from survcmp import _engine, resampling
+from survcmp import _engine
 from survcmp.inference import DegenerateError
 from survcmp.rng import stream
 from survcmp.simulate import (
@@ -339,8 +339,7 @@ class TestCoverageStudy:
         def broken(*args, **kwargs):
             raise error("operands could not be broadcast together")
 
-        for module in (_engine, resampling):
-            monkeypatch.setattr(module, "batch_statistics", broken)
+        monkeypatch.setattr(_engine, "batch_statistics", broken)
         cfg = ScenarioConfig(setup=3, censoring="none", n1=5, n2=5, reps=3, b=9, seed=0)
         if error is DegenerateError:
             row = coverage_study(cfg)
